@@ -46,7 +46,7 @@ SRC = ROOT / "src"
 WORK_ROOT = ROOT / ".bench_work"
 
 WORKLOADS = ("grid", "null_sweep", "audit_large")
-SETUP_REPEATS = 3  # set-ups per untraced run, spread over it; setup_s is their median
+SETUP_REPEATS = 12  # set-ups per untraced run, spread evenly over it; see setup_mean
 MIN_OPS = 3  # timed operations per run, even past the deadline
 P90_MIN_OPS = 100  # a p90 needs at least ten samples beyond it
 DRAW_LOOP = 20_000  # CounterRng.uniform calls per rng.draw_ns sample
@@ -489,8 +489,22 @@ def _deadline_loop(workload, seconds: float):
         yield seed
 
 
+def setup_mean(samples: list[float]) -> float:
+    """Mean of the set-up times without the fastest and the slowest.
+
+    The host switches between two speeds in spells of seconds, so set-up
+    times fall into two clusters.  A median of them flips between the
+    clusters from run to run; a mean only moves with the share of slow
+    spells, as ``patients_per_s`` does.  Dropping the two extremes keeps
+    one stray sample from moving it.
+    """
+    ordered = sorted(samples)
+    kept = ordered[1:-1] if len(ordered) >= 5 else ordered
+    return math.fsum(kept) / len(kept)
+
+
 def untraced_run(workload, ox, seconds: float, checker: Checker, setup_samples: list[float]) -> dict:
-    """Time ops for ``seconds``, setting up again at each further third of the window.
+    """Time ops for ``seconds``, setting up again at SETUP_REPEATS - 1 evenly spaced marks.
 
     Spreading the set-ups over the run lets ``setup_s`` see the same mix
     of host speed as the timed ops.
@@ -595,7 +609,7 @@ def run_benchmark(workload_name: str, seed: int, seconds: float, trace: bool, si
             pass  # not empty: another run is using it
     metrics = run["metrics"]
     if not trace:
-        metrics["setup_s"] = statistics.median(setup_samples)
+        metrics["setup_s"] = setup_mean(setup_samples)
     reference.append(reference_loop_s())
     units = PER_LAYER_UNITS if trace else END_TO_END_UNITS
     detail.update(run["detail"])
