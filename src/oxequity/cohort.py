@@ -8,24 +8,31 @@ and influences treatment only through the systemic-bias channel; both
 channels can be switched off independently without perturbing any
 random draw (common random numbers).
 
+Generation runs in two stages: ``draw_cohort`` hashes every patient's
+streams once, and ``derive_cohort`` applies the toggles and treatment
+rule to those draws, so scenarios that share a seed can share the draws.
+
 Records are immutable after generation and safe to share across
 threads; generation itself is a pure function of the scenario config.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 from .rng import Channel, CounterRng
 from .stats.special import normal_cdf, normal_quantile, sigmoid
 
 __all__ = [
+    "CohortDraws",
     "DgpParams",
     "PatientRecord",
     "ScenarioConfig",
     "DEFAULT_DGP",
     "TREATMENT_MODES",
+    "derive_cohort",
+    "draw_cohort",
     "generate_cohort",
     "measurement_error",
     "oracle_tau",
@@ -147,30 +154,45 @@ class PatientRecord:
     clamped: bool = False
 
 
+def _saturation_inverse_cdf(params: DgpParams) -> Callable[[float], float]:
+    """Inverse CDF of the saturation law truncated to [W_LOW, W_HIGH].
+
+    The normal CDF at the two window edges is evaluated here, once, so a
+    cohort pays for it once rather than once per patient.  Pathological
+    tail draws that escape the window through floating point are clamped
+    back to the bounds.
+    """
+    mean, sd = params.saturation_mean, params.saturation_sd
+    if sd < 1e-12:
+        degenerate = min(max(mean, W_LOW), W_HIGH)
+        return lambda u: degenerate
+    lo = normal_cdf((W_LOW - mean) / sd)
+    hi = normal_cdf((W_HIGH - mean) / sd)
+
+    def inverse(u: float) -> float:
+        p = lo + u * (hi - lo)
+        if p <= 0.0 or p >= 1.0:
+            return W_LOW if p <= 0.0 else W_HIGH
+        value = mean + sd * normal_quantile(p)
+        return min(max(value, W_LOW), W_HIGH)
+
+    return inverse
+
+
 def sample_true_saturation(
     uniform_draws: Sequence[float], params: DgpParams
 ) -> float:
     """Truncated-normal saturation on [70, 100] by inverse-CDF transform.
 
-    Only the first of the two unit-interval draws is consumed; the
-    second is reserved so samplers needing a pair (for example polar
-    methods) could slot in without shifting any other channel's stream.
-    Pathological tail draws that escape the window through floating
-    point are clamped back to the bounds.
+    Only the first draw is consumed.  The sequence form is kept so
+    callers passing a (draw, spare) pair keep working, but the generator
+    no longer hashes a second saturation draw: each patient costs five
+    counter hashes (group, saturation, noise, treatment, outcome).
     """
     u = float(uniform_draws[0])
     if not 0.0 < u < 1.0:
         raise ValueError(f"saturation draw must lie in (0, 1), got {u!r}")
-    mean, sd = params.saturation_mean, params.saturation_sd
-    if sd < 1e-12:
-        return min(max(mean, W_LOW), W_HIGH)
-    lo = normal_cdf((W_LOW - mean) / sd)
-    hi = normal_cdf((W_HIGH - mean) / sd)
-    p = lo + u * (hi - lo)
-    if p <= 0.0 or p >= 1.0:
-        return W_LOW if p <= 0.0 else W_HIGH
-    value = mean + sd * normal_quantile(p)
-    return min(max(value, W_LOW), W_HIGH)
+    return _saturation_inverse_cdf(params)(u)
 
 
 def measurement_error(
@@ -231,6 +253,72 @@ def outcome_assignment(
     return 1 if uniform_draw < sigmoid(logit) else 0
 
 
+@dataclass(frozen=True, slots=True)
+class CohortDraws:
+    """The toggle-independent columns of one cohort, indexed by patient id.
+
+    Every random quantity a cohort consumes is here: group membership,
+    true saturation, the standard-normal oximeter noise and the treatment
+    and outcome uniforms.  The bias toggles and the treatment rule act
+    only through deterministic shifts of these, so one set of draws
+    serves every scenario that shares the seed, size and parameters.
+    """
+
+    dgp: DgpParams
+    group_a: list[int]
+    w_true: list[float]
+    noise: list[float]
+    u_treat: list[float]
+    u_out: list[float]
+
+
+def draw_cohort(config: ScenarioConfig) -> CohortDraws:
+    """Make the one pass over the patients' counter-based streams.
+
+    Draws are keyed by (seed, patient_id, channel), so the toggles and
+    treatment mode of ``config`` play no part here.
+    """
+    config.validate()
+    rng = CounterRng(config.seed)
+    uniform, normal = rng.uniform, rng.normal
+    saturation = _saturation_inverse_cdf(config.dgp)
+    p_group1 = config.p_group1
+    group_a, w_true, noise, u_treat, u_out = [], [], [], [], []
+    for i in range(config.n_total):
+        group_a.append(1 if uniform(i, Channel.GROUP) < p_group1 else 0)
+        w_true.append(saturation(uniform(i, Channel.SATURATION)))
+        noise.append(normal(i, Channel.NOISE))
+        u_treat.append(uniform(i, Channel.TREAT))
+        u_out.append(uniform(i, Channel.OUTCOME))
+    return CohortDraws(config.dgp, group_a, w_true, noise, u_treat, u_out)
+
+
+def derive_cohort(
+    draws: CohortDraws,
+    measurement_bias_on: bool,
+    systemic_bias_on: bool,
+    treatment_mode: str,
+) -> list[PatientRecord]:
+    """Build one scenario's records from shared draws; no random stream is read."""
+    dgp = draws.dgp
+    records = []
+    columns = zip(draws.group_a, draws.w_true, draws.noise, draws.u_treat, draws.u_out)
+    for i, (group_a, w_true, noise, u_treat, u_out) in enumerate(columns):
+        epsilon = measurement_error(w_true, group_a, measurement_bias_on, noise, dgp)
+        raw = w_true + epsilon
+        w_star = min(max(raw, 0.0), 100.0)
+        treated = treatment_assignment(
+            w_star, group_a, systemic_bias_on, treatment_mode, u_treat, dgp
+        )
+        outcome = outcome_assignment(w_true, treated, u_out, dgp)
+        clamped = raw < 0.0 or raw > 100.0
+        # Positional arguments: keyword passing costs a third of a derive.
+        records.append(
+            PatientRecord(i, group_a, w_true, w_star, epsilon, treated, outcome, clamped)
+        )
+    return records
+
+
 def generate_cohort(config: ScenarioConfig) -> list[PatientRecord]:
     """Simulate one cohort under the given scenario.
 
@@ -239,48 +327,12 @@ def generate_cohort(config: ScenarioConfig) -> list[PatientRecord]:
     flipping either bias toggle leaves every channel's underlying
     uniforms untouched.
     """
-    config.validate()
-    rng = CounterRng(config.seed)
-    dgp = config.dgp
-    records = []
-    for i in range(config.n_total):
-        group_a = 1 if rng.uniform(i, Channel.GROUP) < config.p_group1 else 0
-        draws = (
-            rng.uniform(i, Channel.SATURATION, 0),
-            rng.uniform(i, Channel.SATURATION, 1),
-        )
-        w_true = sample_true_saturation(draws, dgp)
-        noise = rng.normal(i, Channel.NOISE)
-        epsilon = measurement_error(
-            w_true, group_a, config.measurement_bias_on, noise, dgp
-        )
-        raw = w_true + epsilon
-        clamped = raw < 0.0 or raw > 100.0
-        w_star = min(max(raw, 0.0), 100.0)
-        treated = treatment_assignment(
-            w_star,
-            group_a,
-            config.systemic_bias_on,
-            config.treatment_mode,
-            rng.uniform(i, Channel.TREAT),
-            dgp,
-        )
-        outcome = outcome_assignment(
-            w_true, treated, rng.uniform(i, Channel.OUTCOME), dgp
-        )
-        records.append(
-            PatientRecord(
-                patient_id=i,
-                group_a=group_a,
-                w_true=w_true,
-                w_star=w_star,
-                epsilon=epsilon,
-                treated=treated,
-                outcome=outcome,
-                clamped=clamped,
-            )
-        )
-    return records
+    return derive_cohort(
+        draw_cohort(config),
+        config.measurement_bias_on,
+        config.systemic_bias_on,
+        config.treatment_mode,
+    )
 
 
 def oracle_tau(
@@ -312,19 +364,3 @@ def oracle_tau(
                 1 if u < risk_treated else 0
             )
     return diff_total / (len(cohort) * replicate_count)
-
-
-def with_toggles(
-    config: ScenarioConfig, measurement_bias_on: bool, systemic_bias_on: bool
-) -> ScenarioConfig:
-    """Copy of a scenario with only the two bias toggles changed."""
-    return replace(
-        config,
-        measurement_bias_on=measurement_bias_on,
-        systemic_bias_on=systemic_bias_on,
-    )
-
-
-def hypoxemia_threshold_count(cohort: Sequence[PatientRecord], w_hypox: float) -> int:
-    """Number of records with true saturation below the hypoxemia threshold."""
-    return sum(1 for r in cohort if r.w_true is not None and r.w_true < w_hypox)

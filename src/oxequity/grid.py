@@ -12,6 +12,11 @@ parameters under the deterministic treatment rule and reports, per
 group, the untreated share of truly hypoxemic patients plus adverse
 outcome rates when treatment is driven by the measured value versus the
 true value (reusing each patient's outcome draw for both variants).
+
+Common random numbers are what let the grid draw once: the patients'
+streams are hashed a single time (``draw_cohort``, five hashes per
+patient: no spare second saturation draw is hashed), and the four scenario cohorts and the Table-1 cohort are derived from
+those draws by deterministic shifts (``derive_cohort``).
 """
 
 from __future__ import annotations
@@ -20,13 +25,14 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .cohort import (
+    CohortDraws,
     PatientRecord,
     ScenarioConfig,
-    generate_cohort,
+    derive_cohort,
+    draw_cohort,
     outcome_assignment,
 )
 from .metrics import AuditConfig, EquityReport, run_full_audit
-from .rng import Channel, CounterRng
 
 __all__ = [
     "GridResult",
@@ -85,23 +91,20 @@ class GridResult:
     cohorts: dict[str, list[PatientRecord]]
 
 
-def threshold_protocol_summary(config: ScenarioConfig) -> Table1Summary:
-    """Run the deterministic threshold protocol with measurement bias on.
+def _protocol_summary(draws: CohortDraws) -> Table1Summary:
+    """Table 1 from shared draws: the deterministic cohort with both biases on.
 
-    Treatment under the measured value is exactly what the simulated
-    cohort carries; the true-value variant recomputes treatment as
-    1(W < w_treat) and replays each patient's outcome uniform so the two
-    columns differ only through the treatment input.
+    The true-value variant recomputes treatment as 1(W < w_treat) and
+    replays each patient's outcome uniform from ``draws``, so the two
+    outcome columns differ only through the treatment input.
     """
-    cfg = replace(
-        config,
-        treatment_mode="deterministic",
+    cohort = derive_cohort(
+        draws,
         measurement_bias_on=True,
         systemic_bias_on=True,
+        treatment_mode="deterministic",
     )
-    cohort = generate_cohort(cfg)
-    rng = CounterRng(cfg.seed)
-    dgp = cfg.dgp
+    dgp = draws.dgp
     untreated = {}
     vent_measured = {}
     vent_true = {}
@@ -117,7 +120,7 @@ def threshold_protocol_summary(config: ScenarioConfig) -> Table1Summary:
         true_driven = 0
         for r in group:
             treated_true = 1 if r.w_true < dgp.w_treat else 0
-            u = rng.uniform(r.patient_id, Channel.OUTCOME)
+            u = draws.u_out[r.patient_id]
             true_driven += outcome_assignment(r.w_true, treated_true, u, dgp)
         vent_true[a] = true_driven / len(group)
     return Table1Summary(
@@ -127,18 +130,38 @@ def threshold_protocol_summary(config: ScenarioConfig) -> Table1Summary:
     )
 
 
+def threshold_protocol_summary(config: ScenarioConfig) -> Table1Summary:
+    """Run the deterministic threshold protocol with measurement bias on.
+
+    Only the seed, size, group share and DGP of ``config`` are used; its
+    toggles and treatment mode are overridden by the protocol.
+    """
+    return _protocol_summary(draw_cohort(replace(config, treatment_mode="deterministic")))
+
+
 def run_scenario_grid(spec: ScenarioGridSpec, audit: AuditConfig) -> GridResult:
     """Generate and audit all four scenarios, plus the protocol summary.
 
-    Scenario order in the result is fixed regardless of how the
-    independent pieces are evaluated.
+    The patients' streams are hashed once; the four scenario cohorts and
+    the Table-1 cohort are all derived from those draws.  Scenario order
+    in the result is fixed regardless of how the independent pieces are
+    evaluated.
     """
     audit.validate()
     configs = spec.configs()
-    cohorts = {label: generate_cohort(configs[label]) for label in SCENARIO_LABELS}
+    draws = draw_cohort(spec.base)
+    cohorts = {
+        label: derive_cohort(
+            draws,
+            configs[label].measurement_bias_on,
+            configs[label].systemic_bias_on,
+            configs[label].treatment_mode,
+        )
+        for label in SCENARIO_LABELS
+    }
     reports = [
         run_full_audit(cohorts[label], audit, scenario_label=label)
         for label in SCENARIO_LABELS
     ]
-    table1 = threshold_protocol_summary(spec.base)
+    table1 = _protocol_summary(draws)
     return GridResult(reports=reports, table1=table1, cohorts=cohorts)

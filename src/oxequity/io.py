@@ -108,8 +108,9 @@ def read_cohort_csv(path: str | Path, require_gold: bool = True) -> list[Patient
     """Parse and validate a cohort CSV.
 
     Raises CohortSchemaError with the offending file row (1-based, header
-    is row 1) and column name on any violation: missing required columns,
-    out-of-range values, or non-binary indicator columns.
+    is row 1) and column name on any violation: missing or duplicate
+    columns, a repeated patient_id, out-of-range values, or non-binary
+    indicator columns.
     """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
@@ -117,7 +118,11 @@ def read_cohort_csv(path: str | Path, require_gold: bool = True) -> list[Patient
             header = next(reader)
         except StopIteration:
             raise CohortSchemaError("file is empty") from None
-        positions = {name: i for i, name in enumerate(header)}
+        positions = {}
+        for i, name in enumerate(header):
+            if name in positions:
+                raise CohortSchemaError("duplicate column in header", row=1, column=name)
+            positions[name] = i
         required = [
             c
             for c in COHORT_COLUMNS
@@ -130,6 +135,7 @@ def read_cohort_csv(path: str | Path, require_gold: bool = True) -> list[Patient
             )
         has_gold = all(c in positions for c in _GOLD_COLUMNS)
         records = []
+        first_row_of_id: dict[int, int] = {}
         for row_number, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
@@ -157,9 +163,17 @@ def read_cohort_csv(path: str | Path, require_gold: bool = True) -> list[Patient
             clamped = False
             if w_true is not None and epsilon is not None:
                 clamped = abs((w_true + epsilon) - w_star) > _CLAMP_TOL
+            patient_id = _parse_int(cell("patient_id"), row_number, "patient_id")
+            first_row = first_row_of_id.setdefault(patient_id, row_number)
+            if first_row != row_number:
+                raise CohortSchemaError(
+                    f"duplicate patient_id {patient_id} (first at row {first_row})",
+                    row_number,
+                    "patient_id",
+                )
             records.append(
                 PatientRecord(
-                    patient_id=_parse_int(cell("patient_id"), row_number, "patient_id"),
+                    patient_id=patient_id,
                     group_a=_parse_int(cell("group_a"), row_number, "group_a", binary=True),
                     w_true=w_true,
                     w_star=w_star,

@@ -22,6 +22,7 @@ from typing import Sequence
 from .cohort import PatientRecord
 from .stats import (
     TWO_SIDED,
+    SingularDesignError,
     TestResult,
     auc_mann_whitney,
     chi_square_independence,
@@ -33,6 +34,7 @@ from .stats import (
     two_proportion_one_sided,
     welch_t_one_sided,
 )
+from .stats.hypotests import _mean, _sample_variance
 
 __all__ = [
     "AuditConfig",
@@ -208,15 +210,6 @@ def _require_gold(cohort: Sequence[PatientRecord], metric: str) -> None:
         )
 
 
-def _mean(values: Sequence[float]) -> float:
-    return math.fsum(values) / len(values)
-
-
-def _sample_variance(values: Sequence[float]) -> float:
-    m = _mean(values)
-    return math.fsum((v - m) ** 2 for v in values) / (len(values) - 1)
-
-
 def _flagged(test: TestResult, config: AuditConfig) -> bool:
     return test.p_value < config.flag_level
 
@@ -249,7 +242,8 @@ def representativeness_check(
     threshold = detection_threshold(config)
     info = {}
     for a, grp in ((0, g0), (1, g1)):
-        variance = _sample_variance([r.epsilon for r in grp])
+        errors = [r.epsilon for r in grp]
+        variance = _sample_variance(errors, _mean(errors))
         info[a] = len(grp) / variance if variance > 0.0 else math.inf
     extras = {"threshold": threshold}
     if config.target_prevalence is not None:
@@ -277,7 +271,10 @@ def information_bias_test(
     eps1 = [r.epsilon for r in g1]
     if len(eps0) < 2 or len(eps1) < 2:
         raise UntestableMetricError("need n >= 2 per group to compare error means")
-    test = welch_t_one_sided(eps1, eps0)
+    try:
+        test = welch_t_one_sided(eps1, eps0)
+    except ValueError as exc:
+        raise UntestableMetricError(str(exc)) from None
     m0, m1 = _mean(eps0), _mean(eps1)
     return MetricResult(
         metric_name=INFORMATION_BIAS,
@@ -456,43 +453,18 @@ def observed_outcome_gap(
     )
 
 
-def systemic_bias_tests(
+def _systemic_logistic(
     cohort: Sequence[PatientRecord], config: AuditConfig
-) -> tuple[MetricResult, MetricResult]:
-    """Both conditional-independence checks of treatment and group given W*.
-
-    (a) logistic regression of treatment on measured saturation and
-    group, reporting the group coefficient's Wald test; (b) a CMH test
-    over measured-saturation bins of the configured width.  If the
-    logistic fit fails to converge (separation), its metric is emitted
-    as non-converged and unflagged while the CMH result stands alone.
-    """
-    _split_groups(cohort)
-    if len({r.w_star for r in cohort}) < 2:
-        raise UntestableMetricError("need at least two distinct measured values")
-    fit = fit_logistic_irls(
-        [(r.w_star, float(r.group_a)) for r in cohort],
-        [r.treated for r in cohort],
-    )
-    if fit.converged:
-        beta_a = fit.coefficients[2]
-        wald = TestResult(fit.wald_z[2], None, fit.p_values[2], TWO_SIDED)
-        logistic_result = MetricResult(
-            metric_name=SYSTEMIC_BIAS_LOGISTIC,
-            group_values={},
-            contrast=beta_a,
-            test=wald,
-            flagged=_flagged(wald, config),
-            interpretation=INTERPRETATIONS[SYSTEMIC_BIAS_LOGISTIC],
-            extras={
-                "beta_group": beta_a,
-                "beta_wstar": fit.coefficients[1],
-                "se_group": fit.standard_errors[2],
-                "iterations": float(fit.iterations),
-            },
+) -> MetricResult:
+    try:
+        fit = fit_logistic_irls(
+            [(r.w_star, float(r.group_a)) for r in cohort],
+            [r.treated for r in cohort],
         )
-    else:
-        logistic_result = MetricResult(
+    except SingularDesignError as exc:
+        raise UntestableMetricError(str(exc)) from None
+    if not fit.converged:
+        return MetricResult(
             metric_name=SYSTEMIC_BIAS_LOGISTIC,
             group_values={},
             contrast=None,
@@ -502,6 +474,25 @@ def systemic_bias_tests(
             status="non-converged: separation suspected; stratified test stands alone",
             extras={"max_abs_score": fit.max_abs_score},
         )
+    beta_a = fit.coefficients[2]
+    wald = TestResult(fit.wald_z[2], None, fit.p_values[2], TWO_SIDED)
+    return MetricResult(
+        metric_name=SYSTEMIC_BIAS_LOGISTIC,
+        group_values={},
+        contrast=beta_a,
+        test=wald,
+        flagged=_flagged(wald, config),
+        interpretation=INTERPRETATIONS[SYSTEMIC_BIAS_LOGISTIC],
+        extras={
+            "beta_group": beta_a,
+            "beta_wstar": fit.coefficients[1],
+            "se_group": fit.standard_errors[2],
+            "iterations": float(fit.iterations),
+        },
+    )
+
+
+def _systemic_cmh(cohort: Sequence[PatientRecord], config: AuditConfig) -> MetricResult:
     width = config.wstar_bin_width
     strata: dict[int, list[list[int]]] = {}
     for r in cohort:
@@ -512,7 +503,7 @@ def systemic_bias_tests(
         cmh = cmh_conditional_independence([strata[k] for k in sorted(strata)])
     except ValueError as exc:
         raise UntestableMetricError(f"CMH strata degenerate: {exc}") from None
-    cmh_result = MetricResult(
+    return MetricResult(
         metric_name=SYSTEMIC_BIAS_CMH,
         group_values={},
         contrast=None,
@@ -521,7 +512,32 @@ def systemic_bias_tests(
         interpretation=INTERPRETATIONS[SYSTEMIC_BIAS_CMH],
         extras={"strata": float(len(strata))},
     )
-    return logistic_result, cmh_result
+
+
+def systemic_bias_tests(
+    cohort: Sequence[PatientRecord], config: AuditConfig
+) -> tuple[MetricResult, MetricResult]:
+    """Both conditional-independence checks of treatment and group given W*.
+
+    (a) logistic regression of treatment on measured saturation and
+    group, reporting the group coefficient's Wald test; (b) a CMH test
+    over measured-saturation bins of the configured width.  Each test
+    carries its own status: a fit that fails to converge (separation) is
+    emitted as non-converged and unflagged, and a collinear design or
+    degenerate strata make only the affected test untestable, so the
+    other result stands alone.
+
+    Raises:
+        UntestableMetricError: a group is empty, or every measured value
+            is the same, so neither test has anything to condition on.
+    """
+    _split_groups(cohort)
+    if len({r.w_star for r in cohort}) < 2:
+        raise UntestableMetricError("need at least two distinct measured values")
+    return (
+        _attempt(SYSTEMIC_BIAS_LOGISTIC, _systemic_logistic, cohort, config),
+        _attempt(SYSTEMIC_BIAS_CMH, _systemic_cmh, cohort, config),
+    )
 
 
 def group_auc_comparison(
@@ -586,6 +602,14 @@ def _untestable(metric_name: str, reason: str) -> MetricResult:
     )
 
 
+def _attempt(metric_name: str, func, *args) -> MetricResult:
+    """Evaluate one metric, turning a failed precondition into its status."""
+    try:
+        return func(*args)
+    except UntestableMetricError as exc:
+        return _untestable(metric_name, str(exc))
+
+
 def run_full_audit(
     cohort: Sequence[PatientRecord],
     config: AuditConfig,
@@ -609,20 +633,14 @@ def run_full_audit(
     results: dict[str, MetricResult] = {}
 
     def attempt(name: str, func, *args):
-        try:
-            results[name] = func(*args)
-        except UntestableMetricError as exc:
-            results[name] = _untestable(name, str(exc))
+        results[name] = _attempt(name, func, *args)
 
     attempt(OBSERVED_OUTCOME_GAP, observed_outcome_gap, cohort, config)
 
-    def systemic_pair():
+    try:
         logistic_result, cmh_result = systemic_bias_tests(cohort, config)
         results[SYSTEMIC_BIAS_LOGISTIC] = logistic_result
         results[SYSTEMIC_BIAS_CMH] = cmh_result
-
-    try:
-        systemic_pair()
     except UntestableMetricError as exc:
         results[SYSTEMIC_BIAS_LOGISTIC] = _untestable(SYSTEMIC_BIAS_LOGISTIC, str(exc))
         results[SYSTEMIC_BIAS_CMH] = _untestable(SYSTEMIC_BIAS_CMH, str(exc))

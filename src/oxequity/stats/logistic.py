@@ -144,8 +144,8 @@ def fit_logistic_irls(
     score X'(y - mu) has magnitude at most ``tol``.
 
     Raises:
-        SingularDesignError: collinear design columns (detected on the
-            first Newton step, where the weights are uniform).
+        SingularDesignError: collinear design columns (detected at the
+            start, where the weights are uniform, whatever the score).
         ValueError: mismatched lengths or non-binary outcomes.
     """
     x_rows = [(1.0, *(float(v) for v in row)) for row in design_rows]
@@ -164,13 +164,18 @@ def fit_logistic_irls(
     loglik = _log_likelihood(x_rows, y, beta)
     iterations = 0
     score, info, max_abs_score, max_resid = _score_and_information(x_rows, y, beta)
+    # At beta = 0 every weight is 1/4, so info is X'X / 4: check its rank
+    # here, before the score test, so a collinear design whose score
+    # already vanishes cannot pass as converged.
+    try:
+        _solve(info, [score])
+    except ValueError as exc:
+        column = int(str(exc).rsplit(" ", 1)[-1])
+        raise SingularDesignError([column]) from None
     while iterations < max_iter and max_abs_score > tol:
         try:
             (delta,) = _solve(info, [score])
-        except ValueError as exc:
-            if iterations == 0:
-                column = int(str(exc).rsplit(" ", 1)[-1])
-                raise SingularDesignError([column]) from None
+        except ValueError:
             # Weights collapsed mid-path (separation); report as such.
             break
         step = 1.0

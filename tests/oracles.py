@@ -4,14 +4,31 @@ These deliberately avoid the package's own numerics: the normal CDF is a
 high-precision Maclaurin erf series evaluated with mpmath, quantiles
 come from bisection on it, tail probabilities from adaptive Simpson
 integration of the densities, and the AUC oracle integrates the
-empirical ROC curve with the trapezoid rule.
+empirical ROC curve with the trapezoid rule.  The cohort and Table-1
+oracles are the exception: they reuse the package's per-patient formulas
+and counter RNG, and pin only how draws are shared.  They hash every
+stream afresh for each scenario, as the generator did before one set of
+draws served the whole grid.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import mpmath as mp
+
+from oxequity.cohort import (
+    W_HIGH,
+    W_LOW,
+    PatientRecord,
+    measurement_error,
+    outcome_assignment,
+    treatment_assignment,
+)
+from oxequity.grid import Table1Summary
+from oxequity.rng import Channel, CounterRng
+from oxequity.stats.special import normal_cdf, normal_quantile
 
 mp.mp.dps = 40
 
@@ -289,3 +306,92 @@ def binomial_reject_count_oracle(n: int, q: float, level: float) -> int:
     while binomial_upper_tail_oracle(m, n, q) > level:
         m += 1
     return m
+
+
+def generate_cohort_oracle(config) -> list[PatientRecord]:
+    """Per-patient generation loop: every stream hashed for this scenario alone.
+
+    The truncation bounds of the saturation law are recomputed for each
+    patient, as the generator did before they were hoisted per cohort.
+    """
+    config.validate()
+    rng = CounterRng(config.seed)
+    dgp = config.dgp
+    mean, sd = dgp.saturation_mean, dgp.saturation_sd
+    records = []
+    for i in range(config.n_total):
+        group_a = 1 if rng.uniform(i, Channel.GROUP) < config.p_group1 else 0
+        u = rng.uniform(i, Channel.SATURATION, 0)
+        if sd < 1e-12:
+            w_true = min(max(mean, W_LOW), W_HIGH)
+        else:
+            lo = normal_cdf((W_LOW - mean) / sd)
+            hi = normal_cdf((W_HIGH - mean) / sd)
+            p = lo + u * (hi - lo)
+            if p <= 0.0 or p >= 1.0:
+                w_true = W_LOW if p <= 0.0 else W_HIGH
+            else:
+                w_true = min(max(mean + sd * normal_quantile(p), W_LOW), W_HIGH)
+        noise = rng.normal(i, Channel.NOISE)
+        epsilon = measurement_error(w_true, group_a, config.measurement_bias_on, noise, dgp)
+        raw = w_true + epsilon
+        w_star = min(max(raw, 0.0), 100.0)
+        treated = treatment_assignment(
+            w_star,
+            group_a,
+            config.systemic_bias_on,
+            config.treatment_mode,
+            rng.uniform(i, Channel.TREAT),
+            dgp,
+        )
+        outcome = outcome_assignment(w_true, treated, rng.uniform(i, Channel.OUTCOME), dgp)
+        records.append(
+            PatientRecord(
+                patient_id=i,
+                group_a=group_a,
+                w_true=w_true,
+                w_star=w_star,
+                epsilon=epsilon,
+                treated=treated,
+                outcome=outcome,
+                clamped=raw < 0.0 or raw > 100.0,
+            )
+        )
+    return records
+
+
+def threshold_protocol_oracle(config) -> Table1Summary:
+    """Table 1 from a fresh deterministic cohort, re-hashing the outcome uniforms.
+
+    The measured-driven column is what the deterministic, both-biases
+    cohort carries; the true-driven column treats by 1(W < w_treat) and
+    replays each patient's outcome uniform straight from the counter RNG.
+    """
+    cfg = replace(
+        config,
+        treatment_mode="deterministic",
+        measurement_bias_on=True,
+        systemic_bias_on=True,
+    )
+    cohort = generate_cohort_oracle(cfg)
+    rng = CounterRng(cfg.seed)
+    dgp = cfg.dgp
+    untreated = {}
+    vent_measured = {}
+    vent_true = {}
+    for a in (0, 1):
+        group = [r for r in cohort if r.group_a == a]
+        hypoxemic = [r for r in group if r.w_true < dgp.w_hypox]
+        untreated[a] = sum(1 for r in hypoxemic if r.treated == 0) / len(hypoxemic)
+        vent_measured[a] = sum(r.outcome for r in group) / len(group)
+        true_driven = 0
+        for r in group:
+            treated_true = 1 if r.w_true < dgp.w_treat else 0
+            u = rng.uniform(r.patient_id, Channel.OUTCOME)
+            true_driven += outcome_assignment(r.w_true, treated_true, u, dgp)
+        vent_true[a] = true_driven / len(group)
+    return Table1Summary(
+        untreated_hypoxemic=untreated,
+        outcome_measured_driven=vent_measured,
+        outcome_true_driven=vent_true,
+    )

@@ -81,6 +81,29 @@ def test_out_of_range_saturation_rejected(tmp_path, cohort):
         read_cohort_csv(path)
 
 
+def test_duplicate_patient_id_names_row_and_column(tmp_path, cohort):
+    path = tmp_path / "dup.csv"
+    write_cohort_csv(cohort[:5], path)
+    lines = path.read_text().splitlines()
+    lines[4] = "1," + lines[4].split(",", 1)[1]  # file row 5 repeats id 1 (row 3)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CohortSchemaError, match="duplicate patient_id 1") as excinfo:
+        read_cohort_csv(path)
+    assert excinfo.value.row == 5
+    assert excinfo.value.column == "patient_id"
+
+
+def test_duplicate_header_column_named(tmp_path):
+    path = tmp_path / "dup_header.csv"
+    path.write_text(
+        ",".join(COHORT_COLUMNS) + ",w_star\n0,0,90.0000,91.3000,1.3000,1,0,99.0000\n"
+    )
+    with pytest.raises(CohortSchemaError, match="duplicate column") as excinfo:
+        read_cohort_csv(path)
+    assert excinfo.value.row == 1
+    assert excinfo.value.column == "w_star"
+
+
 def test_missing_column_listed(tmp_path):
     path = tmp_path / "short.csv"
     path.write_text("patient_id,group_a,w_star\n1,0,90.0\n")

@@ -123,6 +123,16 @@ def test_collinear_design_names_column():
     assert "column" in str(excinfo.value)
 
 
+def test_collinear_design_with_vanishing_score_is_rejected():
+    # A determines W* (90 vs 93) and half of each group is treated, so the
+    # score is already zero at beta = 0; the rank check must still fire.
+    rows = [(90.0, 0.0)] * 20 + [(93.0, 1.0)] * 20
+    outcomes = [1, 0] * 20
+    with pytest.raises(SingularDesignError) as excinfo:
+        fit_logistic_irls(rows, outcomes)
+    assert excinfo.value.columns == (2,)
+
+
 def test_input_validation():
     with pytest.raises(ValueError):
         fit_logistic_irls([(1.0,)], [1, 0])

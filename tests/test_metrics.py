@@ -361,6 +361,33 @@ class TestSystemicBias:
             systemic_bias_tests(records, audit_config)
 
 
+    def test_collinear_design_leaves_cmh_standing(self, audit_config):
+        # W* is 90 in group 0 and 93 in group 1: the logistic design is
+        # collinear while each bin still holds one group only.
+        records = [
+            record(i, int(i >= 20), w_true=90.0 + 3.0 * (i >= 20), treated=i % 2)
+            for i in range(40)
+        ]
+        logistic, cmh = systemic_bias_tests(records, audit_config)
+        assert logistic.status.startswith("untestable: singular")
+        assert cmh.status.startswith("untestable: CMH strata degenerate")
+        assert not logistic.flagged and not cmh.flagged
+
+    def test_degenerate_strata_keep_logistic_result(self, audit_config):
+        # Groups occupy disjoint W* bins, so every CMH stratum is degenerate,
+        # but W* varies within each group and the logistic fit is valid.
+        records = []
+        for i in range(80):
+            group = int(i >= 40)
+            w = 86.0 + (i % 5) + 6.0 * group
+            records.append(record(i, group, w_true=w, treated=int(i % 3 == 0)))
+        logistic, cmh = systemic_bias_tests(records, audit_config)
+        assert logistic.status == "ok"
+        assert math.isfinite(logistic.contrast)
+        assert math.isfinite(logistic.test.p_value)
+        assert cmh.status.startswith("untestable: CMH strata degenerate")
+
+
 class TestGroupAuc:
     def test_identity_measurement_gives_equal_areas(self, audit_config):
         dgp = replace(DEFAULT_DGP, err_base=0.0, err_noise_sd=1e-9)
@@ -480,6 +507,32 @@ class TestRunFullAudit:
     def test_empty_cohort_rejected(self, audit_config):
         with pytest.raises(ValueError):
             run_full_audit([], audit_config)
+
+    def test_failures_stay_local_and_ok_is_never_nan(self, audit_config):
+        # Zero measurement error everywhere (Welch untestable), W* set by
+        # group (collinear logistic design), disjoint W* bins (degenerate
+        # CMH): each failure must land on its own metric, not escape.
+        records = [
+            record(i, int(i >= 20), w_true=90.0 + 3.0 * (i >= 20), treated=i % 2,
+                   outcome=int(i % 4 == 0))
+            for i in range(40)
+        ]
+        report = run_full_audit(records, audit_config)
+        by_name = {m.metric_name: m for m in report.metrics}
+        assert [m.metric_name for m in report.metrics] == list(METRIC_ORDER)
+        assert by_name["information_bias"].status.startswith("untestable: both samples")
+        assert by_name["systemic_bias_logistic"].status.startswith("untestable: singular")
+        assert by_name["systemic_bias_cmh"].status.startswith("untestable: CMH")
+        assert by_name["treatment_gap"].status == "ok"
+        assert by_name["observed_outcome_gap"].status == "ok"
+        for m in report.metrics:
+            values = [m.contrast, *m.group_values.values(), *m.extras.values()]
+            if m.test is not None:
+                values += [m.test.statistic, m.test.p_value]
+            if m.status == "ok":
+                assert not any(isinstance(v, float) and math.isnan(v) for v in values)
+            else:
+                assert not m.flagged
 
     def test_single_group_rejected(self, audit_config):
         records = [record(i, 0) for i in range(10)]
