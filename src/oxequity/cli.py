@@ -19,12 +19,7 @@ from .figure import figure_summary, figure_summary_csv
 from .grid import SCENARIO_LABELS, GridResult, ScenarioGridSpec, run_scenario_grid
 from .io import CohortSchemaError, read_cohort_csv, read_params, write_cohort_csv
 from .metrics import AuditConfig, run_full_audit
-from .reports import (
-    REPORT_FORMATS,
-    format_value,
-    report_to_json,
-    write_report,
-)
+from .reports import REPORT_FORMATS, format_value, render_report, write_report
 from .stats.logistic import SingularDesignError
 
 EXIT_OK = 0
@@ -158,14 +153,7 @@ def _cmd_audit(args) -> int:
     cohort = read_cohort_csv(args.input, require_gold=args.require_gold)
     report = run_full_audit(cohort, _audit_config(args), scenario_label=args.label)
     if args.out is None:
-        from .reports import report_to_csv, report_to_markdown
-
-        renderers = {
-            "markdown": report_to_markdown,
-            "csv": report_to_csv,
-            "json": report_to_json,
-        }
-        _emit(renderers[args.format]([report]), None)
+        _emit(render_report([report], args.format), None)
     else:
         write_report([report], args.format, args.out)
     return EXIT_OK

@@ -15,8 +15,9 @@ true value (reusing each patient's outcome draw for both variants).
 
 Common random numbers are what let the grid draw once: the patients'
 streams are hashed a single time (``draw_cohort``, five hashes per
-patient: no spare second saturation draw is hashed), and the four scenario cohorts and the Table-1 cohort are derived from
-those draws by deterministic shifts (``derive_cohort``).
+patient: no spare second saturation draw is hashed), and the four
+scenario cohorts and the Table-1 cohort are derived from those draws by
+deterministic shifts (``derive_cohort``).
 """
 
 from __future__ import annotations

@@ -2,15 +2,20 @@
 
 Each metric evaluates one population contrast between the two groups and
 wraps the result with its test, flag state, and a fixed interpretation
-string.  The full audit runs the outcome-facing checks first (they need
-only observed data) and the measurement-facing checks after, because the
-latter require gold-standard true saturations; on cohorts without a gold
-standard those metrics are emitted with a skipped status rather than
-dropped, so report shapes stay stable.
+string.  ``INTERPRETATIONS`` is the metric table: its key order is the
+report order (``METRIC_ORDER``), and ``run_full_audit`` walks it with one
+loop of evaluators, each emitting one metric or a fixed pair.
 
-All functions are pure; independent metrics may be evaluated
-concurrently, and the report order is fixed regardless of evaluation
-order.
+Only the metric functions know whether they need the gold standard (true
+saturations and measurement errors): each such function calls
+``_require_gold`` first.  On a gold-free cohort that raises
+``_NoGoldStandard``, which the audit reports as ``skipped: no gold
+standard``; any other ``UntestableMetricError`` becomes ``untestable:
+<reason>`` on every metric its evaluator emits.  Metrics are emitted
+with a status rather than dropped, so report shapes stay stable.
+
+All functions are pure; the report order is fixed regardless of
+evaluation order.
 """
 
 from __future__ import annotations
@@ -59,6 +64,10 @@ __all__ = [
 
 class UntestableMetricError(ValueError):
     """A metric's preconditions fail on this cohort (empty stratum, no gold)."""
+
+
+class _NoGoldStandard(UntestableMetricError):
+    """The metric needs true saturations the cohort lacks; the audit skips it."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,19 +134,6 @@ SYSTEMIC_BIAS_LOGISTIC = "systemic_bias_logistic"
 SYSTEMIC_BIAS_CMH = "systemic_bias_cmh"
 GROUP_AUC = "group_auc"
 
-METRIC_ORDER = (
-    REPRESENTATIVENESS,
-    INFORMATION_BIAS,
-    TREATMENT_DISPARITY,
-    EQUALITY_OF_OPPORTUNITY,
-    TREATMENT_GAP,
-    OUTCOME_DECOMPOSITION,
-    OBSERVED_OUTCOME_GAP,
-    SYSTEMIC_BIAS_LOGISTIC,
-    SYSTEMIC_BIAS_CMH,
-    GROUP_AUC,
-)
-
 INTERPRETATIONS = {
     REPRESENTATIVENESS: (
         "Per-group Fisher information for the mean measurement error; "
@@ -182,7 +178,8 @@ INTERPRETATIONS = {
     ),
 }
 
-_SKIPPED_NO_GOLD = "skipped: no gold standard"
+# Key order is the report order.
+METRIC_ORDER = tuple(INTERPRETATIONS)
 
 
 def has_gold_standard(cohort: Sequence[PatientRecord]) -> bool:
@@ -204,7 +201,7 @@ def _split_groups(
 
 def _require_gold(cohort: Sequence[PatientRecord], metric: str) -> None:
     if not has_gold_standard(cohort):
-        raise UntestableMetricError(
+        raise _NoGoldStandard(
             f"{metric} needs gold-standard saturations; the full audit skips "
             "measurement metrics on gold-free cohorts"
         )
@@ -233,7 +230,9 @@ def representativeness_check(
 
     Flagged means failure: some group carries too little information to
     detect the configured error contrast.  When ``target_prevalence`` is
-    set, participation-to-prevalence ratios are reported alongside.
+    set, participation-to-prevalence ratios are reported alongside.  A
+    group whose errors have zero variance has unbounded information, so
+    the metric is untestable rather than infinite.
     """
     _require_gold(cohort, REPRESENTATIVENESS)
     g0, g1 = _split_groups(cohort)
@@ -244,7 +243,11 @@ def representativeness_check(
     for a, grp in ((0, g0), (1, g1)):
         errors = [r.epsilon for r in grp]
         variance = _sample_variance(errors, _mean(errors))
-        info[a] = len(grp) / variance if variance > 0.0 else math.inf
+        if variance == 0.0:
+            raise UntestableMetricError(
+                f"zero measurement-error variance in group {a}"
+            )
+        info[a] = len(grp) / variance
     extras = {"threshold": threshold}
     if config.target_prevalence is not None:
         share1 = len(g1) / (len(g0) + len(g1))
@@ -534,10 +537,9 @@ def systemic_bias_tests(
     _split_groups(cohort)
     if len({r.w_star for r in cohort}) < 2:
         raise UntestableMetricError("need at least two distinct measured values")
-    return (
-        _attempt(SYSTEMIC_BIAS_LOGISTIC, _systemic_logistic, cohort, config),
-        _attempt(SYSTEMIC_BIAS_CMH, _systemic_cmh, cohort, config),
-    )
+    logistic = _attempt((SYSTEMIC_BIAS_LOGISTIC,), _systemic_logistic, cohort, config)
+    cmh = _attempt((SYSTEMIC_BIAS_CMH,), _systemic_cmh, cohort, config)
+    return logistic + cmh
 
 
 def group_auc_comparison(
@@ -578,7 +580,13 @@ def group_auc_comparison(
     )
 
 
-def _skipped(metric_name: str) -> MetricResult:
+def _status(exc: UntestableMetricError) -> str:
+    if isinstance(exc, _NoGoldStandard):
+        return "skipped: no gold standard"
+    return f"untestable: {exc}"
+
+
+def _not_evaluated(metric_name: str, exc: UntestableMetricError) -> MetricResult:
     return MetricResult(
         metric_name=metric_name,
         group_values={},
@@ -586,28 +594,43 @@ def _skipped(metric_name: str) -> MetricResult:
         test=None,
         flagged=False,
         interpretation=INTERPRETATIONS[metric_name],
-        status=_SKIPPED_NO_GOLD,
+        status=_status(exc),
     )
 
 
-def _untestable(metric_name: str, reason: str) -> MetricResult:
-    return MetricResult(
-        metric_name=metric_name,
-        group_values={},
-        contrast=None,
-        test=None,
-        flagged=False,
-        interpretation=INTERPRETATIONS[metric_name],
-        status=f"untestable: {reason}",
-    )
-
-
-def _attempt(metric_name: str, func, *args) -> MetricResult:
-    """Evaluate one metric, turning a failed precondition into its status."""
+def _attempt(names: tuple[str, ...], evaluate, *args) -> tuple[MetricResult, ...]:
+    """Evaluate the metrics ``names``, turning a failed precondition into their status."""
     try:
-        return func(*args)
+        out = evaluate(*args)
     except UntestableMetricError as exc:
-        return _untestable(metric_name, str(exc))
+        return tuple(_not_evaluated(name, exc) for name in names)
+    return out if isinstance(out, tuple) else (out,)
+
+
+def _gap_and_decomposition(
+    cohort: Sequence[PatientRecord], config: AuditConfig
+) -> tuple[MetricResult, MetricResult]:
+    """The treatment gap and the outcome disparity it accounts for, given tau.
+
+    Without tau the gap stands alone and the decomposition takes tau's
+    status.  A degenerate gap makes both untestable, except that on a
+    gold-free cohort the decomposition stays skipped, as tau is.
+    """
+    try:
+        tau, tau_error = estimate_tau(cohort, config), None
+    except UntestableMetricError as exc:
+        tau, tau_error = None, exc
+    try:
+        return treatment_gap_and_outcome_decomposition(
+            cohort, config, tau, tau_error and _status(tau_error)
+        )
+    except UntestableMetricError as exc:
+        if not isinstance(tau_error, _NoGoldStandard):
+            raise
+        return (
+            _not_evaluated(TREATMENT_GAP, exc),
+            _not_evaluated(OUTCOME_DECOMPOSITION, tau_error),
+        )
 
 
 def run_full_audit(
@@ -615,84 +638,41 @@ def run_full_audit(
     config: AuditConfig,
     scenario_label: str = "cohort",
 ) -> EquityReport:
-    """Audit one cohort, working backwards from outcomes to measurement.
+    """Audit one cohort: every metric of the table, in ``METRIC_ORDER``.
 
-    Outcome and treatment metrics run first since they need only the
-    observed columns; conditional-independence checks of treatment and
-    group follow; measurement-facing metrics (information bias,
-    representativeness, discrimination, and the hypoxemic-stratum
-    contrasts) run only when the cohort carries a gold standard, and are
-    otherwise reported as skipped.  Emitted metric order is fixed.
+    Each evaluator emits one metric or a fixed pair.  One that raises
+    ``UntestableMetricError`` emits its metrics with that status instead
+    (skipped when the metric needs the gold standard the cohort lacks),
+    so a failure stays local to its own metrics.
     """
     config.validate()
     if not cohort:
         raise ValueError("cannot audit an empty cohort")
     g0, g1 = _split_groups(cohort)
-    gold = has_gold_standard(cohort)
-
-    results: dict[str, MetricResult] = {}
-
-    def attempt(name: str, func, *args):
-        results[name] = _attempt(name, func, *args)
-
-    attempt(OBSERVED_OUTCOME_GAP, observed_outcome_gap, cohort, config)
-
-    try:
-        logistic_result, cmh_result = systemic_bias_tests(cohort, config)
-        results[SYSTEMIC_BIAS_LOGISTIC] = logistic_result
-        results[SYSTEMIC_BIAS_CMH] = cmh_result
-    except UntestableMetricError as exc:
-        results[SYSTEMIC_BIAS_LOGISTIC] = _untestable(SYSTEMIC_BIAS_LOGISTIC, str(exc))
-        results[SYSTEMIC_BIAS_CMH] = _untestable(SYSTEMIC_BIAS_CMH, str(exc))
-
-    tau: float | None = None
-    tau_status: str | None = None
-    if gold:
-        try:
-            tau = estimate_tau(cohort, config)
-        except UntestableMetricError as exc:
-            tau_status = f"untestable: {exc}"
-    else:
-        tau_status = _SKIPPED_NO_GOLD
-
-    try:
-        gap_result, decomposition = treatment_gap_and_outcome_decomposition(
-            cohort, config, tau, tau_status
-        )
-        results[TREATMENT_GAP] = gap_result
-        results[OUTCOME_DECOMPOSITION] = decomposition
-    except UntestableMetricError as exc:
-        results[TREATMENT_GAP] = _untestable(TREATMENT_GAP, str(exc))
-        results[OUTCOME_DECOMPOSITION] = _untestable(OUTCOME_DECOMPOSITION, str(exc))
-    if not gold:
-        results[OUTCOME_DECOMPOSITION] = _skipped(OUTCOME_DECOMPOSITION)
-
-    if gold:
-        attempt(INFORMATION_BIAS, information_bias_test, cohort, config)
-        attempt(REPRESENTATIVENESS, representativeness_check, cohort, config)
-        attempt(GROUP_AUC, group_auc_comparison, cohort, config)
-        attempt(TREATMENT_DISPARITY, treatment_disparity_test, cohort, config)
-        attempt(EQUALITY_OF_OPPORTUNITY, equality_of_opportunity_test, cohort, config)
-    else:
-        for name in (
-            INFORMATION_BIAS,
-            REPRESENTATIVENESS,
-            GROUP_AUC,
-            TREATMENT_DISPARITY,
-            EQUALITY_OF_OPPORTUNITY,
-        ):
-            results[name] = _skipped(name)
-
-    summary: dict[str, float | int | None] = {
-        "n_group0": len(g0),
-        "n_group1": len(g1),
+    # Built per call, so every name is looked up when the audit runs (a
+    # tracer may have wrapped the module attributes since import).
+    evaluators = (
+        ((REPRESENTATIVENESS,), representativeness_check),
+        ((INFORMATION_BIAS,), information_bias_test),
+        ((TREATMENT_DISPARITY,), treatment_disparity_test),
+        ((EQUALITY_OF_OPPORTUNITY,), equality_of_opportunity_test),
+        ((TREATMENT_GAP, OUTCOME_DECOMPOSITION), _gap_and_decomposition),
+        ((OBSERVED_OUTCOME_GAP,), observed_outcome_gap),
+        ((SYSTEMIC_BIAS_LOGISTIC, SYSTEMIC_BIAS_CMH), systemic_bias_tests),
+        ((GROUP_AUC,), group_auc_comparison),
+    )
+    results = {
+        m.metric_name: m
+        for names, evaluate in evaluators
+        for m in _attempt(names, evaluate, cohort, config)
     }
+
+    gold = has_gold_standard(cohort)
+    summary: dict[str, float | int | None] = {"n_group0": len(g0), "n_group1": len(g1)}
     for a, grp in ((0, g0), (1, g1)):
-        if gold:
-            rate = sum(1 for r in grp if r.w_true < config.w_hypox) / len(grp)
-            summary[f"hypoxemia_rate_group{a}"] = rate
-        else:
-            summary[f"hypoxemia_rate_group{a}"] = None
+        summary[f"hypoxemia_rate_group{a}"] = (
+            sum(r.w_true < config.w_hypox for r in grp) / len(grp) if gold else None
+        )
 
     return EquityReport(
         scenario_label=scenario_label,

@@ -18,9 +18,11 @@ from .stats.hypotests import TestResult
 __all__ = [
     "SCHEMA_VERSION",
     "P_FLOOR",
+    "REPORT_FORMATS",
     "format_p_value",
     "format_value",
     "parse_report_json",
+    "render_report",
     "report_to_csv",
     "report_to_json",
     "report_to_markdown",
@@ -29,7 +31,6 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 P_FLOOR = 1e-15
-REPORT_FORMATS = ("markdown", "csv", "json")
 
 
 def format_value(value: float | None) -> str:
@@ -137,7 +138,11 @@ def _metric_to_obj(metric: MetricResult):
 
 
 def report_to_json(reports: Sequence[EquityReport]) -> str:
-    """Lossless JSON for the full report list (see parse_report_json)."""
+    """Lossless JSON for the full report list (see parse_report_json).
+
+    A non-finite value raises ``ValueError``: strict JSON has no NaN or
+    Infinity, and a metric reports a status instead of one.
+    """
     if not reports:
         raise ValueError("need at least one report")
     payload = {
@@ -151,7 +156,7 @@ def report_to_json(reports: Sequence[EquityReport]) -> str:
             for rep in reports
         ],
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _test_from_obj(obj) -> TestResult | None:
@@ -197,16 +202,25 @@ def parse_report_json(text: str) -> list[EquityReport]:
     return reports
 
 
+def _renderers():
+    # Built per call, so each renderer is looked up when a report is
+    # rendered (a tracer may have wrapped the module attributes since import).
+    return {"markdown": report_to_markdown, "csv": report_to_csv, "json": report_to_json}
+
+
+REPORT_FORMATS = tuple(_renderers())
+
+
+def render_report(reports: Sequence[EquityReport], format: str) -> str:
+    """Render reports in one of ``REPORT_FORMATS``."""
+    renderer = _renderers().get(format)
+    if renderer is None:
+        raise ValueError(f"format must be one of {REPORT_FORMATS}, got {format!r}")
+    return renderer(reports)
+
+
 def write_report(
     reports: Sequence[EquityReport], format: str, path: str | Path
 ) -> None:
-    """Serialize reports to the given path in one of the three formats."""
-    if format == "markdown":
-        text = report_to_markdown(reports)
-    elif format == "csv":
-        text = report_to_csv(reports)
-    elif format == "json":
-        text = report_to_json(reports)
-    else:
-        raise ValueError(f"format must be one of {REPORT_FORMATS}, got {format!r}")
-    Path(path).write_text(text)
+    """Serialize reports to the given path in one of ``REPORT_FORMATS``."""
+    Path(path).write_text(render_report(reports, format))

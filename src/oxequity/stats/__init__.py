@@ -9,7 +9,6 @@ from .hypotests import (
     chi_square_independence,
     chi_square_tail,
     cmh_conditional_independence,
-    distribution_tail,
     student_t_tail,
     two_proportion_one_sided,
     welch_t_one_sided,
@@ -35,7 +34,6 @@ __all__ = [
     "chi_square_independence",
     "chi_square_tail",
     "cmh_conditional_independence",
-    "distribution_tail",
     "fit_logistic_irls",
     "hanley_mcneil_se",
     "normal_cdf",

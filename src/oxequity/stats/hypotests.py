@@ -24,7 +24,6 @@ __all__ = [
     "ONE_SIDED_UPPER",
     "TWO_SIDED",
     "TestResult",
-    "distribution_tail",
     "chi_square_tail",
     "student_t_tail",
     "welch_t_one_sided",
@@ -71,15 +70,6 @@ def student_t_tail(statistic: float, df: float) -> float:
         return 0.5
     tail = 0.5 * regularized_beta(df / (df + statistic * statistic), 0.5 * df, 0.5)
     return tail if statistic > 0.0 else 1.0 - tail
-
-
-def distribution_tail(kind: str, statistic: float, df: float) -> float:
-    """Dispatch to the chi-square or Student-t upper tail by name."""
-    if kind == "chi_square":
-        return chi_square_tail(statistic, df)
-    if kind == "student_t":
-        return student_t_tail(statistic, df)
-    raise ValueError(f"unknown distribution kind {kind!r}")
 
 
 def _mean(values: Sequence[float]) -> float:

@@ -12,7 +12,6 @@ from oxequity.stats.hypotests import (
     chi_square_independence,
     chi_square_tail,
     cmh_conditional_independence,
-    distribution_tail,
     student_t_tail,
     two_proportion_one_sided,
     welch_t_one_sided,
@@ -33,7 +32,7 @@ CHI2_2X2_P = 0.00982327450752
 class TestDistributionTails:
     def test_chi_square_tail_at_zero_is_one(self):
         assert chi_square_tail(0.0, 1.0) == 1.0
-        assert distribution_tail("chi_square", 0.0, 3.0) == 1.0
+        assert chi_square_tail(0.0, 3.0) == 1.0
 
     def test_chi_square_df1_equals_two_sided_normal(self):
         for stat in [0.01 * k for k in range(1, 11)] + [1.0, 4.0, 9.0, 16.0, 25.0, 40.0]:
@@ -50,9 +49,6 @@ class TestDistributionTails:
     def test_student_t_tail_frozen_value(self):
         assert student_t_tail_oracle(2.449, 4.0) == pytest.approx(T_TAIL_4_2449, rel=1e-9)
         assert student_t_tail(2.449, 4.0) == pytest.approx(T_TAIL_4_2449, rel=1e-9)
-        assert distribution_tail("student_t", 2.449, 4.0) == pytest.approx(
-            T_TAIL_4_2449, rel=1e-9
-        )
 
     def test_student_t_symmetry(self):
         assert student_t_tail(0.0, 7.0) == 0.5
@@ -63,13 +59,11 @@ class TestDistributionTails:
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError):
-            distribution_tail("chi_square", 1.0, 0.0)
+            chi_square_tail(1.0, 0.0)
         with pytest.raises(ValueError):
-            distribution_tail("chi_square", -1.0, 2.0)
+            chi_square_tail(-1.0, 2.0)
         with pytest.raises(ValueError):
-            distribution_tail("student_t", 1.0, -1.0)
-        with pytest.raises(ValueError):
-            distribution_tail("cauchy", 1.0, 1.0)
+            student_t_tail(1.0, -1.0)
 
 
 class TestWelch:

@@ -1,5 +1,6 @@
 """Equity metrics: thresholds, contrasts, flags, and the full audit."""
 
+import json
 import math
 from dataclasses import replace
 
@@ -23,6 +24,7 @@ from oxequity.metrics import (
     treatment_disparity_test,
     treatment_gap_and_outcome_decomposition,
 )
+from oxequity.reports import report_to_json
 
 I_STAR_DEFAULT = 7.84887973435  # (z_{0.975} + z_{0.80})^2 at delta = 1
 
@@ -142,6 +144,13 @@ class TestRepresentativeness:
         stripped = [replace(r, w_true=None, epsilon=None) for r in both_cohort]
         with pytest.raises(UntestableMetricError):
             representativeness_check(stripped, audit_config)
+
+    def test_zero_error_variance_untestable(self, audit_config):
+        # group 0 reads every error exactly: its information is unbounded
+        records = [record(i, 0, epsilon=1.5) for i in range(10)]
+        records += [record(10 + i, 1, epsilon=float(i % 3)) for i in range(10)]
+        with pytest.raises(UntestableMetricError, match="variance in group 0"):
+            representativeness_check(records, audit_config)
 
 
 class TestInformationBias:
@@ -533,6 +542,27 @@ class TestRunFullAudit:
                 assert not any(isinstance(v, float) and math.isnan(v) for v in values)
             else:
                 assert not m.flagged
+
+    def test_zero_error_variance_report_is_strict_json(self, audit_config):
+        # The cohort of the test above: zero error variance in both groups.
+        records = [
+            record(i, int(i >= 20), w_true=90.0 + 3.0 * (i >= 20), treated=i % 2,
+                   outcome=int(i % 4 == 0))
+            for i in range(40)
+        ]
+        report = run_full_audit(records, audit_config)
+        by_name = {m.metric_name: m for m in report.metrics}
+        assert by_name["representativeness"].status == (
+            "untestable: zero measurement-error variance in group 0"
+        )
+
+        def reject(constant):
+            raise ValueError(f"non-finite JSON constant {constant}")
+
+        payload = json.loads(report_to_json([report]), parse_constant=reject)
+        assert [m["metric_name"] for m in payload["reports"][0]["metrics"]] == list(
+            METRIC_ORDER
+        )
 
     def test_single_group_rejected(self, audit_config):
         records = [record(i, 0) for i in range(10)]

@@ -1,14 +1,19 @@
 """Report serialization: structure, formatting conventions, round trips."""
 
+import copy
+import math
+
 import pytest
 
 from oxequity.cohort import ScenarioConfig
 from oxequity.grid import ScenarioGridSpec, run_scenario_grid
 from oxequity.metrics import METRIC_ORDER, AuditConfig
 from oxequity.reports import (
+    REPORT_FORMATS,
     format_p_value,
     format_value,
     parse_report_json,
+    render_report,
     report_to_csv,
     report_to_json,
     report_to_markdown,
@@ -98,6 +103,22 @@ def test_write_report_dispatch(tmp_path, grid_reports):
         assert (tmp_path / name).read_text()
     with pytest.raises(ValueError):
         write_report(grid_reports, "yaml", tmp_path / "r.yaml")
+
+
+def test_render_report_matches_renderers(grid_reports):
+    assert REPORT_FORMATS == ("markdown", "csv", "json")
+    assert render_report(grid_reports, "markdown") == report_to_markdown(grid_reports)
+    assert render_report(grid_reports, "csv") == report_to_csv(grid_reports)
+    assert render_report(grid_reports, "json") == report_to_json(grid_reports)
+    with pytest.raises(ValueError):
+        render_report(grid_reports, "yaml")
+
+
+def test_json_rejects_non_finite_values(grid_reports):
+    report = copy.deepcopy(grid_reports[0])
+    report.metrics[0].contrast = math.inf
+    with pytest.raises(ValueError):
+        report_to_json([report])
 
 
 def test_empty_reports_rejected():
