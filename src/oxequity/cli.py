@@ -66,7 +66,6 @@ def _add_audit_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--delta", type=float, default=1.0)
     parser.add_argument("--flag-level", type=float, default=0.01)
     parser.add_argument("--w-hypox", type=float, default=88.0)
-    parser.add_argument("--w-treat", type=float, default=92.0)
     parser.add_argument("--bin-width", type=float, default=1.0)
     parser.add_argument("--target-prevalence", type=float, default=None)
 
@@ -128,7 +127,6 @@ def _audit_config(args) -> AuditConfig:
         delta=args.delta,
         flag_level=args.flag_level,
         w_hypox=args.w_hypox,
-        w_treat=args.w_treat,
         target_prevalence=args.target_prevalence,
         wstar_bin_width=args.bin_width,
     )

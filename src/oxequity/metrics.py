@@ -79,7 +79,6 @@ class AuditConfig:
     delta: float = 1.0
     flag_level: float = 0.01
     w_hypox: float = 88.0
-    w_treat: float = 92.0
     target_prevalence: float | None = None
     wstar_bin_width: float = 1.0
 

@@ -4,21 +4,47 @@ Newton-Raphson on the Bernoulli log-likelihood with step halving.  For
 the canonical logit link the observed and expected information coincide
 (X'WX), so standard errors come from inverting the final information
 matrix.  The solver is written for the small designs this package fits
-(a handful of coefficients on a few thousand rows) and needs no linear
-algebra library.
+(a handful of coefficients on up to some tens of thousands of rows) and
+needs no linear algebra library.
+
+The per-row work runs as a column kernel.  The covariates are turned
+into columns once per fit.  Each candidate of the line search builds the
+linear predictor eta in one pass of ``map`` chains over the columns and
+evaluates the log-likelihood from it; the accepted candidate's eta is
+kept for the score pass instead of being recomputed, and is the only
+n-sized list besides the columns.  Both passes walk the rows in blocks
+of ``_BLOCK``, so their temporaries (mu, the residuals, the weights,
+w * x_j) stay bounded whatever n is.  Every loop over rows is a
+``map``/``operator`` chain or a comprehension.
+
+Every score, information and log-likelihood sum is folded left to right
+into a running total (``functools.reduce(operator.add, terms, total)``),
+which is the order of a plain loop over the rows, so a fit does not
+depend on the block size.  Builtin ``sum`` is avoided on purpose: since
+CPython 3.12 it adds floats with compensated summation, so its result
+would depend on the interpreter.  ``math.fsum`` would change the bits as
+well.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from itertools import chain, repeat
+from math import exp, log1p
+from operator import add, mul, neg, sub
 from typing import Sequence
 
-from .special import normal_cdf, sigmoid
+from .special import normal_cdf
 
 __all__ = ["LogisticFit", "SingularDesignError", "fit_logistic_irls"]
 
 _NAN = float("nan")
+
+# Rows per block of the log-likelihood and score passes; bounds their
+# temporaries.
+_BLOCK = 2048
 
 
 class SingularDesignError(ValueError):
@@ -57,10 +83,18 @@ class LogisticFit:
     covariance: list[list[float]] | None = None
 
 
+class _SingularPivot(ValueError):
+    """Gaussian elimination met a numerically zero pivot in ``column``."""
+
+    def __init__(self, column: int):
+        self.column = column
+        super().__init__(f"singular at column {column}")
+
+
 def _solve(matrix: list[list[float]], rhs: list[list[float]]) -> list[list[float]]:
     """Gaussian elimination with partial pivoting; returns solutions columnwise.
 
-    Raises ValueError with the stuck pivot column when the matrix is
+    Raises _SingularPivot with the stuck pivot column when the matrix is
     numerically singular.
     """
     p = len(matrix)
@@ -70,7 +104,7 @@ def _solve(matrix: list[list[float]], rhs: list[list[float]]) -> list[list[float
         pivot_row = max(range(col, p), key=lambda r: abs(aug[r][col]))
         pivot = aug[pivot_row][col]
         if abs(pivot) <= 1e-12 * scale:
-            raise ValueError(f"singular at column {col}")
+            raise _SingularPivot(col)
         if pivot_row != col:
             aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
         inv = 1.0 / aug[col][col]
@@ -85,14 +119,28 @@ def _solve(matrix: list[list[float]], rhs: list[list[float]]) -> list[list[float
     return [[aug[i][p + j] / aug[i][i] for i in range(p)] for j in range(len(rhs))]
 
 
-def _log_likelihood(x_rows: list[tuple[float, ...]], y: list[int], beta: list[float]) -> float:
+def _linear_predictor(columns: list[list[float]], beta: list[float], n: int) -> list[float]:
+    """eta for every row, summed over j as the row loop did: ((0 + b0) + x1 b1) + ..."""
+    eta = repeat(0.0 + 1.0 * beta[0], n)
+    for column, b in zip(columns, beta[1:]):
+        eta = map(add, eta, map(mul, column, repeat(b)))
+    return list(eta)
+
+
+def _log_likelihood(eta: list[float], y: list[int]) -> float:
     total = 0.0
-    for xi, yi in zip(x_rows, y):
-        eta = 0.0
-        for j, b in enumerate(beta):
-            eta += xi[j] * b
-        # log(1 + exp(eta)) without overflow
-        total += yi * eta - (max(eta, 0.0) + math.log1p(math.exp(-abs(eta))))
+    for start in range(0, len(y), _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        eta_b = eta[rows]
+        # log(1 + exp(eta)) without overflow.  `0.0 if 0.0 > h else h` is
+        # the comparison max(h, 0.0) makes, so -0.0 and NaN come out the
+        # same, without a call per row.
+        softplus_tail = map(log1p, map(exp, map(neg, map(abs, eta_b))))
+        terms = [
+            yi * h - ((0.0 if 0.0 > h else h) + tail)
+            for yi, h, tail in zip(y[rows], eta_b, softplus_tail)
+        ]
+        total = reduce(add, terms, total)
     return total
 
 
@@ -103,28 +151,37 @@ _PERFECT_FIT_RESIDUAL = 1e-4
 
 
 def _score_and_information(
-    x_rows: list[tuple[float, ...]], y: list[int], beta: list[float]
+    columns: list[list[float]], y: list[int], eta: list[float]
 ) -> tuple[list[float], list[list[float]], float, float]:
-    p = len(beta)
+    p = len(columns) + 1
     score = [0.0] * p
     info = [[0.0] * p for _ in range(p)]
     max_abs_resid = 0.0
-    for xi, yi in zip(x_rows, y):
-        eta = 0.0
-        for j in range(p):
-            eta += xi[j] * beta[j]
-        mu = sigmoid(eta)
-        resid = yi - mu
-        if abs(resid) > max_abs_resid:
-            max_abs_resid = abs(resid)
-        w = mu * (1.0 - mu)
-        for j in range(p):
-            xj = xi[j]
-            score[j] += xj * resid
-            wxj = w * xj
+    for start in range(0, len(y), _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        eta_b = eta[rows]
+        # sigmoid(h): 1 / (1 + exp(-h)) for h >= 0, else z / (1 + z) with
+        # z = exp(h); both exponents equal -|h|
+        tail = list(map(exp, map(neg, map(abs, eta_b))))
+        mu = [(1.0 if h >= 0.0 else z) / (1.0 + z) for h, z in zip(eta_b, tail)]
+        resid = list(map(sub, y[rows], mu))
+        # max keeps its running value unless an item compares greater, as
+        # the row loop's `if abs(resid) > max_abs_resid` did (NaN included).
+        max_abs_resid = max(chain((max_abs_resid,), map(abs, resid)))
+        w = list(map(mul, mu, map(sub, repeat(1.0), mu)))
+        # The intercept column is 1.0, and 1.0 * v == v exactly.
+        xs = [column[rows] for column in columns]
+        score[0] = reduce(add, resid, score[0])
+        row = info[0]
+        row[0] = reduce(add, w, row[0])
+        for k, xk in enumerate(xs, 1):
+            row[k] = reduce(add, map(mul, w, xk), row[k])
+        for j, xj in enumerate(xs, 1):
+            score[j] = reduce(add, map(mul, xj, resid), score[j])
+            wxj = list(map(mul, w, xj))
             row = info[j]
             for k in range(j, p):
-                row[k] += wxj * xi[k]
+                row[k] = reduce(add, map(mul, wxj, xs[k - 1]), row[k])
     for j in range(p):
         for k in range(j + 1, p):
             info[k][j] = info[j][k]
@@ -146,48 +203,55 @@ def fit_logistic_irls(
     Raises:
         SingularDesignError: collinear design columns (detected at the
             start, where the weights are uniform, whatever the score).
-        ValueError: mismatched lengths or non-binary outcomes.
+        ValueError: mismatched lengths, an empty design, design rows of
+            unequal length, or non-binary outcomes.
     """
-    x_rows = [(1.0, *(float(v) for v in row)) for row in design_rows]
+    # float(v) of a float is v itself, so the columns share the caller's
+    # floats; zip stops at the shortest row, which the dimension check
+    # below catches.
+    columns = [list(map(float, column)) for column in zip(*design_rows)]
     y = [int(v) for v in outcomes]
-    if len(x_rows) != len(y):
+    n = len(y)
+    if len(design_rows) != n:
         raise ValueError("design and outcome lengths differ")
-    if not x_rows:
+    if not n:
         raise ValueError("empty design")
-    width = len(x_rows[0])
-    if any(len(xi) != width for xi in x_rows):
+    if set(map(len, design_rows)) != {len(columns)}:
         raise ValueError("design rows have inconsistent dimension")
     if any(v not in (0, 1) for v in y):
         raise ValueError("outcomes must be binary")
+    width = len(columns) + 1
 
     beta = [0.0] * width
-    loglik = _log_likelihood(x_rows, y, beta)
+    eta = _linear_predictor(columns, beta, n)
+    loglik = _log_likelihood(eta, y)
     iterations = 0
-    score, info, max_abs_score, max_resid = _score_and_information(x_rows, y, beta)
+    score, info, max_abs_score, max_resid = _score_and_information(columns, y, eta)
     # At beta = 0 every weight is 1/4, so info is X'X / 4: check its rank
     # here, before the score test, so a collinear design whose score
     # already vanishes cannot pass as converged.
     try:
         _solve(info, [score])
-    except ValueError as exc:
-        column = int(str(exc).rsplit(" ", 1)[-1])
-        raise SingularDesignError([column]) from None
+    except _SingularPivot as exc:
+        raise SingularDesignError([exc.column]) from None
     while iterations < max_iter and max_abs_score > tol:
         try:
             (delta,) = _solve(info, [score])
-        except ValueError:
+        except _SingularPivot:
             # Weights collapsed mid-path (separation); report as such.
             break
         step = 1.0
         for _ in range(30):
             candidate = [b + step * d for b, d in zip(beta, delta)]
-            candidate_ll = _log_likelihood(x_rows, y, candidate)
+            eta = None  # free the previous predictor before building the next
+            eta = _linear_predictor(columns, candidate, n)
+            candidate_ll = _log_likelihood(eta, y)
             if candidate_ll >= loglik - 1e-10:
                 break
             step *= 0.5
         beta, loglik = candidate, candidate_ll
         iterations += 1
-        score, info, max_abs_score, max_resid = _score_and_information(x_rows, y, beta)
+        score, info, max_abs_score, max_resid = _score_and_information(columns, y, eta)
 
     # A score that vanished only because every observation is classified
     # exactly is the numerical face of separation, not an interior maximum.
@@ -200,7 +264,7 @@ def fit_logistic_irls(
             inv_cols = _solve(info, identity)
             covariance = [[inv_cols[j][i] for j in range(width)] for i in range(width)]
             ses = [math.sqrt(max(covariance[j][j], 0.0)) for j in range(width)]
-        except ValueError:
+        except _SingularPivot:
             ses = [_NAN] * width
     else:
         ses = [_NAN] * width

@@ -8,7 +8,10 @@ empirical ROC curve with the trapezoid rule.  The cohort and Table-1
 oracles are the exception: they reuse the package's per-patient formulas
 and counter RNG, and pin only how draws are shared.  They hash every
 stream afresh for each scenario, as the generator did before one set of
-draws served the whole grid.
+draws served the whole grid.  The IRLS oracle is the other exception: it
+is the per-row loop the fitter ran before its column kernel, and reuses
+the package's solver and sigmoid, so it pins the kernel's arithmetic and
+summation order bit for bit.
 """
 
 from __future__ import annotations
@@ -28,7 +31,13 @@ from oxequity.cohort import (
 )
 from oxequity.grid import Table1Summary
 from oxequity.rng import Channel, CounterRng
-from oxequity.stats.special import normal_cdf, normal_quantile
+from oxequity.stats.logistic import (
+    _PERFECT_FIT_RESIDUAL,
+    LogisticFit,
+    SingularDesignError,
+    _solve,
+)
+from oxequity.stats.special import normal_cdf, normal_quantile, sigmoid
 
 mp.mp.dps = 40
 
@@ -394,4 +403,117 @@ def threshold_protocol_oracle(config) -> Table1Summary:
         untreated_hypoxemic=untreated,
         outcome_measured_driven=vent_measured,
         outcome_true_driven=vent_true,
+    )
+
+
+def _irls_log_likelihood_oracle(x_rows, y, beta) -> float:
+    total = 0.0
+    for xi, yi in zip(x_rows, y):
+        eta = 0.0
+        for j, b in enumerate(beta):
+            eta += xi[j] * b
+        # log(1 + exp(eta)) without overflow
+        total += yi * eta - (max(eta, 0.0) + math.log1p(math.exp(-abs(eta))))
+    return total
+
+
+def _irls_score_and_information_oracle(x_rows, y, beta):
+    p = len(beta)
+    score = [0.0] * p
+    info = [[0.0] * p for _ in range(p)]
+    max_abs_resid = 0.0
+    for xi, yi in zip(x_rows, y):
+        eta = 0.0
+        for j in range(p):
+            eta += xi[j] * beta[j]
+        mu = sigmoid(eta)
+        resid = yi - mu
+        if abs(resid) > max_abs_resid:
+            max_abs_resid = abs(resid)
+        w = mu * (1.0 - mu)
+        for j in range(p):
+            xj = xi[j]
+            score[j] += xj * resid
+            wxj = w * xj
+            row = info[j]
+            for k in range(j, p):
+                row[k] += wxj * xi[k]
+    for j in range(p):
+        for k in range(j + 1, p):
+            info[k][j] = info[j][k]
+    return score, info, max(abs(s) for s in score), max_abs_resid
+
+
+def fit_logistic_irls_oracle(design_rows, outcomes, max_iter=50, tol=1e-8) -> LogisticFit:
+    """The per-row IRLS loop: one (1, x...) tuple per row, sums row by row."""
+    x_rows = [(1.0, *(float(v) for v in row)) for row in design_rows]
+    y = [int(v) for v in outcomes]
+    if len(x_rows) != len(y):
+        raise ValueError("design and outcome lengths differ")
+    if not x_rows:
+        raise ValueError("empty design")
+    width = len(x_rows[0])
+    if any(len(xi) != width for xi in x_rows):
+        raise ValueError("design rows have inconsistent dimension")
+    if any(v not in (0, 1) for v in y):
+        raise ValueError("outcomes must be binary")
+
+    beta = [0.0] * width
+    loglik = _irls_log_likelihood_oracle(x_rows, y, beta)
+    iterations = 0
+    score, info, max_abs_score, max_resid = _irls_score_and_information_oracle(
+        x_rows, y, beta
+    )
+    try:
+        _solve(info, [score])
+    except ValueError as exc:
+        column = int(str(exc).rsplit(" ", 1)[-1])
+        raise SingularDesignError([column]) from None
+    while iterations < max_iter and max_abs_score > tol:
+        try:
+            (delta,) = _solve(info, [score])
+        except ValueError:
+            break
+        step = 1.0
+        for _ in range(30):
+            candidate = [b + step * d for b, d in zip(beta, delta)]
+            candidate_ll = _irls_log_likelihood_oracle(x_rows, y, candidate)
+            if candidate_ll >= loglik - 1e-10:
+                break
+            step *= 0.5
+        beta, loglik = candidate, candidate_ll
+        iterations += 1
+        score, info, max_abs_score, max_resid = _irls_score_and_information_oracle(
+            x_rows, y, beta
+        )
+
+    converged = max_abs_score <= tol and max_resid > _PERFECT_FIT_RESIDUAL
+
+    covariance = None
+    if converged:
+        identity = [[1.0 if i == j else 0.0 for i in range(width)] for j in range(width)]
+        try:
+            inv_cols = _solve(info, identity)
+            covariance = [[inv_cols[j][i] for j in range(width)] for i in range(width)]
+            ses = [math.sqrt(max(covariance[j][j], 0.0)) for j in range(width)]
+        except ValueError:
+            ses = [math.nan] * width
+    else:
+        ses = [math.nan] * width
+    wald = [
+        b / se if se and not math.isnan(se) and se > 0.0 else math.nan
+        for b, se in zip(beta, ses)
+    ]
+    p_values = [
+        2.0 * normal_cdf(-abs(z)) if not math.isnan(z) else math.nan for z in wald
+    ]
+    return LogisticFit(
+        coefficients=beta,
+        standard_errors=ses,
+        wald_z=wald,
+        p_values=p_values,
+        converged=converged,
+        iterations=iterations,
+        max_abs_score=max_abs_score,
+        covariance=covariance,
     )

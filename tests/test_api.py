@@ -3,6 +3,10 @@
 ``bench/spans.py`` wraps the functions named in ``SPAN_TARGETS`` by module
 attribute, so a rename in the package would break only the traced
 benchmark.  The file is parsed, not imported, to read that table.
+
+The IRLS kernel must add floats left to right; a source check keeps
+builtin ``sum`` (compensated since CPython 3.12) and ``math.fsum`` out of
+it, which a bit-identity test on an older interpreter could not see.
 """
 
 import ast
@@ -14,7 +18,9 @@ import pytest
 
 import oxequity
 
-SPANS_FILE = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS_FILE = ROOT / "bench" / "spans.py"
+LOGISTIC_FILE = ROOT / "src" / "oxequity" / "stats" / "logistic.py"
 
 
 def _module_names():
@@ -50,3 +56,15 @@ def test_span_targets_exist():
         module = importlib.import_module(f"oxequity.{layer}")
         for name in functions:
             assert callable(getattr(module, name, None)), f"oxequity.{layer}.{name}"
+
+
+def test_irls_kernel_uses_no_sum_or_fsum():
+    found = []
+    for node in ast.walk(ast.parse(LOGISTIC_FILE.read_text())):
+        if isinstance(node, ast.Name) and node.id in ("sum", "fsum"):
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute) and node.attr == "fsum":
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, a.name) for a in node.names if a.name == "fsum"]
+    assert not found

@@ -94,6 +94,18 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
 
 
+def test_w_treat_option_is_gone(tmp_path, capsys):
+    # No metric read the audit-side treatment threshold; the grid takes
+    # its threshold from the DGP parameters (--params).
+    cohort = tmp_path / "c.csv"
+    run("simulate", "--n", "200", "--seed", "2", "--out", str(cohort))
+    assert run("audit", "--in", str(cohort), "--w-treat", "92") == 1
+    out = tmp_path / "bundle"
+    assert run("grid", "--n", "200", "--w-treat", "92", "--out", str(out)) == 1
+    assert "--w-treat" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_grid_writes_expected_bundle(tmp_path):
     out = tmp_path / "bundle"
     assert run("grid", "--n", "1000", "--seed", "2", "--out", str(out)) == 0
