@@ -9,8 +9,9 @@ channels can be switched off independently without perturbing any
 random draw (common random numbers).
 
 Generation runs in two stages: ``draw_cohort`` hashes every patient's
-streams once, and ``derive_cohort`` applies the toggles and treatment
-rule to those draws, so scenarios that share a seed can share the draws.
+streams once, as whole columns, and ``derive_cohort`` applies the
+toggles and treatment rule to those draws, so scenarios that share a
+seed can share the draws.
 
 Records are immutable after generation and safe to share across
 threads; generation itself is a pure function of the scenario config.
@@ -19,10 +20,10 @@ threads; generation itself is a pure function of the scenario config.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .rng import Channel, CounterRng
-from .stats.special import normal_cdf, normal_quantile, sigmoid
+from .stats.special import normal_cdf, normal_quantiles, sigmoid
 
 __all__ = [
     "CohortDraws",
@@ -49,6 +50,13 @@ W_LOW = 70.0
 W_HIGH = 100.0
 
 _ORACLE_SEED = 271828182845904523
+_COHORT_CHANNELS = (
+    Channel.GROUP,
+    Channel.SATURATION,
+    Channel.NOISE,
+    Channel.TREAT,
+    Channel.OUTCOME,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -154,29 +162,25 @@ class PatientRecord:
     clamped: bool = False
 
 
-def _saturation_inverse_cdf(params: DgpParams) -> Callable[[float], float]:
-    """Inverse CDF of the saturation law truncated to [W_LOW, W_HIGH].
+def _saturation_inverse_cdf(uniforms: Sequence[float], params: DgpParams) -> list[float]:
+    """Map a column of uniforms through the saturation law's inverse CDF.
 
-    The normal CDF at the two window edges is evaluated here, once, so a
-    cohort pays for it once rather than once per patient.  Pathological
-    tail draws that escape the window through floating point are clamped
-    back to the bounds.
+    The law is normal, truncated to [W_LOW, W_HIGH].  The normal CDF at
+    the two window edges is evaluated once per column, and the probits
+    come from one ``normal_quantiles`` pass.  Pathological tail draws
+    that escape the window through floating point are clamped back to
+    the bounds.
     """
     mean, sd = params.saturation_mean, params.saturation_sd
     if sd < 1e-12:
-        degenerate = min(max(mean, W_LOW), W_HIGH)
-        return lambda u: degenerate
+        return [min(max(mean, W_LOW), W_HIGH)] * len(uniforms)
     lo = normal_cdf((W_LOW - mean) / sd)
     hi = normal_cdf((W_HIGH - mean) / sd)
-
-    def inverse(u: float) -> float:
-        p = lo + u * (hi - lo)
-        if p <= 0.0 or p >= 1.0:
-            return W_LOW if p <= 0.0 else W_HIGH
-        value = mean + sd * normal_quantile(p)
-        return min(max(value, W_LOW), W_HIGH)
-
-    return inverse
+    ps = [lo + u * (hi - lo) for u in uniforms]
+    # A NaN p is neither <= 0 nor >= 1, so normal_quantiles rejects it.
+    probit = iter(normal_quantiles([p for p in ps if not (p <= 0.0 or p >= 1.0)])).__next__
+    values = [W_LOW if p <= 0.0 else W_HIGH if p >= 1.0 else mean + sd * probit() for p in ps]
+    return [W_LOW if v < W_LOW else W_HIGH if v > W_HIGH else v for v in values]
 
 
 def sample_true_saturation(
@@ -185,14 +189,14 @@ def sample_true_saturation(
     """Truncated-normal saturation on [70, 100] by inverse-CDF transform.
 
     Only the first draw is consumed.  The sequence form is kept so
-    callers passing a (draw, spare) pair keep working, but the generator
-    no longer hashes a second saturation draw: each patient costs five
-    counter hashes (group, saturation, noise, treatment, outcome).
+    callers passing a (draw, spare) pair keep working.  This is the
+    one-draw form of the column map ``draw_cohort`` applies to the whole
+    saturation channel, and gives the same bits.
     """
     u = float(uniform_draws[0])
     if not 0.0 < u < 1.0:
         raise ValueError(f"saturation draw must lie in (0, 1), got {u!r}")
-    return _saturation_inverse_cdf(params)(u)
+    return _saturation_inverse_cdf((u,), params)[0]
 
 
 def measurement_error(
@@ -273,24 +277,28 @@ class CohortDraws:
 
 
 def draw_cohort(config: ScenarioConfig) -> CohortDraws:
-    """Make the one pass over the patients' counter-based streams.
+    """Draw every patient's streams as columns, in one batched pass.
 
     Draws are keyed by (seed, patient_id, channel), so the toggles and
-    treatment mode of ``config`` play no part here.
+    treatment mode of ``config`` play no part here.  One
+    ``CounterRng.uniform_columns`` call yields five uniforms per patient
+    (group, saturation, noise, treatment, outcome), bit-identical to
+    ``CounterRng.uniform``; the group, saturation and noise columns are
+    then mapped whole, with no per-patient function call.
     """
     config.validate()
-    rng = CounterRng(config.seed)
-    uniform, normal = rng.uniform, rng.normal
-    saturation = _saturation_inverse_cdf(config.dgp)
+    u_group, u_saturation, u_noise, u_treat, u_out = CounterRng(
+        config.seed
+    ).uniform_columns(config.n_total, _COHORT_CHANNELS)
     p_group1 = config.p_group1
-    group_a, w_true, noise, u_treat, u_out = [], [], [], [], []
-    for i in range(config.n_total):
-        group_a.append(1 if uniform(i, Channel.GROUP) < p_group1 else 0)
-        w_true.append(saturation(uniform(i, Channel.SATURATION)))
-        noise.append(normal(i, Channel.NOISE))
-        u_treat.append(uniform(i, Channel.TREAT))
-        u_out.append(uniform(i, Channel.OUTCOME))
-    return CohortDraws(config.dgp, group_a, w_true, noise, u_treat, u_out)
+    return CohortDraws(
+        config.dgp,
+        [1 if u < p_group1 else 0 for u in u_group],
+        _saturation_inverse_cdf(u_saturation, config.dgp),
+        normal_quantiles(u_noise),
+        u_treat,
+        u_out,
+    )
 
 
 def derive_cohort(

@@ -134,6 +134,10 @@ def read_cohort_csv(path: str | Path, require_gold: bool = True) -> list[Patient
                 "missing required column(s): " + ", ".join(missing), row=1
             )
         has_gold = all(c in positions for c in _GOLD_COLUMNS)
+        at_id, at_group, at_star, at_treated, at_outcome = (
+            positions[c] for c in ("patient_id", "group_a", "w_star", "treated", "outcome")
+        )
+        at_true, at_eps = (positions.get(c) for c in _GOLD_COLUMNS)
         records = []
         first_row_of_id: dict[int, int] = {}
         for row_number, row in enumerate(reader, start=2):
@@ -143,13 +147,9 @@ def read_cohort_csv(path: str | Path, require_gold: bool = True) -> list[Patient
                 raise CohortSchemaError(
                     f"expected {len(header)} fields, found {len(row)}", row=row_number
                 )
-
-            def cell(name: str) -> str:
-                return row[positions[name]].strip()
-
             w_true = epsilon = None
             if has_gold:
-                raw_true, raw_eps = cell("w_true"), cell("epsilon")
+                raw_true, raw_eps = row[at_true].strip(), row[at_eps].strip()
                 if require_gold and (not raw_true or not raw_eps):
                     raise CohortSchemaError(
                         "gold-standard fields required but blank",
@@ -159,11 +159,11 @@ def read_cohort_csv(path: str | Path, require_gold: bool = True) -> list[Patient
                 if raw_true or raw_eps:
                     w_true = _parse_float(raw_true, row_number, "w_true", 70.0, 100.0)
                     epsilon = _parse_float(raw_eps, row_number, "epsilon")
-            w_star = _parse_float(cell("w_star"), row_number, "w_star", 0.0, 100.0)
+            w_star = _parse_float(row[at_star].strip(), row_number, "w_star", 0.0, 100.0)
             clamped = False
             if w_true is not None and epsilon is not None:
                 clamped = abs((w_true + epsilon) - w_star) > _CLAMP_TOL
-            patient_id = _parse_int(cell("patient_id"), row_number, "patient_id")
+            patient_id = _parse_int(row[at_id].strip(), row_number, "patient_id")
             first_row = first_row_of_id.setdefault(patient_id, row_number)
             if first_row != row_number:
                 raise CohortSchemaError(
@@ -174,12 +174,12 @@ def read_cohort_csv(path: str | Path, require_gold: bool = True) -> list[Patient
             records.append(
                 PatientRecord(
                     patient_id=patient_id,
-                    group_a=_parse_int(cell("group_a"), row_number, "group_a", binary=True),
+                    group_a=_parse_int(row[at_group].strip(), row_number, "group_a", binary=True),
                     w_true=w_true,
                     w_star=w_star,
                     epsilon=epsilon,
-                    treated=_parse_int(cell("treated"), row_number, "treated", binary=True),
-                    outcome=_parse_int(cell("outcome"), row_number, "outcome", binary=True),
+                    treated=_parse_int(row[at_treated].strip(), row_number, "treated", binary=True),
+                    outcome=_parse_int(row[at_outcome].strip(), row_number, "outcome", binary=True),
                     clamped=clamped,
                 )
             )

@@ -17,6 +17,7 @@ from .logistic import LogisticFit, SingularDesignError, fit_logistic_irls
 from .special import (
     normal_cdf,
     normal_quantile,
+    normal_quantiles,
     regularized_beta,
     regularized_gamma_p,
     regularized_gamma_q,
@@ -38,6 +39,7 @@ __all__ = [
     "hanley_mcneil_se",
     "normal_cdf",
     "normal_quantile",
+    "normal_quantiles",
     "regularized_beta",
     "regularized_gamma_p",
     "regularized_gamma_q",

@@ -210,16 +210,17 @@ def fit_logistic_irls(
     # floats; zip stops at the shortest row, which the dimension check
     # below catches.
     columns = [list(map(float, column)) for column in zip(*design_rows)]
-    y = [int(v) for v in outcomes]
-    n = len(y)
+    n = len(outcomes)
     if len(design_rows) != n:
         raise ValueError("design and outcome lengths differ")
     if not n:
         raise ValueError("empty design")
     if set(map(len, design_rows)) != {len(columns)}:
         raise ValueError("design rows have inconsistent dimension")
-    if any(v not in (0, 1) for v in y):
+    # Check the raw values: int() would truncate 0.7 to 0 and 1.9 to 1.
+    if any(v not in (0, 1) for v in outcomes):
         raise ValueError("outcomes must be binary")
+    y = [int(v) for v in outcomes]
     width = len(columns) + 1
 
     beta = [0.0] * width

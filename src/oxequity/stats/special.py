@@ -12,11 +12,13 @@ the tests produce (p down to ~1e-300 before underflow).
 from __future__ import annotations
 
 import math
+from typing import Iterable
 
 __all__ = [
     "sigmoid",
     "normal_cdf",
     "normal_quantile",
+    "normal_quantiles",
     "regularized_gamma_p",
     "regularized_gamma_q",
     "regularized_beta",
@@ -44,7 +46,7 @@ def normal_cdf(x: float) -> float:
 
 # Acklam's piecewise rational minimax approximation to the probit.  On its
 # own it is good to ~1.15e-9 relative; one Halley step against normal_cdf
-# below brings it to near machine accuracy.
+# in normal_quantiles brings it to near machine accuracy.
 _ACKLAM_A = (
     -3.969683028665376e01,
     2.209460984245205e02,
@@ -77,23 +79,51 @@ _ACKLAM_D = (
 _P_LOW = 0.02425
 
 
-def _acklam(p: float) -> float:
-    a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
-    if p < _P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-    if p > 1.0 - _P_LOW:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        return -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-    q = p - 0.5
-    r = q * q
-    return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / (
-        ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-    )
+def normal_quantiles(ps: Iterable[float]) -> list[float]:
+    """``normal_quantile`` of every p, in one pass with no per-element call.
+
+    This is the one implementation of the probit: Acklam's initializer,
+    then one Halley refinement against ``normal_cdf``.  The scalar form
+    wraps it, so both give the same bits.
+
+    Raises:
+        ValueError: if any ``p`` is not strictly between 0 and 1.
+    """
+    a0, a1, a2, a3, a4, a5 = _ACKLAM_A
+    b0, b1, b2, b3, b4 = _ACKLAM_B
+    c0, c1, c2, c3, c4, c5 = _ACKLAM_C
+    d0, d1, d2, d3 = _ACKLAM_D
+    p_high = 1.0 - _P_LOW
+    erfc, exp, log, sqrt = math.erfc, math.exp, math.log, math.sqrt
+    quantiles = []
+    for p in ps:
+        if not 0.0 < p < 1.0:
+            raise ValueError(f"normal_quantile requires 0 < p < 1, got {p!r}")
+        if p < _P_LOW:
+            q = sqrt(-2.0 * log(p))
+            x = (((((c0 * q + c1) * q + c2) * q + c3) * q + c4) * q + c5) / (
+                (((d0 * q + d1) * q + d2) * q + d3) * q + 1.0
+            )
+        elif p > p_high:
+            q = sqrt(-2.0 * log(1.0 - p))
+            x = -(((((c0 * q + c1) * q + c2) * q + c3) * q + c4) * q + c5) / (
+                (((d0 * q + d1) * q + d2) * q + d3) * q + 1.0
+            )
+        else:
+            q = p - 0.5
+            r = q * q
+            x = (((((a0 * r + a1) * r + a2) * r + a3) * r + a4) * r + a5) * q / (
+                ((((b0 * r + b1) * r + b2) * r + b3) * r + b4) * r + 1.0
+            )
+        # One Halley refinement; skipped if exp would overflow (|x| > ~37,
+        # where the initializer is already at the limit of double precision).
+        half_x2 = 0.5 * x * x
+        if half_x2 < 700.0:
+            err = 0.5 * erfc(-x / _SQRT2) - p
+            u = err * _SQRT_TWO_PI * exp(half_x2)
+            x -= u / (1.0 + 0.5 * x * u)
+        quantiles.append(x)
+    return quantiles
 
 
 def normal_quantile(p: float) -> float:
@@ -102,17 +132,7 @@ def normal_quantile(p: float) -> float:
     Raises:
         ValueError: if ``p`` is not strictly between 0 and 1.
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"normal_quantile requires 0 < p < 1, got {p!r}")
-    x = _acklam(p)
-    # One Halley refinement; skipped if exp would overflow (|x| > ~37,
-    # where the initializer is already at the limit of double precision).
-    half_x2 = 0.5 * x * x
-    if half_x2 < 700.0:
-        err = normal_cdf(x) - p
-        u = err * _SQRT_TWO_PI * math.exp(half_x2)
-        x -= u / (1.0 + 0.5 * x * u)
-    return x
+    return normal_quantiles((p,))[0]
 
 
 def _gamma_series(a: float, x: float) -> float:

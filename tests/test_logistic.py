@@ -142,3 +142,13 @@ def test_input_validation():
         fit_logistic_irls([(1.0,), (2.0,)], [1, 2])
     with pytest.raises(ValueError):
         fit_logistic_irls([], [])
+
+
+def test_fractional_outcomes_rejected_not_truncated():
+    rows = [(0.0,), (1.0,), (0.0,), (1.0,)]
+    with pytest.raises(ValueError, match="outcomes must be binary"):
+        fit_logistic_irls(rows, [0.7, 1.9, 1.2, 0.4])
+    with pytest.raises(ValueError, match="outcomes must be binary"):
+        fit_logistic_irls(rows, [0, 1, 1, 0.5])
+    # integral floats and bools are binary values and still fit
+    assert fit_logistic_irls(rows, [0.0, 1.0, True, False]) == fit_logistic_irls(rows, [0, 1, 1, 0])

@@ -79,22 +79,42 @@ def test_derive_reads_no_stream(monkeypatch):
         raise AssertionError("derive_cohort must not hash")
 
     monkeypatch.setattr(CounterRng, "uniform", forbidden)
+    monkeypatch.setattr(CounterRng, "uniform_columns", forbidden)
     for mode in TREATMENT_MODES:
         assert len(derive_cohort(draws, True, False, mode)) == 200
 
 
 def test_five_draws_per_patient(monkeypatch):
-    calls = 0
-    original = CounterRng.uniform
+    # draw_cohort hashes through the column entry point only: five words
+    # per patient there, and not one scalar draw.
+    words = scalar_calls = 0
+    columns, scalar = CounterRng.uniform_columns, CounterRng.uniform
 
-    def counting(self, *args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return original(self, *args, **kwargs)
+    def counting_columns(self, *args, **kwargs):
+        nonlocal words
+        drawn = columns(self, *args, **kwargs)
+        words += sum(map(len, drawn))
+        return drawn
 
-    monkeypatch.setattr(CounterRng, "uniform", counting)
+    def counting_scalar(self, *args, **kwargs):
+        nonlocal scalar_calls
+        scalar_calls += 1
+        return scalar(self, *args, **kwargs)
+
+    monkeypatch.setattr(CounterRng, "uniform_columns", counting_columns)
+    monkeypatch.setattr(CounterRng, "uniform", counting_scalar)
     draw_cohort(ScenarioConfig(n_total=300, seed=9))
-    assert calls == 5 * 300
+    assert words == 5 * 300
+    assert scalar_calls == 0
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_degenerate_saturation_equals_oracle(seed):
+    # saturation_sd=0 takes the constant branch of the saturation map
+    config = _base(seed, "stochastic", replace(DEFAULT_DGP, saturation_sd=0.0))
+    cohort = generate_cohort(config)
+    assert {r.w_true for r in cohort} == {DEFAULT_DGP.saturation_mean}
+    assert cohort == generate_cohort_oracle(config)
 
 
 def test_grid_output_bytes_unchanged(tmp_path):

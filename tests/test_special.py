@@ -7,6 +7,7 @@ import pytest
 from oxequity.stats.special import (
     normal_cdf,
     normal_quantile,
+    normal_quantiles,
     regularized_beta,
     regularized_gamma_p,
     regularized_gamma_q,
@@ -17,6 +18,8 @@ from oracles import normal_cdf_oracle, normal_quantile_oracle
 
 # frozen from the bisection-on-erf-series oracle
 Q_975 = 1.9599639845400542
+# edge of Acklam's lower-tail branch
+P_LOW = 0.02425
 
 
 def test_quantile_at_half_is_zero():
@@ -47,6 +50,35 @@ def test_cdf_absolute_accuracy():
 def test_quantile_rejects_out_of_domain(p):
     with pytest.raises(ValueError):
         normal_quantile(p)
+
+
+def test_column_quantiles_equal_scalar_at_branch_edges():
+    ps = [2.0**-54, 0.5, 1.0 - 2.0**-53]
+    for edge in (P_LOW, 1.0 - P_LOW):
+        ps += [math.nextafter(edge, 0.0), edge, math.nextafter(edge, 1.0)]
+    assert normal_quantiles(ps) == [normal_quantile(p) for p in ps]
+    assert normal_quantiles(iter(ps)) == normal_quantiles(ps)
+    assert normal_quantiles([]) == []
+
+
+@pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, math.nan])
+def test_column_quantiles_reject_any_out_of_domain_entry(bad):
+    with pytest.raises(ValueError):
+        normal_quantiles([0.3, bad, 0.7])
+    with pytest.raises(ValueError):
+        normal_quantile(bad)
+
+
+def test_quantile_against_scipy():
+    norm = pytest.importorskip("scipy.stats").norm
+    # log-spaced lower tail from 1e-300, an even grid through the body, and
+    # an upper tail to 1 - 1e-6; above that p carries too few digits.
+    ps = [10.0 ** (-300.0 + k * 0.1) for k in range(2998)]
+    ps += [k / 1000 for k in range(1, 1000)]
+    ps += [1.0 - 10.0 ** (-0.3 - k * 0.01) for k in range(571)]
+    for p, x in zip(ps, normal_quantiles(ps)):
+        expected = float(norm.ppf(p))
+        assert abs(x - expected) <= 1e-11 * max(1.0, abs(expected)), p
 
 
 def test_quantile_extreme_tails_monotone():
