@@ -2,6 +2,7 @@
 
 from .cohort import (
     DEFAULT_DGP,
+    Cohort,
     DgpParams,
     PatientRecord,
     ScenarioConfig,
@@ -13,6 +14,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_DGP",
+    "Cohort",
     "DgpParams",
     "PatientRecord",
     "ScenarioConfig",

@@ -11,21 +11,28 @@ random draw (common random numbers).
 Generation runs in two stages: ``draw_cohort`` hashes every patient's
 streams once, as whole columns, and ``derive_cohort`` applies the
 toggles and treatment rule to those draws, so scenarios that share a
-seed can share the draws.
+seed can share the draws.  Each formula of the process has one site, a
+column map (``measurement_errors``, ``treatment_assignments``,
+``outcome_assignments``); the one-patient functions wrap it.
 
-Records are immutable after generation and safe to share across
-threads; generation itself is a pure function of the scenario config.
+A cohort is one frozen ``Cohort`` of columns, the type every layer
+passes on: the generator and the CSV reader build it, and the writer,
+the metrics, the grid and the figure read its columns.  It is immutable
+and safe to share across threads; generation itself is a pure function
+of the scenario config.  ``PatientRecord`` is only the row type of
+``Cohort.from_records``, for cohorts built by hand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .rng import Channel, CounterRng
-from .stats.special import normal_cdf, normal_quantiles, sigmoid
+from .stats.special import normal_cdf, normal_quantiles, sigmoid, sigmoids
 
 __all__ = [
+    "Cohort",
     "CohortDraws",
     "DgpParams",
     "PatientRecord",
@@ -36,10 +43,13 @@ __all__ = [
     "draw_cohort",
     "generate_cohort",
     "measurement_error",
+    "measurement_errors",
     "oracle_tau",
     "outcome_assignment",
+    "outcome_assignments",
     "sample_true_saturation",
     "treatment_assignment",
+    "treatment_assignments",
 ]
 
 TREATMENT_MODES = ("stochastic", "deterministic")
@@ -144,12 +154,9 @@ class ScenarioConfig:
 
 @dataclass(frozen=True, slots=True)
 class PatientRecord:
-    """One simulated (or ingested) patient.
+    """One patient: the row type of ``Cohort.from_records``.
 
-    ``w_true`` and ``epsilon`` are None on gold-standard-free cohorts
-    read from external files.  ``clamped`` marks the rare records whose
-    raw reading fell outside the display range, in which case
-    w_star != w_true + epsilon.
+    The fields mean what the ``Cohort`` columns of the same names mean.
     """
 
     patient_id: int
@@ -160,6 +167,63 @@ class PatientRecord:
     treated: int
     outcome: int
     clamped: bool = False
+
+
+_BINARY = frozenset((0, 1))
+_COLUMNS = (
+    "patient_id",
+    "group_a",
+    "w_true",
+    "w_star",
+    "epsilon",
+    "treated",
+    "outcome",
+    "clamped",
+)
+
+
+@dataclass(frozen=True, slots=True)
+class Cohort:
+    """One cohort as equal-length columns, one entry per patient.
+
+    ``w_true`` and ``epsilon`` hold None for patients without a gold
+    standard (rows of a file whose gold fields are blank); ``gold`` is
+    True when every patient has both, and is computed once, here.
+    ``group_a``, ``treated`` and ``outcome`` hold only 0 and 1.
+    ``clamped`` marks the rare patients whose raw reading fell outside
+    the display range, for whom w_star != w_true + epsilon.  The columns
+    are read, never written: cohorts derived from shared draws share
+    their true-saturation and group columns.
+    """
+
+    patient_id: list[int]
+    group_a: list[int]
+    w_true: list[float | None]
+    w_star: list[float]
+    epsilon: list[float | None]
+    treated: list[int]
+    outcome: list[int]
+    clamped: list[bool]
+    gold: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        n = len(self.patient_id)
+        if any(len(getattr(self, name)) != n for name in _COLUMNS):
+            raise ValueError("cohort columns differ in length")
+        for name in ("group_a", "treated", "outcome"):
+            if not _BINARY.issuperset(getattr(self, name)):
+                raise ValueError(f"{name} must hold only 0 and 1")
+        gold = n > 0 and None not in self.w_true and None not in self.epsilon
+        object.__setattr__(self, "gold", gold)
+
+    def __len__(self) -> int:
+        return len(self.patient_id)
+
+    @classmethod
+    def from_records(cls, records: Iterable[PatientRecord]) -> Cohort:
+        """The cohort of hand-built records, in their order."""
+        rows = list(records)
+        return cls(*([getattr(r, name) for r in rows] for name in _COLUMNS))
 
 
 def _saturation_inverse_cdf(uniforms: Sequence[float], params: DgpParams) -> list[float]:
@@ -199,6 +263,35 @@ def sample_true_saturation(
     return _saturation_inverse_cdf((u,), params)[0]
 
 
+# The hinges below write max(0.0, d) as `d if d > 0.0 else 0.0`, the
+# comparison max makes, without a call per patient.
+
+
+def measurement_errors(
+    w_true: Sequence[float],
+    group_a: Sequence[int],
+    measurement_bias_on: bool,
+    noise: Sequence[float],
+    params: DgpParams,
+) -> list[float]:
+    """Signed oximeter errors in percentage points, one per patient.
+
+    Everyone shares the baseline overread and noise; the differential
+    shift-plus-hinge term applies to group A=1 only while the
+    measurement-bias channel is on, and grows as true saturation falls
+    below the pivot.
+    """
+    base, noise_sd = params.err_base, params.err_noise_sd
+    errors = (base + noise_sd * z for z in noise)
+    if not measurement_bias_on:
+        return list(errors)
+    shift, slope, pivot = params.err_group_shift, params.err_group_slope, params.err_pivot
+    return [
+        e + (shift + slope * (d if (d := pivot - w) > 0.0 else 0.0)) if a == 1 else e
+        for e, w, a in zip(errors, w_true, group_a)
+    ]
+
+
 def measurement_error(
     w_true: float,
     group_a: int,
@@ -206,19 +299,40 @@ def measurement_error(
     noise_draw: float,
     params: DgpParams,
 ) -> float:
-    """Signed oximeter error in percentage points for one patient.
+    """One patient's ``measurement_errors``."""
+    return measurement_errors(
+        (w_true,), (group_a,), measurement_bias_on, (noise_draw,), params
+    )[0]
 
-    Everyone shares the baseline overread and noise; the differential
-    shift-plus-hinge term applies to group A=1 only while the
-    measurement-bias channel is on, and grows as true saturation falls
-    below the pivot.
+
+def treatment_assignments(
+    w_star: Sequence[float],
+    group_a: Sequence[int],
+    systemic_bias_on: bool,
+    mode: str,
+    uniforms: Sequence[float],
+    params: DgpParams,
+) -> list[int]:
+    """Supplemental-oxygen decisions from the measured saturations.
+
+    Deterministic mode is the bare threshold protocol 1(W* < w_treat).
+    Stochastic mode draws from a logistic model in the threshold margin,
+    with a group penalty active only under systemic bias.
     """
-    eps = params.err_base + params.err_noise_sd * noise_draw
-    if measurement_bias_on and group_a == 1:
-        eps += params.err_group_shift + params.err_group_slope * max(
-            0.0, params.err_pivot - w_true
-        )
-    return eps
+    if mode == "deterministic":
+        w_treat = params.w_treat
+        return [1 if w < w_treat else 0 for w in w_star]
+    if mode != "stochastic":
+        raise ValueError(f"unknown treatment mode {mode!r}")
+    intercept, slope, w_treat = params.treat_intercept, params.treat_slope, params.w_treat
+    if systemic_bias_on:
+        penalty = params.treat_group_penalty
+        logits = [
+            intercept + slope * (w_treat - w) + penalty * a for w, a in zip(w_star, group_a)
+        ]
+    else:
+        logits = [intercept + slope * (w_treat - w) for w in w_star]
+    return [1 if u < p else 0 for u, p in zip(uniforms, sigmoids(logits))]
 
 
 def treatment_assignment(
@@ -229,32 +343,33 @@ def treatment_assignment(
     uniform_draw: float,
     params: DgpParams,
 ) -> int:
-    """Supplemental-oxygen decision from the measured saturation.
+    """One patient's ``treatment_assignments``."""
+    return treatment_assignments(
+        (w_star,), (group_a,), systemic_bias_on, mode, (uniform_draw,), params
+    )[0]
 
-    Deterministic mode is the bare threshold protocol 1(W* < w_treat).
-    Stochastic mode draws from a logistic model in the threshold margin,
-    with a group penalty active only under systemic bias.
-    """
-    if mode == "deterministic":
-        return 1 if w_star < params.w_treat else 0
-    if mode != "stochastic":
-        raise ValueError(f"unknown treatment mode {mode!r}")
-    logit = params.treat_intercept + params.treat_slope * (params.w_treat - w_star)
-    if systemic_bias_on:
-        logit += params.treat_group_penalty * group_a
-    return 1 if uniform_draw < sigmoid(logit) else 0
+
+def outcome_assignments(
+    w_true: Sequence[float],
+    treated: Sequence[int],
+    uniforms: Sequence[float],
+    params: DgpParams,
+) -> list[int]:
+    """Adverse-outcome draws; risk rises with hypoxemia depth, falls with treatment."""
+    intercept, severity, benefit = params.out_intercept, params.out_severity, params.out_benefit
+    w_hypox = params.w_hypox
+    logits = [
+        intercept + severity * (d if (d := w_hypox - w) > 0.0 else 0.0) - benefit * z
+        for w, z in zip(w_true, treated)
+    ]
+    return [1 if u < p else 0 for u, p in zip(uniforms, sigmoids(logits))]
 
 
 def outcome_assignment(
     w_true: float, treated: int, uniform_draw: float, params: DgpParams
 ) -> int:
-    """Adverse-outcome draw; risk rises with hypoxemia depth, falls with treatment."""
-    logit = (
-        params.out_intercept
-        + params.out_severity * max(0.0, params.w_hypox - w_true)
-        - params.out_benefit * treated
-    )
-    return 1 if uniform_draw < sigmoid(logit) else 0
+    """One patient's ``outcome_assignments``."""
+    return outcome_assignments((w_true,), (treated,), (uniform_draw,), params)[0]
 
 
 @dataclass(frozen=True, slots=True)
@@ -306,28 +421,32 @@ def derive_cohort(
     measurement_bias_on: bool,
     systemic_bias_on: bool,
     treatment_mode: str,
-) -> list[PatientRecord]:
-    """Build one scenario's records from shared draws; no random stream is read."""
+) -> Cohort:
+    """Build one scenario's cohort from shared draws; no random stream is read.
+
+    Every step maps whole columns.  The cohort shares the draws' group
+    and true-saturation columns.
+    """
     dgp = draws.dgp
-    records = []
-    columns = zip(draws.group_a, draws.w_true, draws.noise, draws.u_treat, draws.u_out)
-    for i, (group_a, w_true, noise, u_treat, u_out) in enumerate(columns):
-        epsilon = measurement_error(w_true, group_a, measurement_bias_on, noise, dgp)
-        raw = w_true + epsilon
-        w_star = min(max(raw, 0.0), 100.0)
-        treated = treatment_assignment(
-            w_star, group_a, systemic_bias_on, treatment_mode, u_treat, dgp
-        )
-        outcome = outcome_assignment(w_true, treated, u_out, dgp)
-        clamped = raw < 0.0 or raw > 100.0
-        # Positional arguments: keyword passing costs a third of a derive.
-        records.append(
-            PatientRecord(i, group_a, w_true, w_star, epsilon, treated, outcome, clamped)
-        )
-    return records
+    group_a, w_true = draws.group_a, draws.w_true
+    epsilon = measurement_errors(w_true, group_a, measurement_bias_on, draws.noise, dgp)
+    # The raw reading w + e, clamped to min(max(r, 0.0), 100.0) by the
+    # comparisons max and min make.
+    w_star = [
+        100.0 if 100.0 < (r := w + e) else 0.0 if 0.0 > r else r
+        for w, e in zip(w_true, epsilon)
+    ]
+    clamped = [(r := w + e) < 0.0 or r > 100.0 for w, e in zip(w_true, epsilon)]
+    treated = treatment_assignments(
+        w_star, group_a, systemic_bias_on, treatment_mode, draws.u_treat, dgp
+    )
+    outcome = outcome_assignments(w_true, treated, draws.u_out, dgp)
+    return Cohort(
+        list(range(len(w_true))), group_a, w_true, w_star, epsilon, treated, outcome, clamped
+    )
 
 
-def generate_cohort(config: ScenarioConfig) -> list[PatientRecord]:
+def generate_cohort(config: ScenarioConfig) -> Cohort:
     """Simulate one cohort under the given scenario.
 
     Each patient's draws come from counter-based streams keyed by
@@ -343,9 +462,7 @@ def generate_cohort(config: ScenarioConfig) -> list[PatientRecord]:
     )
 
 
-def oracle_tau(
-    params: DgpParams, cohort: Sequence[PatientRecord], replicate_count: int
-) -> float:
+def oracle_tau(params: DgpParams, cohort: Cohort, replicate_count: int) -> float:
     """Ground-truth treatment effect E[Y(0)] - E[Y(1)] over the cohort.
 
     Monte Carlo over the cohort's true saturations with the outcome
@@ -358,16 +475,16 @@ def oracle_tau(
         raise ValueError(f"replicate_count must be >= 1, got {replicate_count!r}")
     if not cohort:
         raise ValueError("oracle_tau needs a non-empty cohort")
+    if None in cohort.w_true:
+        raise ValueError("oracle_tau requires true saturations for every patient")
     rng = CounterRng(_ORACLE_SEED)
     diff_total = 0
-    for record in cohort:
-        if record.w_true is None:
-            raise ValueError("oracle_tau requires true saturations on every record")
-        severity = params.out_severity * max(0.0, params.w_hypox - record.w_true)
+    for patient_id, w_true in zip(cohort.patient_id, cohort.w_true):
+        severity = params.out_severity * max(0.0, params.w_hypox - w_true)
         risk_untreated = sigmoid(params.out_intercept + severity)
         risk_treated = sigmoid(params.out_intercept + severity - params.out_benefit)
         for r in range(replicate_count):
-            u = rng.uniform(record.patient_id, Channel.ORACLE, r)
+            u = rng.uniform(patient_id, Channel.ORACLE, r)
             diff_total += (1 if u < risk_untreated else 0) - (
                 1 if u < risk_treated else 0
             )

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cohort import PatientRecord
+from .cohort import Cohort
 
 __all__ = ["FigureBin", "FigureSummary", "figure_summary", "figure_summary_csv"]
 
@@ -49,7 +49,7 @@ def _quantile(sorted_values: Sequence[float], q: float) -> float:
 
 
 def figure_summary(
-    cohort: Sequence[PatientRecord],
+    cohort: Cohort,
     bin_width: float = 1.0,
     value_range: tuple[float, float] = (70.0, 100.0),
     reference_line: float = 88.0,
@@ -57,7 +57,7 @@ def figure_summary(
     """Five-number summaries of w_true per (measured-value bin, group).
 
     Bins are centered on multiples of ``bin_width`` (integer percent by
-    default, matching device display precision).  Records whose measured
+    default, matching device display precision).  Patients whose measured
     value falls outside ``value_range`` are excluded from bins but
     counted, so bin counts plus ``out_of_range`` equal the cohort size.
     Empty bins are omitted.
@@ -69,16 +69,16 @@ def figure_summary(
         raise ValueError(f"invalid range {value_range!r}")
     if not cohort:
         raise ValueError("cannot summarize an empty cohort")
-    if any(r.w_true is None for r in cohort):
+    if None in cohort.w_true:
         raise ValueError("figure data needs gold-standard true saturations")
     grouped: dict[tuple[int, int], list[float]] = {}
     out_of_range = 0
-    for r in cohort:
-        if r.w_star < lo or r.w_star > hi:
+    for w_star, group_a, w_true in zip(cohort.w_star, cohort.group_a, cohort.w_true):
+        if w_star < lo or w_star > hi:
             out_of_range += 1
             continue
-        key = (math.floor(r.w_star / bin_width + 0.5), r.group_a)
-        grouped.setdefault(key, []).append(r.w_true)
+        key = (math.floor(w_star / bin_width + 0.5), group_a)
+        grouped.setdefault(key, []).append(w_true)
     bins = []
     for (bin_index, group_a), values in sorted(grouped.items()):
         values.sort()

@@ -23,15 +23,15 @@ deterministic shifts (``derive_cohort``).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 from .cohort import (
+    Cohort,
     CohortDraws,
-    PatientRecord,
     ScenarioConfig,
     derive_cohort,
     draw_cohort,
-    outcome_assignment,
+    outcome_assignments,
+    treatment_assignments,
 )
 from .metrics import AuditConfig, EquityReport, run_full_audit
 
@@ -89,15 +89,16 @@ class Table1Summary:
 class GridResult:
     reports: list[EquityReport]
     table1: Table1Summary
-    cohorts: dict[str, list[PatientRecord]]
+    cohorts: dict[str, Cohort]
 
 
 def _protocol_summary(draws: CohortDraws) -> Table1Summary:
     """Table 1 from shared draws: the deterministic cohort with both biases on.
 
-    The true-value variant recomputes treatment as 1(W < w_treat) and
-    replays each patient's outcome uniform from ``draws``, so the two
-    outcome columns differ only through the treatment input.
+    The true-value variant recomputes treatment as 1(W < w_treat), the
+    deterministic rule applied to the true saturations, and replays each
+    patient's outcome uniform from ``draws``, so the two outcome columns
+    differ only through the treatment input.
     """
     cohort = derive_cohort(
         draws,
@@ -106,24 +107,24 @@ def _protocol_summary(draws: CohortDraws) -> Table1Summary:
         treatment_mode="deterministic",
     )
     dgp = draws.dgp
+    w_true, treated, outcome = cohort.w_true, cohort.treated, cohort.outcome
+    treated_true = treatment_assignments(
+        w_true, draws.group_a, True, "deterministic", draws.u_treat, dgp
+    )
+    outcome_true = outcome_assignments(w_true, treated_true, draws.u_out, dgp)
     untreated = {}
     vent_measured = {}
     vent_true = {}
     for a in (0, 1):
-        group = [r for r in cohort if r.group_a == a]
+        group = [i for i, g in enumerate(cohort.group_a) if g == a]
         if not group:
             raise ValueError(f"group {a} is empty; cannot summarize the protocol")
-        hypoxemic = [r for r in group if r.w_true < dgp.w_hypox]
+        hypoxemic = [i for i in group if w_true[i] < dgp.w_hypox]
         if not hypoxemic:
             raise ValueError(f"group {a} has no hypoxemic patients")
-        untreated[a] = sum(1 for r in hypoxemic if r.treated == 0) / len(hypoxemic)
-        vent_measured[a] = sum(r.outcome for r in group) / len(group)
-        true_driven = 0
-        for r in group:
-            treated_true = 1 if r.w_true < dgp.w_treat else 0
-            u = draws.u_out[r.patient_id]
-            true_driven += outcome_assignment(r.w_true, treated_true, u, dgp)
-        vent_true[a] = true_driven / len(group)
+        untreated[a] = sum(1 for i in hypoxemic if treated[i] == 0) / len(hypoxemic)
+        vent_measured[a] = sum(outcome[i] for i in group) / len(group)
+        vent_true[a] = sum(outcome_true[i] for i in group) / len(group)
     return Table1Summary(
         untreated_hypoxemic=untreated,
         outcome_measured_driven=vent_measured,

@@ -3,19 +3,28 @@
 The cohort schema is ``patient_id,group_a,w_true,w_star,epsilon,treated,
 outcome`` with floats written to 4 decimal places.  Files lacking the
 gold-standard columns (w_true, epsilon) are accepted when the caller
-does not require them; the records then carry None in those fields and
-the audit skips measurement metrics.
+does not require them; so are rows whose two gold fields are both blank.
+The cohort's ``w_true`` and ``epsilon`` columns then hold None for those
+patients, and the audit skips the metrics that need the gold standard.
+
+The reader parses the file in blocks of ``_BLOCK`` rows, each turned
+into columns at once.  A block that fails any check, or holds a blank
+line, is parsed again row by row, which reports the first fault in
+file order (row-major, the columns of a row in a fixed order) or skips
+the blank lines; so the checks and messages are those of a row-at-a-time
+reader, and memory stays bounded by the block, not the file.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import fields as dataclass_fields
+from itertools import islice
 from pathlib import Path
-from typing import Sequence
 
-from .cohort import DgpParams, PatientRecord
+from .cohort import Cohort, DgpParams
 
 __all__ = [
     "COHORT_COLUMNS",
@@ -38,6 +47,12 @@ COHORT_COLUMNS = (
 _GOLD_COLUMNS = ("w_true", "epsilon")
 # Tolerance for re-deriving the clamp flag from 4-decimal serialized values.
 _CLAMP_TOL = 2e-4
+# Rows parsed per block.  Larger blocks parse no faster and raise the
+# reader's memory high-water mark.
+_BLOCK = 512
+_BINARY = frozenset((0, 1))
+
+_format_float = "{:.4f}".format
 
 
 class CohortSchemaError(ValueError):
@@ -55,27 +70,28 @@ class CohortSchemaError(ValueError):
         super().__init__(message + where)
 
 
-def _format_float(value: float) -> str:
-    return f"{value:.4f}"
+def _format_gold(values: list[float | None]):
+    if None in values:
+        return ("" if v is None else _format_float(v) for v in values)
+    return map(_format_float, values)
 
 
-def write_cohort_csv(cohort: Sequence[PatientRecord], path: str | Path) -> None:
-    """Write a cohort in the standard schema, gold columns blank when absent."""
+def write_cohort_csv(cohort: Cohort, path: str | Path) -> None:
+    """Write a cohort in the standard schema, gold fields blank when absent."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(COHORT_COLUMNS)
-        for r in cohort:
-            writer.writerow(
-                [
-                    r.patient_id,
-                    r.group_a,
-                    "" if r.w_true is None else _format_float(r.w_true),
-                    _format_float(r.w_star),
-                    "" if r.epsilon is None else _format_float(r.epsilon),
-                    r.treated,
-                    r.outcome,
-                ]
+        writer.writerows(
+            zip(
+                cohort.patient_id,
+                cohort.group_a,
+                _format_gold(cohort.w_true),
+                map(_format_float, cohort.w_star),
+                _format_gold(cohort.epsilon),
+                cohort.treated,
+                cohort.outcome,
             )
+        )
 
 
 def _parse_int(value: str, row: int, column: str, binary: bool = False) -> int:
@@ -101,16 +117,137 @@ def _parse_float(
         raise CohortSchemaError(
             f"value {parsed} outside [{lo}, {hi}]", row, column
         )
+    if math.isinf(parsed):
+        raise CohortSchemaError(f"value {parsed} is not finite", row, column)
     return parsed
 
 
-def read_cohort_csv(path: str | Path, require_gold: bool = True) -> list[PatientRecord]:
+def _in_range(values: list[float], lo: float, hi: float) -> bool:
+    return not any(map(math.isnan, values)) and lo <= min(values) and max(values) <= hi
+
+
+class _Layout:
+    """Where each column sits in a file's rows, and what the reader must check."""
+
+    def __init__(self, header: list[str], require_gold: bool):
+        positions = {}
+        for i, name in enumerate(header):
+            if name in positions:
+                raise CohortSchemaError("duplicate column in header", row=1, column=name)
+            positions[name] = i
+        required = [c for c in COHORT_COLUMNS if require_gold or c not in _GOLD_COLUMNS]
+        missing = [c for c in required if c not in positions]
+        if missing:
+            raise CohortSchemaError(
+                "missing required column(s): " + ", ".join(missing), row=1
+            )
+        self.width = len(header)
+        self.require_gold = require_gold
+        self.has_gold = all(c in positions for c in _GOLD_COLUMNS)
+        self.at_id, self.at_group, self.at_star, self.at_treated, self.at_outcome = (
+            positions[c] for c in ("patient_id", "group_a", "w_star", "treated", "outcome")
+        )
+        self.at_true, self.at_eps = (positions.get(c) for c in _GOLD_COLUMNS)
+
+
+def _parse_block(block: list[list[str]], layout: _Layout, first_row_of_id: dict[int, int]):
+    """The block's columns, or None when any check fails or a row is blank.
+
+    Nothing is recorded in ``first_row_of_id`` unless the block passes.
+    """
+    if set(map(len, block)) != {layout.width}:
+        return None
+    cells = list(zip(*block))
+    try:
+        ids = list(map(int, cells[layout.at_id]))
+        group_a = list(map(int, cells[layout.at_group]))
+        treated = list(map(int, cells[layout.at_treated]))
+        outcome = list(map(int, cells[layout.at_outcome]))
+        w_star = list(map(float, cells[layout.at_star]))
+        if layout.has_gold:
+            w_true = list(map(float, cells[layout.at_true]))
+            epsilon = list(map(float, cells[layout.at_eps]))
+    except ValueError:
+        return None
+    if not (
+        _BINARY.issuperset(group_a)
+        and _BINARY.issuperset(treated)
+        and _BINARY.issuperset(outcome)
+        and _in_range(w_star, 0.0, 100.0)
+        and len(set(ids)) == len(ids)
+        and first_row_of_id.keys().isdisjoint(ids)
+    ):
+        return None
+    if layout.has_gold:
+        if not (_in_range(w_true, 70.0, 100.0) and all(map(math.isfinite, epsilon))):
+            return None
+        clamped = [
+            abs((t + e) - s) > _CLAMP_TOL for t, e, s in zip(w_true, epsilon, w_star)
+        ]
+    else:
+        w_true = epsilon = [None] * len(block)
+        clamped = [False] * len(block)
+    return ids, group_a, w_true, w_star, epsilon, treated, outcome, clamped
+
+
+def _parse_rows(
+    block: list[list[str]], start: int, layout: _Layout, first_row_of_id: dict[int, int]
+):
+    """The block's columns, parsed row by row from file row ``start``.
+
+    Blank rows are skipped.  Raises CohortSchemaError at the first fault.
+    """
+    columns = tuple([] for _ in range(8))
+    ids, group_a, w_true, w_star, epsilon, treated, outcome, clamped = columns
+    for row_number, row in enumerate(block, start=start):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != layout.width:
+            raise CohortSchemaError(
+                f"expected {layout.width} fields, found {len(row)}", row=row_number
+            )
+        true_value = eps_value = None
+        if layout.has_gold:
+            raw_true, raw_eps = row[layout.at_true].strip(), row[layout.at_eps].strip()
+            if layout.require_gold and (not raw_true or not raw_eps):
+                raise CohortSchemaError(
+                    "gold-standard fields required but blank",
+                    row_number,
+                    "w_true" if not raw_true else "epsilon",
+                )
+            if raw_true or raw_eps:
+                true_value = _parse_float(raw_true, row_number, "w_true", 70.0, 100.0)
+                eps_value = _parse_float(raw_eps, row_number, "epsilon")
+        star_value = _parse_float(row[layout.at_star].strip(), row_number, "w_star", 0.0, 100.0)
+        patient_id = _parse_int(row[layout.at_id].strip(), row_number, "patient_id")
+        first_row = first_row_of_id.setdefault(patient_id, row_number)
+        if first_row != row_number:
+            raise CohortSchemaError(
+                f"duplicate patient_id {patient_id} (first at row {first_row})",
+                row_number,
+                "patient_id",
+            )
+        ids.append(patient_id)
+        group_a.append(_parse_int(row[layout.at_group].strip(), row_number, "group_a", True))
+        w_true.append(true_value)
+        w_star.append(star_value)
+        epsilon.append(eps_value)
+        treated.append(_parse_int(row[layout.at_treated].strip(), row_number, "treated", True))
+        outcome.append(_parse_int(row[layout.at_outcome].strip(), row_number, "outcome", True))
+        clamped.append(
+            eps_value is not None and abs((true_value + eps_value) - star_value) > _CLAMP_TOL
+        )
+    return columns
+
+
+def read_cohort_csv(path: str | Path, require_gold: bool = True) -> Cohort:
     """Parse and validate a cohort CSV.
 
     Raises CohortSchemaError with the offending file row (1-based, header
     is row 1) and column name on any violation: missing or duplicate
-    columns, a repeated patient_id, out-of-range values, or non-binary
-    indicator columns.
+    columns, a repeated patient_id, out-of-range or non-finite values, or
+    non-binary indicator columns.  When a file has several faults, the
+    first row's is reported.
     """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
@@ -118,74 +255,22 @@ def read_cohort_csv(path: str | Path, require_gold: bool = True) -> list[Patient
             header = next(reader)
         except StopIteration:
             raise CohortSchemaError("file is empty") from None
-        positions = {}
-        for i, name in enumerate(header):
-            if name in positions:
-                raise CohortSchemaError("duplicate column in header", row=1, column=name)
-            positions[name] = i
-        required = [
-            c
-            for c in COHORT_COLUMNS
-            if require_gold or c not in _GOLD_COLUMNS
-        ]
-        missing = [c for c in required if c not in positions]
-        if missing:
-            raise CohortSchemaError(
-                "missing required column(s): " + ", ".join(missing), row=1
-            )
-        has_gold = all(c in positions for c in _GOLD_COLUMNS)
-        at_id, at_group, at_star, at_treated, at_outcome = (
-            positions[c] for c in ("patient_id", "group_a", "w_star", "treated", "outcome")
-        )
-        at_true, at_eps = (positions.get(c) for c in _GOLD_COLUMNS)
-        records = []
+        layout = _Layout(header, require_gold)
+        columns = tuple([] for _ in range(8))
         first_row_of_id: dict[int, int] = {}
-        for row_number, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(header):
-                raise CohortSchemaError(
-                    f"expected {len(header)} fields, found {len(row)}", row=row_number
-                )
-            w_true = epsilon = None
-            if has_gold:
-                raw_true, raw_eps = row[at_true].strip(), row[at_eps].strip()
-                if require_gold and (not raw_true or not raw_eps):
-                    raise CohortSchemaError(
-                        "gold-standard fields required but blank",
-                        row_number,
-                        "w_true" if not raw_true else "epsilon",
-                    )
-                if raw_true or raw_eps:
-                    w_true = _parse_float(raw_true, row_number, "w_true", 70.0, 100.0)
-                    epsilon = _parse_float(raw_eps, row_number, "epsilon")
-            w_star = _parse_float(row[at_star].strip(), row_number, "w_star", 0.0, 100.0)
-            clamped = False
-            if w_true is not None and epsilon is not None:
-                clamped = abs((w_true + epsilon) - w_star) > _CLAMP_TOL
-            patient_id = _parse_int(row[at_id].strip(), row_number, "patient_id")
-            first_row = first_row_of_id.setdefault(patient_id, row_number)
-            if first_row != row_number:
-                raise CohortSchemaError(
-                    f"duplicate patient_id {patient_id} (first at row {first_row})",
-                    row_number,
-                    "patient_id",
-                )
-            records.append(
-                PatientRecord(
-                    patient_id=patient_id,
-                    group_a=_parse_int(row[at_group].strip(), row_number, "group_a", binary=True),
-                    w_true=w_true,
-                    w_star=w_star,
-                    epsilon=epsilon,
-                    treated=_parse_int(row[at_treated].strip(), row_number, "treated", binary=True),
-                    outcome=_parse_int(row[at_outcome].strip(), row_number, "outcome", binary=True),
-                    clamped=clamped,
-                )
-            )
-    if not records:
+        start = 2
+        while block := list(islice(reader, _BLOCK)):
+            parsed = _parse_block(block, layout, first_row_of_id)
+            if parsed is None:
+                parsed = _parse_rows(block, start, layout, first_row_of_id)
+            else:
+                first_row_of_id.update(zip(parsed[0], range(start, start + len(block))))
+            for column, values in zip(columns, parsed):
+                column.extend(values)
+            start += len(block)
+    if not columns[0]:
         raise CohortSchemaError("file contains no records")
-    return records
+    return Cohort(*columns)
 
 
 def write_params(params: DgpParams, path: str | Path) -> None:

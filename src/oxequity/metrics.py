@@ -14,6 +14,10 @@ standard``; any other ``UntestableMetricError`` becomes ``untestable:
 <reason>`` on every metric its evaluator emits.  Metrics are emitted
 with a status rather than dropped, so report shapes stay stable.
 
+Every metric reads the cohort's columns: a group or stratum is a
+selection of a column (``itertools.compress``), and counts of 0/1
+columns are integer sums, so no per-patient object is built.
+
 All functions are pure; the report order is fixed regardless of
 evaluation order.
 """
@@ -21,10 +25,13 @@ evaluation order.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress, repeat
+from operator import add, not_, truediv
 from typing import Sequence
 
-from .cohort import PatientRecord
+from .cohort import Cohort
 from .stats import (
     TWO_SIDED,
     SingularDesignError,
@@ -181,25 +188,32 @@ INTERPRETATIONS = {
 METRIC_ORDER = tuple(INTERPRETATIONS)
 
 
-def has_gold_standard(cohort: Sequence[PatientRecord]) -> bool:
-    """True when every record carries true saturation and measurement error."""
-    return bool(cohort) and all(
-        r.w_true is not None and r.epsilon is not None for r in cohort
-    )
+def has_gold_standard(cohort: Cohort) -> bool:
+    """True when every patient has a true saturation and a measurement error."""
+    return cohort.gold
 
 
-def _split_groups(
-    cohort: Sequence[PatientRecord],
-) -> tuple[list[PatientRecord], list[PatientRecord]]:
-    g0 = [r for r in cohort if r.group_a == 0]
-    g1 = [r for r in cohort if r.group_a == 1]
-    if not g0 or not g1:
+def _group_sizes(cohort: Cohort) -> tuple[int, int]:
+    n1 = cohort.group_a.count(1)
+    n0 = len(cohort) - n1
+    if not n0 or not n1:
         raise UntestableMetricError("cohort must contain patients from both groups")
-    return g0, g1
+    return n0, n1
 
 
-def _require_gold(cohort: Sequence[PatientRecord], metric: str) -> None:
-    if not has_gold_standard(cohort):
+def _by_group(values: Sequence, group_a: Sequence[int]) -> tuple[list, list]:
+    """``values`` of group 0, then of group 1, each in cohort order."""
+    return list(compress(values, map(not_, group_a))), list(compress(values, group_a))
+
+
+def _hypoxemic(cohort: Cohort, config: AuditConfig) -> list[bool]:
+    """Which patients are truly hypoxemic (w_true < w_hypox)."""
+    w_hypox = config.w_hypox
+    return [w < w_hypox for w in cohort.w_true]
+
+
+def _require_gold(cohort: Cohort, metric: str) -> None:
+    if not cohort.gold:
         raise _NoGoldStandard(
             f"{metric} needs gold-standard saturations; the full audit skips "
             "measurement metrics on gold-free cohorts"
@@ -222,34 +236,46 @@ def detection_threshold(config: AuditConfig) -> float:
     return (z_half_alpha + z_power) ** 2 / config.delta**2
 
 
-def representativeness_check(
-    cohort: Sequence[PatientRecord], config: AuditConfig
-) -> MetricResult:
+_HUGE_ERRORS = "measurement errors too large for a finite variance"
+
+
+def _error_variance(errors: list[float]) -> float:
+    """Sample variance of measurement errors, which must be finite."""
+    try:
+        variance = _sample_variance(errors, _mean(errors))
+    except (OverflowError, ValueError):  # huge or opposite infinite errors
+        variance = math.nan
+    if not math.isfinite(variance):
+        raise UntestableMetricError(_HUGE_ERRORS)
+    return variance
+
+
+def representativeness_check(cohort: Cohort, config: AuditConfig) -> MetricResult:
     """Per-group Fisher information n_a / s_a^2 against the detection threshold.
 
     Flagged means failure: some group carries too little information to
     detect the configured error contrast.  When ``target_prevalence`` is
     set, participation-to-prevalence ratios are reported alongside.  A
     group whose errors have zero variance has unbounded information, so
-    the metric is untestable rather than infinite.
+    the metric is untestable rather than infinite; so is one whose
+    errors are too large for a finite variance.
     """
     _require_gold(cohort, REPRESENTATIVENESS)
-    g0, g1 = _split_groups(cohort)
-    if len(g0) < 2 or len(g1) < 2:
+    n0, n1 = _group_sizes(cohort)
+    if n0 < 2 or n1 < 2:
         raise UntestableMetricError("need n >= 2 per group for a variance estimate")
     threshold = detection_threshold(config)
     info = {}
-    for a, grp in ((0, g0), (1, g1)):
-        errors = [r.epsilon for r in grp]
-        variance = _sample_variance(errors, _mean(errors))
+    for a, errors in enumerate(_by_group(cohort.epsilon, cohort.group_a)):
+        variance = _error_variance(errors)
         if variance == 0.0:
             raise UntestableMetricError(
                 f"zero measurement-error variance in group {a}"
             )
-        info[a] = len(grp) / variance
+        info[a] = len(errors) / variance
     extras = {"threshold": threshold}
     if config.target_prevalence is not None:
-        share1 = len(g1) / (len(g0) + len(g1))
+        share1 = n1 / (n0 + n1)
         extras["ppr_group1"] = share1 / config.target_prevalence
         extras["ppr_group0"] = (1.0 - share1) / (1.0 - config.target_prevalence)
     return MetricResult(
@@ -263,21 +289,25 @@ def representativeness_check(
     )
 
 
-def information_bias_test(
-    cohort: Sequence[PatientRecord], config: AuditConfig
-) -> MetricResult:
-    """Group means of the measurement error, with a one-sided Welch test."""
+def information_bias_test(cohort: Cohort, config: AuditConfig) -> MetricResult:
+    """Group means of the measurement error, with a one-sided Welch test.
+
+    Errors too large for finite moments make the metric untestable.
+    """
     _require_gold(cohort, INFORMATION_BIAS)
-    g0, g1 = _split_groups(cohort)
-    eps0 = [r.epsilon for r in g0]
-    eps1 = [r.epsilon for r in g1]
+    _group_sizes(cohort)
+    eps0, eps1 = _by_group(cohort.epsilon, cohort.group_a)
     if len(eps0) < 2 or len(eps1) < 2:
         raise UntestableMetricError("need n >= 2 per group to compare error means")
     try:
         test = welch_t_one_sided(eps1, eps0)
+        m0, m1 = _mean(eps0), _mean(eps1)
+    except OverflowError:
+        raise UntestableMetricError(_HUGE_ERRORS) from None
     except ValueError as exc:
         raise UntestableMetricError(str(exc)) from None
-    m0, m1 = _mean(eps0), _mean(eps1)
+    if not all(map(math.isfinite, (test.statistic, test.df, test.p_value, m0, m1))):
+        raise UntestableMetricError(_HUGE_ERRORS)
     return MetricResult(
         metric_name=INFORMATION_BIAS,
         group_values={0: m0, 1: m1},
@@ -290,33 +320,40 @@ def information_bias_test(
 
 
 def _hypoxemic_stratum(
-    cohort: Sequence[PatientRecord], config: AuditConfig, metric: str
-) -> tuple[list[PatientRecord], list[PatientRecord]]:
+    cohort: Cohort, config: AuditConfig, metric: str
+) -> tuple[list[bool], list[int]]:
+    """The hypoxemic selection and the group of each hypoxemic patient."""
     _require_gold(cohort, metric)
-    g0, g1 = _split_groups(cohort)
-    h0 = [r for r in g0 if r.w_true < config.w_hypox]
-    h1 = [r for r in g1 if r.w_true < config.w_hypox]
-    if not h0 or not h1:
+    _group_sizes(cohort)
+    hypoxemic = _hypoxemic(cohort, config)
+    groups = list(compress(cohort.group_a, hypoxemic))
+    if 0 not in groups or 1 not in groups:
         raise UntestableMetricError(
-            "no truly hypoxemic patients in group "
-            + ("0" if not h0 else "1")
+            "no truly hypoxemic patients in group " + ("0" if 0 not in groups else "1")
         )
-    return h0, h1
+    return hypoxemic, groups
 
 
-def treatment_disparity_test(
-    cohort: Sequence[PatientRecord], config: AuditConfig
-) -> MetricResult:
+def _hypoxemic_treatment(
+    cohort: Cohort, config: AuditConfig, metric: str
+) -> tuple[int, int, int, int]:
+    """Treated count and size of the hypoxemic stratum: t0, n0, t1, n1."""
+    hypoxemic, groups = _hypoxemic_stratum(cohort, config, metric)
+    treated = list(compress(cohort.treated, hypoxemic))
+    n1 = groups.count(1)
+    t1 = sum(compress(treated, groups))
+    return sum(treated) - t1, len(groups) - n1, t1, n1
+
+
+def treatment_disparity_test(cohort: Cohort, config: AuditConfig) -> MetricResult:
     """Treatment rates among the truly hypoxemic, tested one-sided.
 
     The alternative is that group 1 is treated at a lower rate than
     group 0 within the stratum that actually needs intervention.
     """
-    h0, h1 = _hypoxemic_stratum(cohort, config, TREATMENT_DISPARITY)
-    t0 = sum(r.treated for r in h0)
-    t1 = sum(r.treated for r in h1)
-    test = two_proportion_one_sided(t1, len(h1), t0, len(h0))
-    rate0, rate1 = t0 / len(h0), t1 / len(h1)
+    t0, n0, t1, n1 = _hypoxemic_treatment(cohort, config, TREATMENT_DISPARITY)
+    test = two_proportion_one_sided(t1, n1, t0, n0)
+    rate0, rate1 = t0 / n0, t1 / n1
     return MetricResult(
         metric_name=TREATMENT_DISPARITY,
         group_values={0: rate0, 1: rate1},
@@ -327,9 +364,7 @@ def treatment_disparity_test(
     )
 
 
-def equality_of_opportunity_test(
-    cohort: Sequence[PatientRecord], config: AuditConfig
-) -> MetricResult:
+def equality_of_opportunity_test(cohort: Cohort, config: AuditConfig) -> MetricResult:
     """Deviations from the marginal hypoxemic treatment rate, with a chi-square.
 
     This is equality of opportunity in the sense of Hardt, Price & Srebro
@@ -340,15 +375,11 @@ def equality_of_opportunity_test(
     chi-square on that table is the square of the pooled two-proportion z.
     The group-size-weighted deviations sum to zero by construction.
     """
-    h0, h1 = _hypoxemic_stratum(cohort, config, EQUALITY_OF_OPPORTUNITY)
-    t0 = sum(r.treated for r in h0)
-    t1 = sum(r.treated for r in h1)
-    marginal = (t0 + t1) / (len(h0) + len(h1))
-    rate0, rate1 = t0 / len(h0), t1 / len(h1)
+    t0, n0, t1, n1 = _hypoxemic_treatment(cohort, config, EQUALITY_OF_OPPORTUNITY)
+    marginal = (t0 + t1) / (n0 + n1)
+    rate0, rate1 = t0 / n0, t1 / n1
     try:
-        test = chi_square_independence(
-            [[t1, len(h1) - t1], [t0, len(h0) - t0]]
-        )
+        test = chi_square_independence([[t1, n1 - t1], [t0, n0 - t0]])
     except ValueError as exc:
         raise UntestableMetricError(f"degenerate hypoxemic stratum: {exc}") from None
     return MetricResult(
@@ -362,26 +393,34 @@ def equality_of_opportunity_test(
     )
 
 
-def estimate_tau(cohort: Sequence[PatientRecord], config: AuditConfig) -> float:
+def estimate_tau(cohort: Cohort, config: AuditConfig) -> float:
     """Unadjusted treated-vs-untreated outcome contrast among the hypoxemic.
 
     This is a stratum-restricted difference of observed outcome rates,
     not a causal adjustment; the simulator's Monte Carlo oracle provides
     the check that it tracks the true effect under the default process.
     """
-    h0, h1 = _hypoxemic_stratum(cohort, config, "treatment effect estimate")
-    stratum = h0 + h1
-    treated = [r.outcome for r in stratum if r.treated == 1]
-    untreated = [r.outcome for r in stratum if r.treated == 0]
-    if not treated or not untreated:
+    hypoxemic, _ = _hypoxemic_stratum(cohort, config, "treatment effect estimate")
+    treated = list(compress(cohort.treated, hypoxemic))
+    outcome = list(compress(cohort.outcome, hypoxemic))
+    n_treated = sum(treated)
+    n_untreated = len(treated) - n_treated
+    if not n_treated or not n_untreated:
         raise UntestableMetricError(
             "hypoxemic stratum lacks treated or untreated patients"
         )
-    return _mean(untreated) - _mean(treated)
+    y_treated = sum(compress(outcome, treated))
+    return (sum(outcome) - y_treated) / n_untreated - y_treated / n_treated
+
+
+def _count_by_group(values: list[int], group_a: list[int]) -> tuple[int, int]:
+    """Sums of a 0/1 column over group 0 and over group 1."""
+    in_group1 = sum(compress(values, group_a))
+    return sum(values) - in_group1, in_group1
 
 
 def treatment_gap_and_outcome_decomposition(
-    cohort: Sequence[PatientRecord],
+    cohort: Cohort,
     config: AuditConfig,
     tau: float | None,
     tau_status: str | None = None,
@@ -393,13 +432,12 @@ def treatment_gap_and_outcome_decomposition(
     treatment effect ``tau``; its flag is inherited from the gap's test.
     With ``tau`` missing the decomposition is emitted as untestable.
     """
-    g0, g1 = _split_groups(cohort)
-    z0 = sum(r.treated for r in g0)
-    z1 = sum(r.treated for r in g1)
-    rate0, rate1 = z0 / len(g0), z1 / len(g1)
+    n0, n1 = _group_sizes(cohort)
+    z0, z1 = _count_by_group(cohort.treated, cohort.group_a)
+    rate0, rate1 = z0 / n0, z1 / n1
     gap = rate0 - rate1
     try:
-        test = chi_square_independence([[z1, len(g1) - z1], [z0, len(g0) - z0]])
+        test = chi_square_independence([[z1, n1 - z1], [z0, n0 - z0]])
     except ValueError as exc:
         raise UntestableMetricError(f"degenerate treatment margin: {exc}") from None
     gap_result = MetricResult(
@@ -433,16 +471,13 @@ def treatment_gap_and_outcome_decomposition(
     return gap_result, decomposition
 
 
-def observed_outcome_gap(
-    cohort: Sequence[PatientRecord], config: AuditConfig
-) -> MetricResult:
+def observed_outcome_gap(cohort: Cohort, config: AuditConfig) -> MetricResult:
     """Observed outcome disparity P(Y=1 | A=1) - P(Y=1 | A=0)."""
-    g0, g1 = _split_groups(cohort)
-    y0 = sum(r.outcome for r in g0)
-    y1 = sum(r.outcome for r in g1)
-    rate0, rate1 = y0 / len(g0), y1 / len(g1)
+    n0, n1 = _group_sizes(cohort)
+    y0, y1 = _count_by_group(cohort.outcome, cohort.group_a)
+    rate0, rate1 = y0 / n0, y1 / n1
     try:
-        test = chi_square_independence([[y1, len(g1) - y1], [y0, len(g0) - y0]])
+        test = chi_square_independence([[y1, n1 - y1], [y0, n0 - y0]])
     except ValueError as exc:
         raise UntestableMetricError(f"degenerate outcome margin: {exc}") from None
     return MetricResult(
@@ -455,13 +490,10 @@ def observed_outcome_gap(
     )
 
 
-def _systemic_logistic(
-    cohort: Sequence[PatientRecord], config: AuditConfig
-) -> MetricResult:
+def _systemic_logistic(cohort: Cohort, config: AuditConfig) -> MetricResult:
     try:
         fit = fit_logistic_irls(
-            [(r.w_star, float(r.group_a)) for r in cohort],
-            [r.treated for r in cohort],
+            list(zip(cohort.w_star, map(float, cohort.group_a))), cohort.treated
         )
     except SingularDesignError as exc:
         raise UntestableMetricError(str(exc)) from None
@@ -494,13 +526,16 @@ def _systemic_logistic(
     )
 
 
-def _systemic_cmh(cohort: Sequence[PatientRecord], config: AuditConfig) -> MetricResult:
-    width = config.wstar_bin_width
+def _systemic_cmh(cohort: Cohort, config: AuditConfig) -> MetricResult:
+    # floor(w_star / width + 0.5): the bin of each measured value
+    keys = map(
+        math.floor,
+        map(add, map(truediv, cohort.w_star, repeat(config.wstar_bin_width)), repeat(0.5)),
+    )
     strata: dict[int, list[list[int]]] = {}
-    for r in cohort:
-        key = math.floor(r.w_star / width + 0.5)
+    for (key, a, z), count in Counter(zip(keys, cohort.group_a, cohort.treated)).items():
         table = strata.setdefault(key, [[0, 0], [0, 0]])
-        table[1 - r.group_a][1 - r.treated] += 1
+        table[1 - a][1 - z] += count
     try:
         cmh = cmh_conditional_independence([strata[k] for k in sorted(strata)])
     except ValueError as exc:
@@ -517,7 +552,7 @@ def _systemic_cmh(cohort: Sequence[PatientRecord], config: AuditConfig) -> Metri
 
 
 def systemic_bias_tests(
-    cohort: Sequence[PatientRecord], config: AuditConfig
+    cohort: Cohort, config: AuditConfig
 ) -> tuple[MetricResult, MetricResult]:
     """Both conditional-independence checks of treatment and group given W*.
 
@@ -533,17 +568,15 @@ def systemic_bias_tests(
         UntestableMetricError: a group is empty, or every measured value
             is the same, so neither test has anything to condition on.
     """
-    _split_groups(cohort)
-    if len({r.w_star for r in cohort}) < 2:
+    _group_sizes(cohort)
+    if len(set(cohort.w_star)) < 2:
         raise UntestableMetricError("need at least two distinct measured values")
     logistic = _attempt((SYSTEMIC_BIAS_LOGISTIC,), _systemic_logistic, cohort, config)
     cmh = _attempt((SYSTEMIC_BIAS_CMH,), _systemic_cmh, cohort, config)
     return logistic + cmh
 
 
-def group_auc_comparison(
-    cohort: Sequence[PatientRecord], config: AuditConfig
-) -> MetricResult:
+def group_auc_comparison(cohort: Cohort, config: AuditConfig) -> MetricResult:
     """Per-group AUC of the measured saturation for detecting true hypoxemia.
 
     Scores are 100 - W* so that higher scores indicate sicker patients;
@@ -551,19 +584,20 @@ def group_auc_comparison(
     errors (the groups share no patients, so no paired correction).
     """
     _require_gold(cohort, GROUP_AUC)
-    g0, g1 = _split_groups(cohort)
+    _group_sizes(cohort)
+    labels = list(map(int, _hypoxemic(cohort, config)))
+    scores = [100.0 - w for w in cohort.w_star]
     aucs = {}
     ses = {}
-    for a, grp in ((0, g0), (1, g1)):
-        labels = [1 if r.w_true < config.w_hypox else 0 for r in grp]
-        n_pos = sum(labels)
-        if n_pos == 0 or n_pos == len(grp):
+    groups = zip(_by_group(labels, cohort.group_a), _by_group(scores, cohort.group_a))
+    for a, (group_labels, group_scores) in enumerate(groups):
+        n_pos = sum(group_labels)
+        if n_pos == 0 or n_pos == len(group_labels):
             raise UntestableMetricError(
                 f"group {a} lacks both hypoxemic and non-hypoxemic patients"
             )
-        scores = [100.0 - r.w_star for r in grp]
-        aucs[a] = auc_mann_whitney(scores, labels)
-        ses[a] = hanley_mcneil_se(aucs[a], n_pos, len(grp) - n_pos)
+        aucs[a] = auc_mann_whitney(group_scores, group_labels)
+        ses[a] = hanley_mcneil_se(aucs[a], n_pos, len(group_labels) - n_pos)
     diff = aucs[0] - aucs[1]
     se = math.sqrt(ses[0] ** 2 + ses[1] ** 2)
     z = diff / se if se > 0.0 else 0.0
@@ -607,7 +641,7 @@ def _attempt(names: tuple[str, ...], evaluate, *args) -> tuple[MetricResult, ...
 
 
 def _gap_and_decomposition(
-    cohort: Sequence[PatientRecord], config: AuditConfig
+    cohort: Cohort, config: AuditConfig
 ) -> tuple[MetricResult, MetricResult]:
     """The treatment gap and the outcome disparity it accounts for, given tau.
 
@@ -633,7 +667,7 @@ def _gap_and_decomposition(
 
 
 def run_full_audit(
-    cohort: Sequence[PatientRecord],
+    cohort: Cohort,
     config: AuditConfig,
     scenario_label: str = "cohort",
 ) -> EquityReport:
@@ -647,7 +681,7 @@ def run_full_audit(
     config.validate()
     if not cohort:
         raise ValueError("cannot audit an empty cohort")
-    g0, g1 = _split_groups(cohort)
+    n0, n1 = _group_sizes(cohort)
     # Built per call, so every name is looked up when the audit runs (a
     # tracer may have wrapped the module attributes since import).
     evaluators = (
@@ -666,12 +700,11 @@ def run_full_audit(
         for m in _attempt(names, evaluate, cohort, config)
     }
 
-    gold = has_gold_standard(cohort)
-    summary: dict[str, float | int | None] = {"n_group0": len(g0), "n_group1": len(g1)}
-    for a, grp in ((0, g0), (1, g1)):
-        summary[f"hypoxemia_rate_group{a}"] = (
-            sum(r.w_true < config.w_hypox for r in grp) / len(grp) if gold else None
-        )
+    summary: dict[str, float | int | None] = {"n_group0": n0, "n_group1": n1}
+    if cohort.gold:
+        hypoxemic = _count_by_group(_hypoxemic(cohort, config), cohort.group_a)
+    for a, size in enumerate((n0, n1)):
+        summary[f"hypoxemia_rate_group{a}"] = hypoxemic[a] / size if cohort.gold else None
 
     return EquityReport(
         scenario_label=scenario_label,

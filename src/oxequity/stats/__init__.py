@@ -22,6 +22,7 @@ from .special import (
     regularized_gamma_p,
     regularized_gamma_q,
     sigmoid,
+    sigmoids,
 )
 
 __all__ = [
@@ -44,6 +45,7 @@ __all__ = [
     "regularized_gamma_p",
     "regularized_gamma_q",
     "sigmoid",
+    "sigmoids",
     "student_t_tail",
     "two_proportion_one_sided",
     "welch_t_one_sided",

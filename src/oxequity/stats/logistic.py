@@ -9,13 +9,15 @@ needs no linear algebra library.
 
 The per-row work runs as a column kernel.  The covariates are turned
 into columns once per fit.  Each candidate of the line search builds the
-linear predictor eta in one pass of ``map`` chains over the columns and
-evaluates the log-likelihood from it; the accepted candidate's eta is
-kept for the score pass instead of being recomputed, and is the only
-n-sized list besides the columns.  Both passes walk the rows in blocks
-of ``_BLOCK``, so their temporaries (mu, the residuals, the weights,
-w * x_j) stay bounded whatever n is.  Every loop over rows is a
-``map``/``operator`` chain or a comprehension.
+linear predictor eta in one pass of ``map`` chains over the columns, and
+exp(-|eta|) once, which both the log-likelihood (its softplus) and the
+score pass (its sigmoid) read; the accepted candidate's eta and
+exp(-|eta|) are kept for the score pass instead of being recomputed, and
+are the only n-sized sequences besides the columns.  Both passes walk
+the rows in blocks of ``_BLOCK``, so their temporaries (mu, the
+residuals, the weights, w * x_j) stay bounded whatever n is.  Every loop
+over rows is a ``map``/``operator`` chain, a comprehension or an
+``itertools.compress``.
 
 Every score, information and log-likelihood sum is folded left to right
 into a running total (``functools.reduce(operator.add, terms, total)``),
@@ -24,15 +26,29 @@ depend on the block size.  Builtin ``sum`` is avoided on purpose: since
 CPython 3.12 it adds floats with compensated summation, so its result
 would depend on the interpreter.  ``math.fsum`` would change the bits as
 well.
+
+A covariate column whose values are all exactly 0.0 or 1.0 (a group
+indicator) is folded with ``itertools.compress``: its sums keep only the
+rows where it is 1.0, where x * v is v exactly, and skip the rest, where
+the row loop adds a term that is +0.0 or -0.0.  Skipping such a term
+gives the same bits, because every running total starts at +0.0 and can
+never become -0.0 (a sum is -0.0 only when both addends are), and
+t + (+-0.0) == t for every t that is not -0.0.  The skipped terms are
+signed zeros only because the factors they multiply are finite: the
+weights and residuals are finite whenever eta is not NaN, and the fit
+rejects non-finite covariates, for which a skipped 0.0 * inf would drop
+the NaN the row loop keeps.  A NaN eta makes the intercept's score NaN,
+which ends the fit as non-converged whatever the other sums hold.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, repeat
-from math import exp, log1p
+from itertools import chain, compress, repeat
+from math import exp, isfinite, log1p
 from operator import add, mul, neg, sub
 from typing import Sequence
 
@@ -127,18 +143,26 @@ def _linear_predictor(columns: list[list[float]], beta: list[float], n: int) -> 
     return list(eta)
 
 
-def _log_likelihood(eta: list[float], y: list[int]) -> float:
+def _tails(eta: list[float]) -> array:
+    """exp(-|eta|) for every row: it never overflows, and serves both passes.
+
+    An array of doubles holds the same values in a third of the memory of
+    a list of floats, and leaves no float objects behind to fragment the
+    heap.
+    """
+    return array("d", map(exp, map(neg, map(abs, eta))))
+
+
+def _log_likelihood(eta: list[float], tails: array, y: list[int]) -> float:
     total = 0.0
     for start in range(0, len(y), _BLOCK):
         rows = slice(start, start + _BLOCK)
-        eta_b = eta[rows]
         # log(1 + exp(eta)) without overflow.  `0.0 if 0.0 > h else h` is
         # the comparison max(h, 0.0) makes, so -0.0 and NaN come out the
         # same, without a call per row.
-        softplus_tail = map(log1p, map(exp, map(neg, map(abs, eta_b))))
         terms = [
             yi * h - ((0.0 if 0.0 > h else h) + tail)
-            for yi, h, tail in zip(y[rows], eta_b, softplus_tail)
+            for yi, h, tail in zip(y[rows], eta[rows], map(log1p, tails[rows]))
         ]
         total = reduce(add, terms, total)
     return total
@@ -150,8 +174,17 @@ def _log_likelihood(eta: list[float], y: list[int]) -> float:
 _PERFECT_FIT_RESIDUAL = 1e-4
 
 
+def _times(values, x: list[float], binary: bool):
+    """The terms v * x_i, leaving out the signed zeros of a 0/1 column."""
+    return compress(values, x) if binary else map(mul, values, x)
+
+
 def _score_and_information(
-    columns: list[list[float]], y: list[int], eta: list[float]
+    columns: list[list[float]],
+    binary: list[bool],
+    y: list[int],
+    eta: list[float],
+    tails: array,
 ) -> tuple[list[float], list[list[float]], float, float]:
     p = len(columns) + 1
     score = [0.0] * p
@@ -159,11 +192,9 @@ def _score_and_information(
     max_abs_resid = 0.0
     for start in range(0, len(y), _BLOCK):
         rows = slice(start, start + _BLOCK)
-        eta_b = eta[rows]
         # sigmoid(h): 1 / (1 + exp(-h)) for h >= 0, else z / (1 + z) with
         # z = exp(h); both exponents equal -|h|
-        tail = list(map(exp, map(neg, map(abs, eta_b))))
-        mu = [(1.0 if h >= 0.0 else z) / (1.0 + z) for h, z in zip(eta_b, tail)]
+        mu = [(1.0 if h >= 0.0 else z) / (1.0 + z) for h, z in zip(eta[rows], tails[rows])]
         resid = list(map(sub, y[rows], mu))
         # max keeps its running value unless an item compares greater, as
         # the row loop's `if abs(resid) > max_abs_resid` did (NaN included).
@@ -175,13 +206,22 @@ def _score_and_information(
         row = info[0]
         row[0] = reduce(add, w, row[0])
         for k, xk in enumerate(xs, 1):
-            row[k] = reduce(add, map(mul, w, xk), row[k])
+            row[k] = reduce(add, _times(w, xk, binary[k - 1]), row[k])
         for j, xj in enumerate(xs, 1):
-            score[j] = reduce(add, map(mul, xj, resid), score[j])
-            wxj = list(map(mul, w, xj))
+            score[j] = reduce(add, _times(resid, xj, binary[j - 1]), score[j])
             row = info[j]
-            for k in range(j, p):
-                row[k] = reduce(add, map(mul, wxj, xs[k - 1]), row[k])
+            if binary[j - 1]:
+                # Rows where x_j is 0.0 add only signed zeros to row j, and
+                # where it is 1.0, w * x_j * x_k is w * x_k.
+                wxj = list(compress(w, xj))
+                row[j] = reduce(add, wxj, row[j])
+                for k in range(j + 1, p):
+                    xk = list(compress(xs[k - 1], xj))
+                    row[k] = reduce(add, _times(wxj, xk, binary[k - 1]), row[k])
+            else:
+                wxj = list(map(mul, w, xj))
+                for k in range(j, p):
+                    row[k] = reduce(add, _times(wxj, xs[k - 1], binary[k - 1]), row[k])
     for j in range(p):
         for k in range(j + 1, p):
             info[k][j] = info[j][k]
@@ -204,7 +244,7 @@ def fit_logistic_irls(
         SingularDesignError: collinear design columns (detected at the
             start, where the weights are uniform, whatever the score).
         ValueError: mismatched lengths, an empty design, design rows of
-            unequal length, or non-binary outcomes.
+            unequal length, non-finite covariates, or non-binary outcomes.
     """
     # float(v) of a float is v itself, so the columns share the caller's
     # floats; zip stops at the shortest row, which the dimension check
@@ -217,17 +257,23 @@ def fit_logistic_irls(
         raise ValueError("empty design")
     if set(map(len, design_rows)) != {len(columns)}:
         raise ValueError("design rows have inconsistent dimension")
+    if not all(all(map(isfinite, column)) for column in columns):
+        raise ValueError("covariates must be finite")
     # Check the raw values: int() would truncate 0.7 to 0 and 1.9 to 1.
     if any(v not in (0, 1) for v in outcomes):
         raise ValueError("outcomes must be binary")
     y = [int(v) for v in outcomes]
     width = len(columns) + 1
+    binary = [{0.0, 1.0}.issuperset(column) for column in columns]
 
     beta = [0.0] * width
     eta = _linear_predictor(columns, beta, n)
-    loglik = _log_likelihood(eta, y)
+    tails = _tails(eta)
+    loglik = _log_likelihood(eta, tails, y)
     iterations = 0
-    score, info, max_abs_score, max_resid = _score_and_information(columns, y, eta)
+    score, info, max_abs_score, max_resid = _score_and_information(
+        columns, binary, y, eta, tails
+    )
     # At beta = 0 every weight is 1/4, so info is X'X / 4: check its rank
     # here, before the score test, so a collinear design whose score
     # already vanishes cannot pass as converged.
@@ -244,15 +290,18 @@ def fit_logistic_irls(
         step = 1.0
         for _ in range(30):
             candidate = [b + step * d for b, d in zip(beta, delta)]
-            eta = None  # free the previous predictor before building the next
+            eta = tails = None  # free the previous lists before building the next
             eta = _linear_predictor(columns, candidate, n)
-            candidate_ll = _log_likelihood(eta, y)
+            tails = _tails(eta)
+            candidate_ll = _log_likelihood(eta, tails, y)
             if candidate_ll >= loglik - 1e-10:
                 break
             step *= 0.5
         beta, loglik = candidate, candidate_ll
         iterations += 1
-        score, info, max_abs_score, max_resid = _score_and_information(columns, y, eta)
+        score, info, max_abs_score, max_resid = _score_and_information(
+            columns, binary, y, eta, tails
+        )
 
     # A score that vanished only because every observation is classified
     # exactly is the numerical face of separation, not an interior maximum.

@@ -12,10 +12,12 @@ the tests produce (p down to ~1e-300 before underflow).
 from __future__ import annotations
 
 import math
-from typing import Iterable
+import operator
+from typing import Iterable, Sequence
 
 __all__ = [
     "sigmoid",
+    "sigmoids",
     "normal_cdf",
     "normal_quantile",
     "normal_quantiles",
@@ -31,12 +33,19 @@ _MAX_ITER = 800
 _TINY = 1e-300
 
 
+def sigmoids(xs: Sequence[float]) -> list[float]:
+    """Logistic function 1 / (1 + exp(-x)) of each x, stable for large |x|.
+
+    With z = exp(-|x|), which never overflows, this is 1 / (1 + z) for
+    x >= 0 and z / (1 + z) otherwise.
+    """
+    tails = map(math.exp, map(operator.neg, map(abs, xs)))
+    return [(1.0 if x >= 0.0 else z) / (1.0 + z) for x, z in zip(xs, tails)]
+
+
 def sigmoid(x: float) -> float:
-    """Logistic function 1 / (1 + exp(-x)), stable for large |x|."""
-    if x >= 0.0:
-        return 1.0 / (1.0 + math.exp(-x))
-    z = math.exp(x)
-    return z / (1.0 + z)
+    """One ``sigmoids`` value."""
+    return sigmoids((x,))[0]
 
 
 def normal_cdf(x: float) -> float:

@@ -5,13 +5,15 @@ high-precision Maclaurin erf series evaluated with mpmath, quantiles
 come from bisection on it, tail probabilities from adaptive Simpson
 integration of the densities, and the AUC oracle integrates the
 empirical ROC curve with the trapezoid rule.  The cohort and Table-1
-oracles are the exception: they reuse the package's per-patient formulas
-and counter RNG, and pin only how draws are shared.  They hash every
-stream afresh for each scenario, as the generator did before one set of
-draws served the whole grid.  The IRLS oracle is the other exception: it
-is the per-row loop the fitter ran before its column kernel, and reuses
-the package's solver and sigmoid, so it pins the kernel's arithmetic and
-summation order bit for bit.
+oracles are the exception: they reuse the package's counter RNG and
+pin how draws are shared and how the formulas are mapped over columns.
+They hash every stream afresh for each scenario, as the generator did
+before one set of draws served the whole grid, and apply the process's
+formulas one patient at a time, as the generator did before it mapped
+whole columns (the formulas are copied here, not imported).  The IRLS
+oracle is the other exception: it is the per-row loop the fitter ran
+before its column kernel, and reuses the package's solver, so it pins
+the kernel's arithmetic and summation order bit for bit.
 """
 
 from __future__ import annotations
@@ -21,14 +23,7 @@ from dataclasses import replace
 
 import mpmath as mp
 
-from oxequity.cohort import (
-    W_HIGH,
-    W_LOW,
-    PatientRecord,
-    measurement_error,
-    outcome_assignment,
-    treatment_assignment,
-)
+from oxequity.cohort import W_HIGH, W_LOW, Cohort, PatientRecord
 from oxequity.grid import Table1Summary
 from oxequity.rng import Channel, CounterRng
 from oxequity.stats.logistic import (
@@ -37,7 +32,7 @@ from oxequity.stats.logistic import (
     SingularDesignError,
     _solve,
 )
-from oxequity.stats.special import normal_cdf, normal_quantile, sigmoid
+from oxequity.stats.special import normal_cdf, normal_quantile
 
 mp.mp.dps = 40
 
@@ -317,6 +312,61 @@ def binomial_reject_count_oracle(n: int, q: float, level: float) -> int:
     return m
 
 
+def records_of(cohort: Cohort) -> list[PatientRecord]:
+    """One record per patient of a cohort, in its order: the row view tests read."""
+    columns = (
+        cohort.patient_id,
+        cohort.group_a,
+        cohort.w_true,
+        cohort.w_star,
+        cohort.epsilon,
+        cohort.treated,
+        cohort.outcome,
+        cohort.clamped,
+    )
+    return [PatientRecord(*row) for row in zip(*columns)]
+
+
+def gold_free(cohort: Cohort) -> Cohort:
+    """The cohort without its gold standard, as a file lacking the gold columns reads."""
+    n = len(cohort)
+    return replace(cohort, w_true=[None] * n, epsilon=[None] * n, clamped=[False] * n)
+
+
+def _sigmoid_oracle(x: float) -> float:
+    if x >= 0.0:
+        return 1.0 / (1.0 + math.exp(-x))
+    z = math.exp(x)
+    return z / (1.0 + z)
+
+
+def _measurement_error_oracle(w_true, group_a, measurement_bias_on, noise_draw, params):
+    eps = params.err_base + params.err_noise_sd * noise_draw
+    if measurement_bias_on and group_a == 1:
+        eps += params.err_group_shift + params.err_group_slope * max(
+            0.0, params.err_pivot - w_true
+        )
+    return eps
+
+
+def _treatment_assignment_oracle(w_star, group_a, systemic_bias_on, mode, uniform_draw, params):
+    if mode == "deterministic":
+        return 1 if w_star < params.w_treat else 0
+    logit = params.treat_intercept + params.treat_slope * (params.w_treat - w_star)
+    if systemic_bias_on:
+        logit += params.treat_group_penalty * group_a
+    return 1 if uniform_draw < _sigmoid_oracle(logit) else 0
+
+
+def _outcome_assignment_oracle(w_true, treated, uniform_draw, params):
+    logit = (
+        params.out_intercept
+        + params.out_severity * max(0.0, params.w_hypox - w_true)
+        - params.out_benefit * treated
+    )
+    return 1 if uniform_draw < _sigmoid_oracle(logit) else 0
+
+
 def generate_cohort_oracle(config) -> list[PatientRecord]:
     """Per-patient generation loop: every stream hashed for this scenario alone.
 
@@ -342,10 +392,12 @@ def generate_cohort_oracle(config) -> list[PatientRecord]:
             else:
                 w_true = min(max(mean + sd * normal_quantile(p), W_LOW), W_HIGH)
         noise = rng.normal(i, Channel.NOISE)
-        epsilon = measurement_error(w_true, group_a, config.measurement_bias_on, noise, dgp)
+        epsilon = _measurement_error_oracle(
+            w_true, group_a, config.measurement_bias_on, noise, dgp
+        )
         raw = w_true + epsilon
         w_star = min(max(raw, 0.0), 100.0)
-        treated = treatment_assignment(
+        treated = _treatment_assignment_oracle(
             w_star,
             group_a,
             config.systemic_bias_on,
@@ -353,7 +405,9 @@ def generate_cohort_oracle(config) -> list[PatientRecord]:
             rng.uniform(i, Channel.TREAT),
             dgp,
         )
-        outcome = outcome_assignment(w_true, treated, rng.uniform(i, Channel.OUTCOME), dgp)
+        outcome = _outcome_assignment_oracle(
+            w_true, treated, rng.uniform(i, Channel.OUTCOME), dgp
+        )
         records.append(
             PatientRecord(
                 patient_id=i,
@@ -397,7 +451,7 @@ def threshold_protocol_oracle(config) -> Table1Summary:
         for r in group:
             treated_true = 1 if r.w_true < dgp.w_treat else 0
             u = rng.uniform(r.patient_id, Channel.OUTCOME)
-            true_driven += outcome_assignment(r.w_true, treated_true, u, dgp)
+            true_driven += _outcome_assignment_oracle(r.w_true, treated_true, u, dgp)
         vent_true[a] = true_driven / len(group)
     return Table1Summary(
         untreated_hypoxemic=untreated,
@@ -426,7 +480,7 @@ def _irls_score_and_information_oracle(x_rows, y, beta):
         eta = 0.0
         for j in range(p):
             eta += xi[j] * beta[j]
-        mu = sigmoid(eta)
+        mu = _sigmoid_oracle(eta)
         resid = yi - mu
         if abs(resid) > max_abs_resid:
             max_abs_resid = abs(resid)

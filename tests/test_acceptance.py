@@ -35,6 +35,7 @@ from oxequity.stats.special import normal_quantile, sigmoid
 from oracles import (
     binomial_reject_count_oracle,
     fd_hessian,
+    gold_free,
     normal_quantile_oracle,
     trapezoid_roc_auc,
     two_level_joint_coverage_oracle,
@@ -427,14 +428,12 @@ def test_criterion_7_determinism_and_common_random_numbers(tmp_path):
     result = run_scenario_grid(ScenarioGridSpec(base=config), AuditConfig())
     cohorts = result.cohorts
     w_true_shared = all(
-        [r.w_true for r in cohorts[label]] == [r.w_true for r in cohorts["both"]]
-        for label in SCENARIO_LABELS
+        cohorts[label].w_true == cohorts["both"].w_true for label in SCENARIO_LABELS
     )
-    eps_pairs_shared = [r.epsilon for r in cohorts["both"]] == [
-        r.epsilon for r in cohorts["measurement_only"]
-    ] and [r.epsilon for r in cohorts["systemic_only"]] == [
-        r.epsilon for r in cohorts["none"]
-    ]
+    eps_pairs_shared = (
+        cohorts["both"].epsilon == cohorts["measurement_only"].epsilon
+        and cohorts["systemic_only"].epsilon == cohorts["none"].epsilon
+    )
 
     _report(
         7,
@@ -457,7 +456,7 @@ def test_criterion_8_backward_workflow_contract():
         m.status == "ok" for m in full.metrics
     )
 
-    stripped = [replace(r, w_true=None, epsilon=None, clamped=False) for r in cohort]
+    stripped = gold_free(cohort)
     partial = run_full_audit(stripped, AuditConfig())
     statuses = {m.metric_name: m.status for m in partial.metrics}
     expected_ok = {

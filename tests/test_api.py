@@ -4,6 +4,10 @@
 attribute, so a rename in the package would break only the traced
 benchmark.  The file is parsed, not imported, to read that table.
 
+The benchmark's per-layer counts also rest on two facts checked here: one
+full audit calls each traced metric function and the logistic fit exactly
+once, and a generated cohort's ``len`` is its size.
+
 The IRLS kernel must add floats left to right; a source check keeps
 builtin ``sum`` (compensated since CPython 3.12) and ``math.fsum`` out of
 it, which a bit-identity test on an older interpreter could not see.
@@ -12,11 +16,17 @@ it, which a bit-identity test on an older interpreter could not see.
 import ast
 import importlib
 import pkgutil
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import oxequity
+from oxequity.cohort import ScenarioConfig, generate_cohort
+from oxequity.metrics import AuditConfig, run_full_audit
+
+from oracles import gold_free
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS_FILE = ROOT / "bench" / "spans.py"
@@ -68,3 +78,58 @@ def test_irls_kernel_uses_no_sum_or_fsum():
         elif isinstance(node, ast.ImportFrom):
             found += [(node.lineno, a.name) for a in node.names if a.name == "fsum"]
     assert not found
+
+
+def _count_calls(names: list[str], action) -> Counter:
+    """Run ``action`` with each named function counted, wrapped the way the
+    benchmark's tracer does it: at every ``oxequity`` module attribute that
+    holds the function.  The originals are put back whatever happens."""
+    calls: Counter = Counter()
+    originals = {}
+    for dotted in names:
+        layer, name = dotted.split(".")
+        func = getattr(importlib.import_module(f"oxequity.{layer}"), name)
+        originals[id(func)] = (func, dotted)
+
+    def counting(func, dotted):
+        def wrapper(*args, **kwargs):
+            calls[dotted] += 1
+            return func(*args, **kwargs)
+
+        return wrapper
+
+    patched = []
+    try:
+        for module_name, module in list(sys.modules.items()):
+            if module_name != "oxequity" and not module_name.startswith("oxequity."):
+                continue
+            for attr, value in list(vars(module).items()):
+                hit = originals.get(id(value))
+                if hit is not None and hit[0] is value:
+                    patched.append((module, attr, value))
+                    setattr(module, attr, counting(*hit))
+        action()
+    finally:
+        for module, attr, value in reversed(patched):
+            setattr(module, attr, value)
+    return calls
+
+
+@pytest.mark.parametrize("gold", (True, False), ids=("gold", "gold_free"))
+def test_one_audit_calls_each_traced_metric_once(gold):
+    targets = _span_targets()
+    names = [f"metrics.{fn}" for fn in targets["metrics"]] + ["stats.fit_logistic_irls"]
+    cohort = generate_cohort(ScenarioConfig(n_total=600, seed=3))
+    if not gold:
+        cohort = gold_free(cohort)
+    metrics = importlib.import_module("oxequity.metrics")
+    # looked up at call time, as the benchmark calls it
+    calls = _count_calls(names, lambda: metrics.run_full_audit(cohort, AuditConfig()))
+    assert calls == Counter(dict.fromkeys(names, 1))
+    assert metrics.run_full_audit is run_full_audit  # the originals are back
+
+
+@pytest.mark.parametrize("n_total", (2, 37, 2500))
+def test_generated_cohort_length_is_its_size(n_total):
+    config = ScenarioConfig(n_total=n_total, seed=5)
+    assert len(generate_cohort(config)) == config.n_total

@@ -13,9 +13,11 @@ from dataclasses import replace
 
 import pytest
 
-from oxequity.cohort import PatientRecord, ScenarioConfig, generate_cohort
+from oxequity.cohort import Cohort, PatientRecord, ScenarioConfig, generate_cohort
 from oxequity.metrics import AuditConfig, run_full_audit
 from oxequity.reports import report_to_csv, report_to_json, report_to_markdown
+
+from oracles import gold_free
 
 DIGESTS = {
     "gold_seed3": "e000342319173eb6f0d69e76babc470587ab8cb37fc115dde97a3a604dacf072",
@@ -34,17 +36,13 @@ DIGESTS = {
 }
 
 
-def _gold_free(cohort):
-    return [replace(r, w_true=None, epsilon=None, clamped=False) for r in cohort]
-
-
 def _degenerate():
     # zero error everywhere, W* set by group, disjoint W* bins
-    return [
+    return Cohort.from_records(
         PatientRecord(i, int(i >= 20), 90.0 + 3.0 * (i >= 20), 90.0 + 3.0 * (i >= 20),
                       0.0, i % 2, int(i % 4 == 0))
         for i in range(40)
-    ]
+    )
 
 
 def _single_wstar():
@@ -54,29 +52,31 @@ def _single_wstar():
         w_true = 84.0 + (i % 9)
         out.append(PatientRecord(i, i % 2, w_true, 90.0, 90.0 - w_true,
                                  int(i % 3 == 0), int(i % 5 == 0)))
-    return out
+    return Cohort.from_records(out)
 
 
 @pytest.fixture(scope="module")
 def cases():
     s3 = generate_cohort(ScenarioConfig(seed=3))
     s5 = generate_cohort(ScenarioConfig(seed=5))
-    all_treated = [replace(r, treated=1) for r in s3]
-    hyp_treated = [replace(r, treated=1) if r.w_true < 88.0 else r for r in s3]
+    all_treated = replace(s3, treated=[1] * len(s3))
+    hyp_treated = replace(
+        s3, treated=[1 if w < 88.0 else z for w, z in zip(s3.w_true, s3.treated)]
+    )
     return {
         "gold_seed3": [s3],
         "gold_seed5": [s5],
-        "gold_free_seed3": [_gold_free(s3)],
-        "gold_free_seed5": [_gold_free(s5)],
+        "gold_free_seed3": [gold_free(s3)],
+        "gold_free_seed5": [gold_free(s5)],
         "all_treated_gold": [all_treated],
-        "all_treated_gold_free": [_gold_free(all_treated)],
+        "all_treated_gold_free": [gold_free(all_treated)],
         "hypoxemic_all_treated_gold": [hyp_treated],
-        "hypoxemic_all_treated_gold_free": [_gold_free(hyp_treated)],
+        "hypoxemic_all_treated_gold_free": [gold_free(hyp_treated)],
         "degenerate_40_gold": [_degenerate()],
-        "degenerate_40_gold_free": [_gold_free(_degenerate())],
+        "degenerate_40_gold_free": [gold_free(_degenerate())],
         "single_wstar_gold": [_single_wstar()],
-        "single_wstar_gold_free": [_gold_free(_single_wstar())],
-        "seeds_3_5_together": [s3, _gold_free(s3), s5, _gold_free(s5)],
+        "single_wstar_gold_free": [gold_free(_single_wstar())],
+        "seeds_3_5_together": [s3, gold_free(s3), s5, gold_free(s5)],
     }
 
 

@@ -168,5 +168,35 @@ def test_params_file_flows_through(tmp_path):
         "--no-measurement-bias", "--out", str(out),
     ) == 0
     cohort = read_cohort_csv(out)
-    eps = [r.epsilon for r in cohort]
+    eps = cohort.epsilon
     assert abs(sum(eps) / len(eps)) < 0.1  # baseline overread removed
+
+
+def test_audit_json_refuses_infinite_error(tmp_path, capsys):
+    cohort = tmp_path / "c.csv"
+    run("simulate", "--n", "300", "--seed", "4", "--out", str(cohort))
+    lines = cohort.read_text().splitlines()
+    cells = lines[7].split(",")
+    cells[4] = "inf"
+    lines[7] = ",".join(cells)
+    cohort.write_text("\n".join(lines) + "\n")
+    assert run("audit", "--in", str(cohort), "--format", "json") == 1
+    assert "row 8, column 'epsilon'" in capsys.readouterr().err
+
+
+def test_audit_survives_a_huge_finite_error(tmp_path, capsys):
+    cohort = tmp_path / "c.csv"
+    run("simulate", "--n", "300", "--seed", "4", "--out", str(cohort))
+    lines = cohort.read_text().splitlines()
+    cells = lines[7].split(",")
+    cells[4] = "1e308"
+    lines[7] = ",".join(cells)
+    cohort.write_text("\n".join(lines) + "\n")
+    assert run("audit", "--in", str(cohort), "--format", "json") == 0
+    statuses = {
+        m["metric_name"]: m["status"]
+        for m in json.loads(capsys.readouterr().out)["reports"][0]["metrics"]
+    }
+    assert statuses["representativeness"].startswith("untestable: ")
+    assert statuses["information_bias"].startswith("untestable: ")
+    assert statuses["treatment_gap"] == "ok"

@@ -7,6 +7,7 @@ import pytest
 
 from oxequity.cohort import (
     DEFAULT_DGP,
+    Cohort,
     DgpParams,
     ScenarioConfig,
     generate_cohort,
@@ -17,7 +18,7 @@ from oxequity.cohort import (
     treatment_assignment,
 )
 
-from oracles import truncated_normal_inverse_oracle
+from oracles import records_of, truncated_normal_inverse_oracle
 
 # frozen oracle inversions of the truncated-normal CDF
 MEDIAN_DEFAULT = 88.2999990574     # mean 88.3, sd 2.35, u = 0.5
@@ -157,7 +158,7 @@ class TestGenerateCohort:
     def test_systemic_toggle_preserves_measurement_columns(self):
         on = generate_cohort(ScenarioConfig(n_total=600, seed=9, systemic_bias_on=True))
         off = generate_cohort(ScenarioConfig(n_total=600, seed=9, systemic_bias_on=False))
-        for a, b in zip(on, off):
+        for a, b in zip(records_of(on), records_of(off)):
             assert a.w_true == b.w_true
             assert a.epsilon == b.epsilon
             assert a.w_star == b.w_star
@@ -171,18 +172,18 @@ class TestGenerateCohort:
         base = ScenarioConfig(n_total=600, seed=13, dgp=dgp)
         on = generate_cohort(base)
         off = generate_cohort(replace(base, measurement_bias_on=False))
-        assert [r.treated for r in on] == [r.treated for r in off]
-        assert [r.outcome for r in on] == [r.outcome for r in off]
-        assert any(a.w_star != b.w_star for a, b in zip(on, off))
+        assert on.treated == off.treated
+        assert on.outcome == off.outcome
+        assert any(a != b for a, b in zip(on.w_star, off.w_star))
 
     def test_group_shares_follow_probability(self):
         cohort = generate_cohort(ScenarioConfig(n_total=4000, seed=2, p_group1=0.2))
-        share = sum(r.group_a for r in cohort) / len(cohort)
+        share = sum(cohort.group_a) / len(cohort)
         assert share == pytest.approx(0.2, abs=0.025)
 
     def test_record_consistency(self):
         cohort = generate_cohort(ScenarioConfig(n_total=800, seed=21))
-        for r in cohort:
+        for r in records_of(cohort):
             assert 70.0 <= r.w_true <= 100.0
             assert 0.0 <= r.w_star <= 100.0
             assert r.group_a in (0, 1) and r.treated in (0, 1) and r.outcome in (0, 1)
@@ -193,8 +194,8 @@ class TestGenerateCohort:
         # sample mean of the error: group 1 above group 0 above zero
         for seed in range(1, 21):
             cohort = generate_cohort(ScenarioConfig(seed=seed, n_total=2500))
-            eps1 = [r.epsilon for r in cohort if r.group_a == 1]
-            eps0 = [r.epsilon for r in cohort if r.group_a == 0]
+            eps1 = [e for e, a in zip(cohort.epsilon, cohort.group_a) if a == 1]
+            eps0 = [e for e, a in zip(cohort.epsilon, cohort.group_a) if a == 0]
             m1, m0 = sum(eps1) / len(eps1), sum(eps0) / len(eps0)
             assert m1 > m0 > 0.0
 
@@ -202,7 +203,7 @@ class TestGenerateCohort:
         clamped = total = 0
         for seed in range(1, 13):
             cohort = generate_cohort(ScenarioConfig(seed=seed))
-            clamped += sum(r.clamped for r in cohort)
+            clamped += sum(cohort.clamped)
             total += len(cohort)
         assert clamped / total < 0.001
 
@@ -230,7 +231,7 @@ class TestOracleTau:
     def test_single_patient_closed_form(self):
         params = replace(DEFAULT_DGP, out_intercept=-3.0, out_severity=0.3, out_benefit=1.0)
         cohort = generate_cohort(ScenarioConfig(n_total=2, seed=1, dgp=params))
-        patient = [replace(cohort[0], w_true=95.0)]
+        patient = Cohort.from_records([replace(records_of(cohort)[0], w_true=95.0)])
         # sigmoid(-3) - sigmoid(-4) ~ 0.0294397
         assert oracle_tau(params, patient, 200000) == pytest.approx(
             0.0294396632, abs=1.5e-3
@@ -250,4 +251,4 @@ class TestOracleTau:
         with pytest.raises(ValueError):
             oracle_tau(DEFAULT_DGP, cohort, 0)
         with pytest.raises(ValueError):
-            oracle_tau(DEFAULT_DGP, [], 10)
+            oracle_tau(DEFAULT_DGP, Cohort.from_records([]), 10)

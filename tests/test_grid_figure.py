@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from oxequity.cohort import DEFAULT_DGP, ScenarioConfig, generate_cohort
+from oxequity.cohort import DEFAULT_DGP, Cohort, ScenarioConfig, generate_cohort
 from oxequity.figure import figure_summary, figure_summary_csv
 from oxequity.grid import (
     SCENARIO_LABELS,
@@ -13,6 +13,8 @@ from oxequity.grid import (
     threshold_protocol_summary,
 )
 from oxequity.metrics import AuditConfig
+
+from oracles import gold_free
 
 
 @pytest.fixture(scope="module")
@@ -33,19 +35,13 @@ class TestScenarioGrid:
 
     def test_common_random_numbers_across_scenarios(self, grid_result):
         cohorts = grid_result.cohorts
-        w_true = [r.w_true for r in cohorts["both"]]
+        w_true = cohorts["both"].w_true
         for label in SCENARIO_LABELS[1:]:
-            assert [r.w_true for r in cohorts[label]] == w_true
+            assert cohorts[label].w_true == w_true
         # measurement columns identical within each toggle pair
-        assert [r.epsilon for r in cohorts["both"]] == [
-            r.epsilon for r in cohorts["measurement_only"]
-        ]
-        assert [r.epsilon for r in cohorts["systemic_only"]] == [
-            r.epsilon for r in cohorts["none"]
-        ]
-        assert [r.epsilon for r in cohorts["both"]] != [
-            r.epsilon for r in cohorts["none"]
-        ]
+        assert cohorts["both"].epsilon == cohorts["measurement_only"].epsilon
+        assert cohorts["systemic_only"].epsilon == cohorts["none"].epsilon
+        assert cohorts["both"].epsilon != cohorts["none"].epsilon
 
     def test_fisher_rows_equal_within_pairs(self, grid_result):
         by_label = {
@@ -95,8 +91,8 @@ class TestThresholdProtocol:
         cohort = generate_cohort(
             replace(stochastic_base, treatment_mode="deterministic")
         )
-        group1 = [r for r in cohort if r.group_a == 1]
-        expected = sum(r.outcome for r in group1) / len(group1)
+        group1 = [y for y, a in zip(cohort.outcome, cohort.group_a) if a == 1]
+        expected = sum(group1) / len(group1)
         assert summary.outcome_measured_driven[1] == pytest.approx(expected, abs=1e-12)
 
 
@@ -133,9 +129,8 @@ class TestFigureSummary:
 
     def test_gold_free_rejected(self):
         cohort = generate_cohort(ScenarioConfig(seed=14, n_total=50))
-        stripped = [replace(r, w_true=None, epsilon=None) for r in cohort]
         with pytest.raises(ValueError):
-            figure_summary(stripped)
+            figure_summary(gold_free(cohort))
 
     def test_validation(self):
         cohort = generate_cohort(ScenarioConfig(seed=15, n_total=50))
@@ -144,7 +139,7 @@ class TestFigureSummary:
         with pytest.raises(ValueError):
             figure_summary(cohort, value_range=(95.0, 90.0))
         with pytest.raises(ValueError):
-            figure_summary([])
+            figure_summary(Cohort.from_records([]))
 
     def test_csv_shape(self):
         cohort = generate_cohort(ScenarioConfig(seed=16, n_total=500))

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from oxequity.cohort import DEFAULT_DGP, DgpParams, ScenarioConfig, generate_cohort
+from oxequity.cohort import DEFAULT_DGP, Cohort, DgpParams, ScenarioConfig, generate_cohort
 from oxequity.io import (
     COHORT_COLUMNS,
     CohortSchemaError,
@@ -14,10 +14,16 @@ from oxequity.io import (
     write_params,
 )
 
+from oracles import records_of
+
 
 @pytest.fixture(scope="module")
 def cohort():
     return generate_cohort(ScenarioConfig(n_total=300, seed=17))
+
+
+def _first(cohort, k):
+    return Cohort.from_records(records_of(cohort)[:k])
 
 
 def test_round_trip_preserves_records(tmp_path, cohort):
@@ -25,7 +31,7 @@ def test_round_trip_preserves_records(tmp_path, cohort):
     write_cohort_csv(cohort, path)
     loaded = read_cohort_csv(path)
     assert len(loaded) == len(cohort)
-    for original, parsed in zip(cohort, loaded):
+    for original, parsed in zip(records_of(cohort), records_of(loaded)):
         assert parsed.patient_id == original.patient_id
         assert parsed.group_a == original.group_a
         assert parsed.treated == original.treated
@@ -50,19 +56,20 @@ def test_header_matches_contract(tmp_path, cohort):
 def test_gold_free_file_accepted_when_not_required(tmp_path, cohort):
     path = tmp_path / "nogold.csv"
     lines = ["patient_id,group_a,w_star,treated,outcome"]
-    for r in cohort[:50]:
+    for r in records_of(cohort)[:50]:
         lines.append(f"{r.patient_id},{r.group_a},{r.w_star:.4f},{r.treated},{r.outcome}")
     path.write_text("\n".join(lines) + "\n")
     loaded = read_cohort_csv(path, require_gold=False)
     assert len(loaded) == 50
-    assert all(r.w_true is None and r.epsilon is None for r in loaded)
+    assert all(r.w_true is None and r.epsilon is None for r in records_of(loaded))
+    assert not loaded.gold
     with pytest.raises(CohortSchemaError, match="w_true"):
         read_cohort_csv(path, require_gold=True)
 
 
 def test_non_binary_indicator_names_row_and_column(tmp_path, cohort):
     path = tmp_path / "bad.csv"
-    write_cohort_csv(cohort[:5], path)
+    write_cohort_csv(_first(cohort, 5), path)
     lines = path.read_text().splitlines()
     lines[3] = lines[3].rsplit(",", 2)[0] + ",2,0"  # treated = 2 on file row 4
     path.write_text("\n".join(lines) + "\n")
@@ -74,8 +81,8 @@ def test_non_binary_indicator_names_row_and_column(tmp_path, cohort):
 
 def test_out_of_range_saturation_rejected(tmp_path, cohort):
     path = tmp_path / "bad.csv"
-    write_cohort_csv(cohort[:3], path)
-    text = path.read_text().replace(f"{cohort[1].w_true:.4f}", "69.0000")
+    write_cohort_csv(_first(cohort, 3), path)
+    text = path.read_text().replace(f"{cohort.w_true[1]:.4f}", "69.0000")
     path.write_text(text)
     with pytest.raises(CohortSchemaError, match="w_true"):
         read_cohort_csv(path)
@@ -83,7 +90,7 @@ def test_out_of_range_saturation_rejected(tmp_path, cohort):
 
 def test_duplicate_patient_id_names_row_and_column(tmp_path, cohort):
     path = tmp_path / "dup.csv"
-    write_cohort_csv(cohort[:5], path)
+    write_cohort_csv(_first(cohort, 5), path)
     lines = path.read_text().splitlines()
     lines[4] = "1," + lines[4].split(",", 1)[1]  # file row 5 repeats id 1 (row 3)
     path.write_text("\n".join(lines) + "\n")
@@ -122,6 +129,21 @@ def test_empty_file_and_header_only(tmp_path):
         read_cohort_csv(header_only)
 
 
+@pytest.mark.parametrize("value", ("inf", "-inf", "1e999"))
+def test_non_finite_epsilon_rejected(tmp_path, cohort, value):
+    path = tmp_path / "inf.csv"
+    write_cohort_csv(_first(cohort, 5), path)
+    lines = path.read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[4] = value  # epsilon on file row 4
+    lines[3] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CohortSchemaError, match="is not finite") as excinfo:
+        read_cohort_csv(path)
+    assert excinfo.value.row == 4
+    assert excinfo.value.column == "epsilon"
+
+
 def test_clamp_flag_rederived(tmp_path):
     path = tmp_path / "clamp.csv"
     path.write_text(
@@ -129,8 +151,7 @@ def test_clamp_flag_rederived(tmp_path):
         + "\n0,0,99.5000,100.0000,1.3000,0,0\n1,0,90.0000,91.3000,1.3000,1,0\n"
     )
     loaded = read_cohort_csv(path)
-    assert loaded[0].clamped
-    assert not loaded[1].clamped
+    assert loaded.clamped == [True, False]
 
 
 def test_params_round_trip(tmp_path):

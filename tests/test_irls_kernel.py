@@ -45,7 +45,7 @@ def assert_same_fit(rows, outcomes, **kwargs):
 
 def _audit_design(cohort):
     # The design the systemic-bias metric fits: treatment on W* and group.
-    return [(r.w_star, float(r.group_a)) for r in cohort], [r.treated for r in cohort]
+    return list(zip(cohort.w_star, map(float, cohort.group_a))), cohort.treated
 
 
 @pytest.mark.parametrize("seed", (1, 2, 3))
@@ -130,3 +130,67 @@ def test_all_zero_outcomes_match():
     fit = assert_same_fit(rows, [0] * len(rows))
     assert not fit.converged
     assert all(math.isnan(se) for se in fit.standard_errors)
+
+
+def _draw(kind, rng):
+    if kind == "b":
+        return float(rng.random() < 0.4)
+    if kind == "c":
+        return float(rng.randrange(3))  # a count: 0, 1 or 2 is no indicator
+    return rng.gauss(0.0, 1.5)
+
+
+def _indicator_design(kinds, n, seed):
+    """Rows whose columns are 0/1 indicators ("b"), counts in {0, 1, 2} ("c")
+    or Gaussian ("g"), in the order of ``kinds``."""
+    rng = random.Random(seed)
+    rows = []
+    outcomes = []
+    for _ in range(n):
+        row = tuple(_draw(k, rng) for k in kinds)
+        eta = -0.3 + sum((0.8 if k == "b" else -0.5) * x for k, x in zip(kinds, row))
+        rows.append(row)
+        outcomes.append(1 if rng.random() < sigmoid(eta) else 0)
+    return rows, outcomes
+
+
+@pytest.mark.parametrize("n", (30, _BLOCK + 1, 5000))
+@pytest.mark.parametrize("kinds", ("b", "bb", "gb", "bg", "bgb", "gbbg", "bbbb", "cb", "bc"))
+def test_indicator_designs_match(kinds, n):
+    # 0/1 columns are folded with compress; the bits must not move
+    rows, outcomes = _indicator_design(kinds, n, seed=len(kinds) * n)
+    assert_same_fit(rows, outcomes)
+
+
+def test_signed_zero_indicator_matches():
+    rows, outcomes = _indicator_design("gb", 400, seed=5)
+    rows = [(g, -0.0 if b == 0.0 else b) for g, b in rows]
+    assert_same_fit(rows, outcomes)
+
+
+@pytest.mark.parametrize("constant", (0.0, 1.0))
+def test_constant_indicator_column_matches(constant):
+    # all-zero and all-one 0/1 columns: both singular at the start
+    rows, outcomes = _indicator_design("g", 300, seed=11)
+    rows = [(g, constant) for g, in rows]
+    with pytest.raises(SingularDesignError) as expected:
+        fit_logistic_irls_oracle(rows, outcomes)
+    with pytest.raises(SingularDesignError) as actual:
+        fit_logistic_irls(rows, outcomes)
+    assert actual.value.columns == expected.value.columns
+    assert str(actual.value) == str(expected.value)
+
+
+def test_indicator_separation_matches():
+    # the outcome is the indicator itself: quasi-complete separation
+    rows, _ = _indicator_design("gb", 200, seed=13)
+    fit = assert_same_fit(rows, [int(b) for _, b in rows], max_iter=40)
+    assert not fit.converged
+
+
+@pytest.mark.parametrize("bad", (math.inf, -math.inf, math.nan))
+def test_non_finite_covariates_rejected(bad):
+    rows, outcomes = _indicator_design("gb", 50, seed=17)
+    rows[20] = (bad, 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        fit_logistic_irls(rows, outcomes)

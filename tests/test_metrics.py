@@ -6,7 +6,14 @@ from dataclasses import replace
 
 import pytest
 
-from oxequity.cohort import DEFAULT_DGP, PatientRecord, ScenarioConfig, generate_cohort, oracle_tau
+from oxequity.cohort import (
+    DEFAULT_DGP,
+    Cohort,
+    PatientRecord,
+    ScenarioConfig,
+    generate_cohort,
+    oracle_tau,
+)
 from oxequity.metrics import (
     METRIC_ORDER,
     AuditConfig,
@@ -25,6 +32,8 @@ from oxequity.metrics import (
     treatment_gap_and_outcome_decomposition,
 )
 from oxequity.reports import report_to_json
+
+from oracles import gold_free, records_of
 
 I_STAR_DEFAULT = 7.84887973435  # (z_{0.975} + z_{0.80})^2 at delta = 1
 
@@ -115,7 +124,7 @@ class TestRepresentativeness:
 
     def test_information_formula(self, both_cohort, audit_config):
         result = representativeness_check(both_cohort, audit_config)
-        eps1 = [r.epsilon for r in both_cohort if r.group_a == 1]
+        eps1 = [e for e, a in zip(both_cohort.epsilon, both_cohort.group_a) if a == 1]
         mean = sum(eps1) / len(eps1)
         var = sum((e - mean) ** 2 for e in eps1) / (len(eps1) - 1)
         assert result.group_values[1] == pytest.approx(len(eps1) / var, rel=1e-12)
@@ -129,28 +138,27 @@ class TestRepresentativeness:
             record(102, 1, epsilon=20.0),
             record(103, 1, epsilon=30.0),
         ]
-        result = representativeness_check(records, audit_config)
+        result = representativeness_check(Cohort.from_records(records), audit_config)
         assert result.group_values[1] < 1.0
         assert result.flagged
 
     def test_ppr_reported_when_target_known(self, both_cohort):
-        share1 = sum(r.group_a for r in both_cohort) / len(both_cohort)
+        share1 = sum(both_cohort.group_a) / len(both_cohort)
         config = AuditConfig(target_prevalence=share1)
         result = representativeness_check(both_cohort, config)
         assert result.extras["ppr_group1"] == pytest.approx(1.0, abs=1e-12)
         assert result.extras["ppr_group0"] == pytest.approx(1.0, abs=1e-12)
 
     def test_requires_gold_standard(self, both_cohort, audit_config):
-        stripped = [replace(r, w_true=None, epsilon=None) for r in both_cohort]
         with pytest.raises(UntestableMetricError):
-            representativeness_check(stripped, audit_config)
+            representativeness_check(gold_free(both_cohort), audit_config)
 
     def test_zero_error_variance_untestable(self, audit_config):
         # group 0 reads every error exactly: its information is unbounded
         records = [record(i, 0, epsilon=1.5) for i in range(10)]
         records += [record(10 + i, 1, epsilon=float(i % 3)) for i in range(10)]
         with pytest.raises(UntestableMetricError, match="variance in group 0"):
-            representativeness_check(records, audit_config)
+            representativeness_check(Cohort.from_records(records), audit_config)
 
 
 class TestInformationBias:
@@ -164,7 +172,7 @@ class TestInformationBias:
     def test_identical_samples_not_flagged(self, audit_config):
         records = [record(i, 0, epsilon=e) for i, e in enumerate((1.0, 2.0, 3.0))]
         records += [record(10 + i, 1, epsilon=e) for i, e in enumerate((1.0, 2.0, 3.0))]
-        result = information_bias_test(records, audit_config)
+        result = information_bias_test(Cohort.from_records(records), audit_config)
         assert result.test.p_value == 0.5
         assert not result.flagged
         assert result.contrast == 0.0
@@ -194,14 +202,14 @@ class TestTreatmentDisparity:
             for treated in (1, 1, 1, 0):
                 records.append(record(pid, group, w_true=85.0, treated=treated))
                 pid += 1
-        result = treatment_disparity_test(records, audit_config)
+        result = treatment_disparity_test(Cohort.from_records(records), audit_config)
         assert result.test.p_value == 0.5
         assert not result.flagged
 
     def test_empty_stratum_untestable(self, audit_config):
         records = [record(0, 0, w_true=85.0), record(1, 1, w_true=95.0)]
         with pytest.raises(UntestableMetricError):
-            treatment_disparity_test(records, audit_config)
+            treatment_disparity_test(Cohort.from_records(records), audit_config)
 
 
 class TestEqualityOfOpportunity:
@@ -212,12 +220,9 @@ class TestEqualityOfOpportunity:
 
     def test_weighted_deviations_sum_to_zero(self, both_cohort, audit_config):
         result = equality_of_opportunity_test(both_cohort, audit_config)
-        n0 = sum(
-            1 for r in both_cohort if r.group_a == 0 and r.w_true < 88.0
-        )
-        n1 = sum(
-            1 for r in both_cohort if r.group_a == 1 and r.w_true < 88.0
-        )
+        rows = records_of(both_cohort)
+        n0 = sum(1 for r in rows if r.group_a == 0 and r.w_true < 88.0)
+        n1 = sum(1 for r in rows if r.group_a == 1 and r.w_true < 88.0)
         total = n0 * result.group_values[0] + n1 * result.group_values[1]
         assert total == pytest.approx(0.0, abs=1e-9)
 
@@ -228,7 +233,7 @@ class TestEqualityOfOpportunity:
             for treated in (1, 1, 0, 0):
                 records.append(record(pid, group, w_true=84.0, treated=treated))
                 pid += 1
-        result = equality_of_opportunity_test(records, audit_config)
+        result = equality_of_opportunity_test(Cohort.from_records(records), audit_config)
         assert result.test.statistic == 0.0
         assert result.test.p_value == 1.0
         assert result.group_values == {0: 0.0, 1: 0.0}
@@ -236,7 +241,7 @@ class TestEqualityOfOpportunity:
     def test_all_treated_untestable(self, audit_config):
         records = [record(i, i % 2, w_true=84.0, treated=1) for i in range(8)]
         with pytest.raises(UntestableMetricError):
-            equality_of_opportunity_test(records, audit_config)
+            equality_of_opportunity_test(Cohort.from_records(records), audit_config)
 
 
 class TestTau:
@@ -251,7 +256,7 @@ class TestTau:
             cohort = generate_cohort(ScenarioConfig(seed=seed))
             tau_hat = estimate_tau(cohort, audit_config)
             tau_true = oracle_tau(DEFAULT_DGP, cohort, 60)
-            stratum = [r for r in cohort if r.w_true < 88.0]
+            stratum = [r for r in records_of(cohort) if r.w_true < 88.0]
             treated = [r for r in stratum if r.treated == 1]
             untreated = [r for r in stratum if r.treated == 0]
             pooled = sum(r.outcome for r in stratum) / len(stratum)
@@ -265,7 +270,7 @@ class TestTau:
     def test_one_sided_stratum_untestable(self, audit_config):
         records = [record(i, i % 2, w_true=84.0, treated=1) for i in range(8)]
         with pytest.raises(UntestableMetricError):
-            estimate_tau(records, audit_config)
+            estimate_tau(Cohort.from_records(records), audit_config)
 
 
 class TestGapAndDecomposition:
@@ -311,14 +316,14 @@ class TestObservedOutcomeGap:
             for outcome in (1, 0, 0, 0):
                 records.append(record(pid, group, outcome=outcome, treated=1))
                 pid += 1
-        result = observed_outcome_gap(records, audit_config)
+        result = observed_outcome_gap(Cohort.from_records(records), audit_config)
         assert result.contrast == 0.0
         assert result.test.p_value == 1.0
 
     def test_direction_is_group1_minus_group0(self, audit_config):
         records = [record(i, 0, outcome=0) for i in range(10)]
         records += [record(20 + i, 1, outcome=1) for i in range(10)]
-        result = observed_outcome_gap(records, audit_config)
+        result = observed_outcome_gap(Cohort.from_records(records), audit_config)
         assert result.contrast == pytest.approx(1.0)
 
 
@@ -358,7 +363,7 @@ class TestSystemicBias:
             records.append(
                 record(i, group, w_true=90.0 + (i % 7) * 0.5, treated=group)
             )
-        logistic, cmh = systemic_bias_tests(records, audit_config)
+        logistic, cmh = systemic_bias_tests(Cohort.from_records(records), audit_config)
         assert logistic.status.startswith("non-converged")
         assert not logistic.flagged
         assert cmh.status == "ok"
@@ -367,7 +372,7 @@ class TestSystemicBias:
     def test_single_reading_untestable(self, audit_config):
         records = [record(i, i % 2, w_star=90.0) for i in range(10)]
         with pytest.raises(UntestableMetricError):
-            systemic_bias_tests(records, audit_config)
+            systemic_bias_tests(Cohort.from_records(records), audit_config)
 
 
     def test_collinear_design_leaves_cmh_standing(self, audit_config):
@@ -377,7 +382,7 @@ class TestSystemicBias:
             record(i, int(i >= 20), w_true=90.0 + 3.0 * (i >= 20), treated=i % 2)
             for i in range(40)
         ]
-        logistic, cmh = systemic_bias_tests(records, audit_config)
+        logistic, cmh = systemic_bias_tests(Cohort.from_records(records), audit_config)
         assert logistic.status.startswith("untestable: singular")
         assert cmh.status.startswith("untestable: CMH strata degenerate")
         assert not logistic.flagged and not cmh.flagged
@@ -390,7 +395,7 @@ class TestSystemicBias:
             group = int(i >= 40)
             w = 86.0 + (i % 5) + 6.0 * group
             records.append(record(i, group, w_true=w, treated=int(i % 3 == 0)))
-        logistic, cmh = systemic_bias_tests(records, audit_config)
+        logistic, cmh = systemic_bias_tests(Cohort.from_records(records), audit_config)
         assert logistic.status == "ok"
         assert math.isfinite(logistic.contrast)
         assert math.isfinite(logistic.test.p_value)
@@ -419,7 +424,7 @@ class TestGroupAuc:
         records = [record(i, 0, w_true=84.0 + (i % 3)) for i in range(6)]
         records += [record(10 + i, 1, w_true=95.0) for i in range(6)]
         with pytest.raises(UntestableMetricError):
-            group_auc_comparison(records, audit_config)
+            group_auc_comparison(Cohort.from_records(records), audit_config)
 
 
 class TestRunFullAudit:
@@ -435,9 +440,7 @@ class TestRunFullAudit:
     def test_gold_free_cohort_skips_measurement_metrics(
         self, both_cohort, audit_config
     ):
-        stripped = [
-            replace(r, w_true=None, epsilon=None, clamped=False) for r in both_cohort
-        ]
+        stripped = gold_free(both_cohort)
         assert not has_gold_standard(stripped)
         report = run_full_audit(stripped, audit_config)
         by_name = {m.metric_name: m for m in report.metrics}
@@ -490,7 +493,7 @@ class TestRunFullAudit:
             )
 
     def test_group_relabeling_negates_contrasts(self, both_cohort, audit_config):
-        flipped = [replace(r, group_a=1 - r.group_a) for r in both_cohort]
+        flipped = replace(both_cohort, group_a=[1 - a for a in both_cohort.group_a])
         base = run_full_audit(both_cohort, audit_config)
         mirrored = run_full_audit(flipped, audit_config)
         base_by = {m.metric_name: m for m in base.metrics}
@@ -515,7 +518,7 @@ class TestRunFullAudit:
 
     def test_empty_cohort_rejected(self, audit_config):
         with pytest.raises(ValueError):
-            run_full_audit([], audit_config)
+            run_full_audit(Cohort.from_records([]), audit_config)
 
     def test_failures_stay_local_and_ok_is_never_nan(self, audit_config):
         # Zero measurement error everywhere (Welch untestable), W* set by
@@ -526,7 +529,7 @@ class TestRunFullAudit:
                    outcome=int(i % 4 == 0))
             for i in range(40)
         ]
-        report = run_full_audit(records, audit_config)
+        report = run_full_audit(Cohort.from_records(records), audit_config)
         by_name = {m.metric_name: m for m in report.metrics}
         assert [m.metric_name for m in report.metrics] == list(METRIC_ORDER)
         assert by_name["information_bias"].status.startswith("untestable: both samples")
@@ -543,6 +546,27 @@ class TestRunFullAudit:
             else:
                 assert not m.flagged
 
+    @pytest.mark.parametrize("huge", (1e308, -1e308, math.inf, math.nan))
+    def test_huge_error_is_local_to_the_error_metrics(self, both_cohort, audit_config, huge):
+        # (x - mean) ** 2 overflows for a finite 1e308, and an infinite error
+        # has no variance: both error metrics are untestable, and the other
+        # eight metrics are what they are without that error.
+        epsilon = list(both_cohort.epsilon)
+        epsilon[7] = huge
+        report = run_full_audit(replace(both_cohort, epsilon=epsilon), audit_config)
+        base = run_full_audit(both_cohort, audit_config)
+        error_metrics = ("representativeness", "information_bias")
+        for m, b in zip(report.metrics, base.metrics):
+            if m.metric_name in error_metrics:
+                assert m.status == (
+                    "untestable: measurement errors too large for a finite variance"
+                )
+                assert not m.flagged
+            else:
+                assert m == b
+        # strict JSON: a non-finite value would fail here
+        assert len(json.loads(report_to_json([report]))["reports"][0]["metrics"]) == 10
+
     def test_zero_error_variance_report_is_strict_json(self, audit_config):
         # The cohort of the test above: zero error variance in both groups.
         records = [
@@ -550,7 +574,7 @@ class TestRunFullAudit:
                    outcome=int(i % 4 == 0))
             for i in range(40)
         ]
-        report = run_full_audit(records, audit_config)
+        report = run_full_audit(Cohort.from_records(records), audit_config)
         by_name = {m.metric_name: m for m in report.metrics}
         assert by_name["representativeness"].status == (
             "untestable: zero measurement-error variance in group 0"
@@ -567,4 +591,4 @@ class TestRunFullAudit:
     def test_single_group_rejected(self, audit_config):
         records = [record(i, 0) for i in range(10)]
         with pytest.raises(UntestableMetricError):
-            run_full_audit(records, audit_config)
+            run_full_audit(Cohort.from_records(records), audit_config)

@@ -17,6 +17,7 @@ from oxequity.cli import main
 from oxequity.cohort import (
     DEFAULT_DGP,
     TREATMENT_MODES,
+    Cohort,
     ScenarioConfig,
     derive_cohort,
     draw_cohort,
@@ -59,8 +60,8 @@ def test_grid_cohorts_equal_generation_from_scratch(seed, mode, dgp):
     for label, config in spec.configs().items():
         cohort = generate_cohort(config)
         assert result.cohorts[label] == cohort
-        assert cohort == generate_cohort_oracle(config)
-    clamped = sum(r.clamped for r in result.cohorts["both"])
+        assert cohort == Cohort.from_records(generate_cohort_oracle(config))
+    clamped = sum(result.cohorts["both"].clamped)
     assert (clamped > 0) == (dgp is CLAMPING_DGP)
     assert result.table1 == threshold_protocol_oracle(spec.base)
 
@@ -113,8 +114,8 @@ def test_degenerate_saturation_equals_oracle(seed):
     # saturation_sd=0 takes the constant branch of the saturation map
     config = _base(seed, "stochastic", replace(DEFAULT_DGP, saturation_sd=0.0))
     cohort = generate_cohort(config)
-    assert {r.w_true for r in cohort} == {DEFAULT_DGP.saturation_mean}
-    assert cohort == generate_cohort_oracle(config)
+    assert set(cohort.w_true) == {DEFAULT_DGP.saturation_mean}
+    assert cohort == Cohort.from_records(generate_cohort_oracle(config))
 
 
 def test_grid_output_bytes_unchanged(tmp_path):
