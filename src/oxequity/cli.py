@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .cohort import DEFAULT_DGP, ScenarioConfig, generate_cohort
 from .figure import figure_summary, figure_summary_csv
-from .grid import SCENARIO_LABELS, GridResult, ScenarioGridSpec, run_scenario_grid
-from .io import CohortSchemaError, read_cohort_csv, read_params, write_cohort_csv
+from .grid import SCENARIO_LABELS, GridResult, run_scenario_grid
+from .io import read_cohort_csv, read_params, write_cohort_csv
 from .metrics import AuditConfig, run_full_audit
 from .reports import REPORT_FORMATS, format_value, render_report, write_report
 from .stats.logistic import SingularDesignError
@@ -150,10 +149,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_audit(args) -> int:
     cohort = read_cohort_csv(args.input, require_gold=args.require_gold)
     report = run_full_audit(cohort, _audit_config(args), scenario_label=args.label)
-    if args.out is None:
-        _emit(render_report([report], args.format), None)
-    else:
-        write_report([report], args.format, args.out)
+    _emit(render_report([report], args.format), args.out)
     return EXIT_OK
 
 
@@ -173,9 +169,7 @@ def _table1_markdown(result: GridResult) -> str:
 
 
 def _cmd_grid(args) -> int:
-    base = _scenario_config(args)
-    audit = _audit_config(args)
-    result = run_scenario_grid(ScenarioGridSpec(base=base), audit)
+    result = run_scenario_grid(_scenario_config(args), _audit_config(args))
     out_dir = args.out
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "table1.md").write_text(_table1_markdown(result))
@@ -211,16 +205,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (SingularDesignError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (CohortSchemaError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (_UsageError, ValueError, OSError) as exc:  # schema errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -38,37 +38,19 @@ from .metrics import AuditConfig, EquityReport, run_full_audit
 __all__ = [
     "GridResult",
     "SCENARIO_LABELS",
-    "ScenarioGridSpec",
     "Table1Summary",
     "run_scenario_grid",
     "threshold_protocol_summary",
 ]
 
-SCENARIO_LABELS = ("both", "measurement_only", "systemic_only", "none")
+# (measurement, systemic) bias toggles of each scenario, in report order.
 _TOGGLES = {
     "both": (True, True),
     "measurement_only": (True, False),
     "systemic_only": (False, True),
     "none": (False, False),
 }
-
-
-@dataclass(frozen=True, slots=True)
-class ScenarioGridSpec:
-    """Shared design for the four bias scenarios (only the toggles differ)."""
-
-    base: ScenarioConfig
-
-    def configs(self) -> dict[str, ScenarioConfig]:
-        self.base.validate()
-        return {
-            label: replace(
-                self.base,
-                measurement_bias_on=measurement,
-                systemic_bias_on=systemic,
-            )
-            for label, (measurement, systemic) in _TOGGLES.items()
-        }
+SCENARIO_LABELS = tuple(_TOGGLES)
 
 
 @dataclass(slots=True)
@@ -141,25 +123,20 @@ def threshold_protocol_summary(config: ScenarioConfig) -> Table1Summary:
     return _protocol_summary(draw_cohort(replace(config, treatment_mode="deterministic")))
 
 
-def run_scenario_grid(spec: ScenarioGridSpec, audit: AuditConfig) -> GridResult:
+def run_scenario_grid(base: ScenarioConfig, audit: AuditConfig) -> GridResult:
     """Generate and audit all four scenarios, plus the protocol summary.
 
-    The patients' streams are hashed once; the four scenario cohorts and
-    the Table-1 cohort are all derived from those draws.  Scenario order
-    in the result is fixed regardless of how the independent pieces are
-    evaluated.
+    The scenarios share every setting of ``base`` but its two bias
+    toggles, which each scenario sets for itself.  The patients' streams
+    are hashed once; the four scenario cohorts and the Table-1 cohort are
+    all derived from those draws.  Scenario order in the result is fixed
+    regardless of how the independent pieces are evaluated.
     """
     audit.validate()
-    configs = spec.configs()
-    draws = draw_cohort(spec.base)
+    draws = draw_cohort(base)
     cohorts = {
-        label: derive_cohort(
-            draws,
-            configs[label].measurement_bias_on,
-            configs[label].systemic_bias_on,
-            configs[label].treatment_mode,
-        )
-        for label in SCENARIO_LABELS
+        label: derive_cohort(draws, measurement, systemic, base.treatment_mode)
+        for label, (measurement, systemic) in _TOGGLES.items()
     }
     reports = [
         run_full_audit(cohorts[label], audit, scenario_label=label)

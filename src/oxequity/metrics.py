@@ -4,7 +4,13 @@ Each metric evaluates one population contrast between the two groups and
 wraps the result with its test, flag state, and a fixed interpretation
 string.  ``INTERPRETATIONS`` is the metric table: its key order is the
 report order (``METRIC_ORDER``), and ``run_full_audit`` walks it with one
-loop of evaluators, each emitting one metric or a fixed pair.
+loop of evaluators.
+
+Every evaluator has one shape: a public function of ``(cohort, config)``
+that returns one ``MetricResult`` or a fixed pair, or raises
+``UntestableMetricError`` when a precondition fails.  Every result is
+built by ``_result``, which takes the interpretation from the table and
+leaves the values of a result that is not "ok" empty.
 
 Only the metric functions know whether they need the gold standard (true
 saturations and measurement errors): each such function calls
@@ -13,6 +19,12 @@ saturations and measurement errors): each such function calls
 standard``; any other ``UntestableMetricError`` becomes ``untestable:
 <reason>`` on every metric its evaluator emits.  Metrics are emitted
 with a status rather than dropped, so report shapes stay stable.
+
+The one pair whose members can differ in status is the treatment gap
+and the outcome decomposition.  The decomposition needs three things,
+in this order: the gold standard, a testable gap, and a treatment
+effect from ``estimate_tau``.  It takes the status of the first one that
+fails, so on a gold-free cohort it is skipped whatever the gap's status.
 
 Every metric reads the cohort's columns: a group or stratum is a
 selection of a column (``itertools.compress``), and counts of 0/1
@@ -58,7 +70,6 @@ __all__ = [
     "equality_of_opportunity_test",
     "estimate_tau",
     "group_auc_comparison",
-    "has_gold_standard",
     "information_bias_test",
     "observed_outcome_gap",
     "representativeness_check",
@@ -188,11 +199,6 @@ INTERPRETATIONS = {
 METRIC_ORDER = tuple(INTERPRETATIONS)
 
 
-def has_gold_standard(cohort: Cohort) -> bool:
-    """True when every patient has a true saturation and a measurement error."""
-    return cohort.gold
-
-
 def _group_sizes(cohort: Cohort) -> tuple[int, int]:
     n1 = cohort.group_a.count(1)
     n0 = len(cohort) - n1
@@ -222,6 +228,28 @@ def _require_gold(cohort: Cohort, metric: str) -> None:
 
 def _flagged(test: TestResult, config: AuditConfig) -> bool:
     return test.p_value < config.flag_level
+
+
+def _result(
+    name: str,
+    group_values: dict[int, float] | None = None,
+    contrast: float | None = None,
+    test: TestResult | None = None,
+    flagged: bool = False,
+    status: str = "ok",
+    extras: dict[str, float] | None = None,
+) -> MetricResult:
+    """The result of metric ``name``, with its interpretation from the table."""
+    return MetricResult(
+        name,
+        group_values or {},
+        contrast,
+        test,
+        flagged,
+        INTERPRETATIONS[name],
+        status,
+        extras or {},
+    )
 
 
 def detection_threshold(config: AuditConfig) -> float:
@@ -278,13 +306,11 @@ def representativeness_check(cohort: Cohort, config: AuditConfig) -> MetricResul
         share1 = n1 / (n0 + n1)
         extras["ppr_group1"] = share1 / config.target_prevalence
         extras["ppr_group0"] = (1.0 - share1) / (1.0 - config.target_prevalence)
-    return MetricResult(
-        metric_name=REPRESENTATIVENESS,
-        group_values=info,
-        contrast=min(info.values()) - threshold,
-        test=None,
+    return _result(
+        REPRESENTATIVENESS,
+        info,
+        min(info.values()) - threshold,
         flagged=any(v < threshold for v in info.values()),
-        interpretation=INTERPRETATIONS[REPRESENTATIVENESS],
         extras=extras,
     )
 
@@ -308,13 +334,12 @@ def information_bias_test(cohort: Cohort, config: AuditConfig) -> MetricResult:
         raise UntestableMetricError(str(exc)) from None
     if not all(map(math.isfinite, (test.statistic, test.df, test.p_value, m0, m1))):
         raise UntestableMetricError(_HUGE_ERRORS)
-    return MetricResult(
-        metric_name=INFORMATION_BIAS,
-        group_values={0: m0, 1: m1},
-        contrast=m1 - m0,
-        test=test,
-        flagged=_flagged(test, config),
-        interpretation=INTERPRETATIONS[INFORMATION_BIAS],
+    return _result(
+        INFORMATION_BIAS,
+        {0: m0, 1: m1},
+        m1 - m0,
+        test,
+        _flagged(test, config),
         extras={"both_means_positive": 1.0 if (m0 > 0.0 and m1 > 0.0) else 0.0},
     )
 
@@ -354,13 +379,12 @@ def treatment_disparity_test(cohort: Cohort, config: AuditConfig) -> MetricResul
     t0, n0, t1, n1 = _hypoxemic_treatment(cohort, config, TREATMENT_DISPARITY)
     test = two_proportion_one_sided(t1, n1, t0, n0)
     rate0, rate1 = t0 / n0, t1 / n1
-    return MetricResult(
-        metric_name=TREATMENT_DISPARITY,
-        group_values={0: rate0, 1: rate1},
-        contrast=rate1 - rate0,
-        test=test,
-        flagged=_flagged(test, config),
-        interpretation=INTERPRETATIONS[TREATMENT_DISPARITY],
+    return _result(
+        TREATMENT_DISPARITY,
+        {0: rate0, 1: rate1},
+        rate1 - rate0,
+        test,
+        _flagged(test, config),
     )
 
 
@@ -382,13 +406,12 @@ def equality_of_opportunity_test(cohort: Cohort, config: AuditConfig) -> MetricR
         test = chi_square_independence([[t1, n1 - t1], [t0, n0 - t0]])
     except ValueError as exc:
         raise UntestableMetricError(f"degenerate hypoxemic stratum: {exc}") from None
-    return MetricResult(
-        metric_name=EQUALITY_OF_OPPORTUNITY,
-        group_values={0: rate0 - marginal, 1: rate1 - marginal},
-        contrast=(rate1 - marginal) - (rate0 - marginal),
-        test=test,
-        flagged=_flagged(test, config),
-        interpretation=INTERPRETATIONS[EQUALITY_OF_OPPORTUNITY],
+    return _result(
+        EQUALITY_OF_OPPORTUNITY,
+        {0: rate0 - marginal, 1: rate1 - marginal},
+        (rate1 - marginal) - (rate0 - marginal),
+        test,
+        _flagged(test, config),
         extras={"marginal_rate": marginal, "rate_group0": rate0, "rate_group1": rate1},
     )
 
@@ -419,56 +442,45 @@ def _count_by_group(values: list[int], group_a: list[int]) -> tuple[int, int]:
     return sum(values) - in_group1, in_group1
 
 
+def _treatment_gap(cohort: Cohort, config: AuditConfig) -> MetricResult:
+    n0, n1 = _group_sizes(cohort)
+    z0, z1 = _count_by_group(cohort.treated, cohort.group_a)
+    rate0, rate1 = z0 / n0, z1 / n1
+    try:
+        test = chi_square_independence([[z1, n1 - z1], [z0, n0 - z0]])
+    except ValueError as exc:
+        raise UntestableMetricError(f"degenerate treatment margin: {exc}") from None
+    return _result(
+        TREATMENT_GAP, {0: rate0, 1: rate1}, rate0 - rate1, test, _flagged(test, config)
+    )
+
+
 def treatment_gap_and_outcome_decomposition(
-    cohort: Cohort,
-    config: AuditConfig,
-    tau: float | None,
-    tau_status: str | None = None,
+    cohort: Cohort, config: AuditConfig
 ) -> tuple[MetricResult, MetricResult]:
     """Marginal treatment gap, and the outcome disparity it accounts for.
 
     The first result is P(Z=1 | A=0) - P(Z=1 | A=1) with a chi-square on
     the treatment-by-group table.  The second scales that gap by the
-    treatment effect ``tau``; its flag is inherited from the gap's test.
-    With ``tau`` missing the decomposition is emitted as untestable.
+    treatment effect from ``estimate_tau``; its flag is inherited from
+    the gap's test.  Each carries its own status: the decomposition takes
+    that of the first of the gold standard, the gap and tau to fail.
     """
-    n0, n1 = _group_sizes(cohort)
-    z0, z1 = _count_by_group(cohort.treated, cohort.group_a)
-    rate0, rate1 = z0 / n0, z1 / n1
-    gap = rate0 - rate1
+    (gap,) = _attempt((TREATMENT_GAP,), _treatment_gap, cohort, config)
     try:
-        test = chi_square_independence([[z1, n1 - z1], [z0, n0 - z0]])
-    except ValueError as exc:
-        raise UntestableMetricError(f"degenerate treatment margin: {exc}") from None
-    gap_result = MetricResult(
-        metric_name=TREATMENT_GAP,
-        group_values={0: rate0, 1: rate1},
-        contrast=gap,
-        test=test,
-        flagged=_flagged(test, config),
-        interpretation=INTERPRETATIONS[TREATMENT_GAP],
-    )
+        tau = estimate_tau(cohort, config)
+    except UntestableMetricError as exc:  # always so on a gold-free cohort
+        tau, tau_status = None, _status(exc)
+    if cohort.gold and gap.status != "ok":
+        return gap, _result(OUTCOME_DECOMPOSITION, status=gap.status)
     if tau is None:
-        decomposition = MetricResult(
-            metric_name=OUTCOME_DECOMPOSITION,
-            group_values={},
-            contrast=None,
-            test=None,
-            flagged=False,
-            interpretation=INTERPRETATIONS[OUTCOME_DECOMPOSITION],
-            status=tau_status or "untestable: no treatment effect estimate",
-        )
-    else:
-        decomposition = MetricResult(
-            metric_name=OUTCOME_DECOMPOSITION,
-            group_values={},
-            contrast=tau * gap,
-            test=None,
-            flagged=gap_result.flagged,
-            interpretation=INTERPRETATIONS[OUTCOME_DECOMPOSITION],
-            extras={"tau": tau, "treatment_gap": gap},
-        )
-    return gap_result, decomposition
+        return gap, _result(OUTCOME_DECOMPOSITION, status=tau_status)
+    return gap, _result(
+        OUTCOME_DECOMPOSITION,
+        contrast=tau * gap.contrast,
+        flagged=gap.flagged,
+        extras={"tau": tau, "treatment_gap": gap.contrast},
+    )
 
 
 def observed_outcome_gap(cohort: Cohort, config: AuditConfig) -> MetricResult:
@@ -480,13 +492,12 @@ def observed_outcome_gap(cohort: Cohort, config: AuditConfig) -> MetricResult:
         test = chi_square_independence([[y1, n1 - y1], [y0, n0 - y0]])
     except ValueError as exc:
         raise UntestableMetricError(f"degenerate outcome margin: {exc}") from None
-    return MetricResult(
-        metric_name=OBSERVED_OUTCOME_GAP,
-        group_values={0: rate0, 1: rate1},
-        contrast=rate1 - rate0,
-        test=test,
-        flagged=_flagged(test, config),
-        interpretation=INTERPRETATIONS[OBSERVED_OUTCOME_GAP],
+    return _result(
+        OBSERVED_OUTCOME_GAP,
+        {0: rate0, 1: rate1},
+        rate1 - rate0,
+        test,
+        _flagged(test, config),
     )
 
 
@@ -498,25 +509,18 @@ def _systemic_logistic(cohort: Cohort, config: AuditConfig) -> MetricResult:
     except SingularDesignError as exc:
         raise UntestableMetricError(str(exc)) from None
     if not fit.converged:
-        return MetricResult(
-            metric_name=SYSTEMIC_BIAS_LOGISTIC,
-            group_values={},
-            contrast=None,
-            test=None,
-            flagged=False,
-            interpretation=INTERPRETATIONS[SYSTEMIC_BIAS_LOGISTIC],
+        return _result(
+            SYSTEMIC_BIAS_LOGISTIC,
             status="non-converged: separation suspected; stratified test stands alone",
             extras={"max_abs_score": fit.max_abs_score},
         )
     beta_a = fit.coefficients[2]
     wald = TestResult(fit.wald_z[2], None, fit.p_values[2], TWO_SIDED)
-    return MetricResult(
-        metric_name=SYSTEMIC_BIAS_LOGISTIC,
-        group_values={},
+    return _result(
+        SYSTEMIC_BIAS_LOGISTIC,
         contrast=beta_a,
         test=wald,
         flagged=_flagged(wald, config),
-        interpretation=INTERPRETATIONS[SYSTEMIC_BIAS_LOGISTIC],
         extras={
             "beta_group": beta_a,
             "beta_wstar": fit.coefficients[1],
@@ -540,13 +544,10 @@ def _systemic_cmh(cohort: Cohort, config: AuditConfig) -> MetricResult:
         cmh = cmh_conditional_independence([strata[k] for k in sorted(strata)])
     except ValueError as exc:
         raise UntestableMetricError(f"CMH strata degenerate: {exc}") from None
-    return MetricResult(
-        metric_name=SYSTEMIC_BIAS_CMH,
-        group_values={},
-        contrast=None,
+    return _result(
+        SYSTEMIC_BIAS_CMH,
         test=cmh,
         flagged=_flagged(cmh, config),
-        interpretation=INTERPRETATIONS[SYSTEMIC_BIAS_CMH],
         extras={"strata": float(len(strata))},
     )
 
@@ -602,13 +603,12 @@ def group_auc_comparison(cohort: Cohort, config: AuditConfig) -> MetricResult:
     se = math.sqrt(ses[0] ** 2 + ses[1] ** 2)
     z = diff / se if se > 0.0 else 0.0
     test = TestResult(z, None, 2.0 * normal_cdf(-abs(z)), TWO_SIDED)
-    return MetricResult(
-        metric_name=GROUP_AUC,
-        group_values=aucs,
-        contrast=diff,
-        test=test,
-        flagged=_flagged(test, config),
-        interpretation=INTERPRETATIONS[GROUP_AUC],
+    return _result(
+        GROUP_AUC,
+        aucs,
+        diff,
+        test,
+        _flagged(test, config),
         extras={"se_group0": ses[0], "se_group1": ses[1]},
     )
 
@@ -619,51 +619,13 @@ def _status(exc: UntestableMetricError) -> str:
     return f"untestable: {exc}"
 
 
-def _not_evaluated(metric_name: str, exc: UntestableMetricError) -> MetricResult:
-    return MetricResult(
-        metric_name=metric_name,
-        group_values={},
-        contrast=None,
-        test=None,
-        flagged=False,
-        interpretation=INTERPRETATIONS[metric_name],
-        status=_status(exc),
-    )
-
-
 def _attempt(names: tuple[str, ...], evaluate, *args) -> tuple[MetricResult, ...]:
     """Evaluate the metrics ``names``, turning a failed precondition into their status."""
     try:
         out = evaluate(*args)
     except UntestableMetricError as exc:
-        return tuple(_not_evaluated(name, exc) for name in names)
+        return tuple(_result(name, status=_status(exc)) for name in names)
     return out if isinstance(out, tuple) else (out,)
-
-
-def _gap_and_decomposition(
-    cohort: Cohort, config: AuditConfig
-) -> tuple[MetricResult, MetricResult]:
-    """The treatment gap and the outcome disparity it accounts for, given tau.
-
-    Without tau the gap stands alone and the decomposition takes tau's
-    status.  A degenerate gap makes both untestable, except that on a
-    gold-free cohort the decomposition stays skipped, as tau is.
-    """
-    try:
-        tau, tau_error = estimate_tau(cohort, config), None
-    except UntestableMetricError as exc:
-        tau, tau_error = None, exc
-    try:
-        return treatment_gap_and_outcome_decomposition(
-            cohort, config, tau, tau_error and _status(tau_error)
-        )
-    except UntestableMetricError as exc:
-        if not isinstance(tau_error, _NoGoldStandard):
-            raise
-        return (
-            _not_evaluated(TREATMENT_GAP, exc),
-            _not_evaluated(OUTCOME_DECOMPOSITION, tau_error),
-        )
 
 
 def run_full_audit(
@@ -689,7 +651,7 @@ def run_full_audit(
         ((INFORMATION_BIAS,), information_bias_test),
         ((TREATMENT_DISPARITY,), treatment_disparity_test),
         ((EQUALITY_OF_OPPORTUNITY,), equality_of_opportunity_test),
-        ((TREATMENT_GAP, OUTCOME_DECOMPOSITION), _gap_and_decomposition),
+        ((TREATMENT_GAP, OUTCOME_DECOMPOSITION), treatment_gap_and_outcome_decomposition),
         ((OBSERVED_OUTCOME_GAP,), observed_outcome_gap),
         ((SYSTEMIC_BIAS_LOGISTIC, SYSTEMIC_BIAS_CMH), systemic_bias_tests),
         ((GROUP_AUC,), group_auc_comparison),

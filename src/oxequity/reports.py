@@ -9,6 +9,7 @@ cannot resolve smaller tails reliably).
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 from typing import Sequence
 
@@ -112,50 +113,16 @@ def report_to_csv(reports: Sequence[EquityReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _test_to_obj(test: TestResult | None):
-    if test is None:
-        return None
-    return {
-        "statistic": test.statistic,
-        "df": test.df,
-        "p_value": test.p_value,
-        "direction": test.direction,
-        "degenerate": test.degenerate,
-    }
-
-
-def _metric_to_obj(metric: MetricResult):
-    return {
-        "metric_name": metric.metric_name,
-        "group_values": {str(k): v for k, v in metric.group_values.items()},
-        "contrast": metric.contrast,
-        "test": _test_to_obj(metric.test),
-        "flagged": metric.flagged,
-        "interpretation": metric.interpretation,
-        "status": metric.status,
-        "extras": metric.extras,
-    }
-
-
 def report_to_json(reports: Sequence[EquityReport]) -> str:
     """Lossless JSON for the full report list (see parse_report_json).
 
-    A non-finite value raises ``ValueError``: strict JSON has no NaN or
-    Infinity, and a metric reports a status instead of one.
+    The keys are the dataclass field names; group indices become string
+    keys.  A non-finite value raises ``ValueError``: strict JSON has no
+    NaN or Infinity, and a metric reports a status instead of one.
     """
     if not reports:
         raise ValueError("need at least one report")
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "reports": [
-            {
-                "scenario_label": rep.scenario_label,
-                "cohort_summary": rep.cohort_summary,
-                "metrics": [_metric_to_obj(m) for m in rep.metrics],
-            }
-            for rep in reports
-        ],
-    }
+    payload = {"schema_version": SCHEMA_VERSION, "reports": list(map(asdict, reports))}
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 

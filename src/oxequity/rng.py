@@ -29,8 +29,6 @@ from __future__ import annotations
 from enum import IntEnum
 from typing import Iterable
 
-from .stats.special import normal_quantile
-
 __all__ = ["Channel", "CounterRng"]
 
 _MASK64 = (1 << 64) - 1
@@ -66,7 +64,7 @@ def _absorb_column(column: Iterable[int], add: int) -> list[int]:
 
 
 class CounterRng:
-    """Stateless uniform/normal generator keyed by (patient, channel, index)."""
+    """Stateless uniform generator keyed by (patient, channel, index)."""
 
     __slots__ = ("_seed",)
 
@@ -107,7 +105,3 @@ class CounterRng:
             words = _absorb_column(_absorb_column(keys, channel * _MULT + _GOLDEN), _GOLDEN)
             columns.append([((z >> 11) + 0.5) * 2.0**-53 for z in words])
         return columns
-
-    def normal(self, patient_id: int, channel: Channel, index: int = 0) -> float:
-        """Standard normal deviate via the inverse CDF of a uniform draw."""
-        return normal_quantile(self.uniform(patient_id, channel, index))

@@ -15,13 +15,15 @@ def auc_mann_whitney(scores: Sequence[float], labels: Sequence[int]) -> float:
     computed from midranks so ties are handled exactly.
 
     Raises:
-        ValueError: mismatched lengths or single-class labels.
+        ValueError: mismatched lengths, labels other than 0 and 1, or
+            single-class labels.
     """
     if len(scores) != len(labels):
         raise ValueError("scores and labels have different lengths")
-    lab = [int(v) for v in labels]
-    if any(v not in (0, 1) for v in lab):
+    # Check the raw values: int() would truncate 0.7 to 0 and 1.9 to 1.
+    if any(v not in (0, 1) for v in labels):
         raise ValueError("labels must be binary")
+    lab = [int(v) for v in labels]
     n_pos = sum(lab)
     n_neg = len(lab) - n_pos
     if n_pos == 0 or n_neg == 0:

@@ -87,6 +87,12 @@ def welch_t_one_sided(
 
     Uses unequal variances with Satterthwaite degrees of freedom; the
     p-value is the upper tail of the t distribution at the statistic.
+
+    Raises:
+        ValueError: a sample has fewer than two values, or both samples
+            have zero variance.
+        OverflowError: finite values whose squared deviations from their
+            mean exceed the float range, such as ``[1e308, 0.0, 2.0]``.
     """
     hi = [float(v) for v in sample_hi]
     lo = [float(v) for v in sample_lo]

@@ -391,7 +391,7 @@ def generate_cohort_oracle(config) -> list[PatientRecord]:
                 w_true = W_LOW if p <= 0.0 else W_HIGH
             else:
                 w_true = min(max(mean + sd * normal_quantile(p), W_LOW), W_HIGH)
-        noise = rng.normal(i, Channel.NOISE)
+        noise = normal_quantile(rng.uniform(i, Channel.NOISE))
         epsilon = _measurement_error_oracle(
             w_true, group_a, config.measurement_bias_on, noise, dgp
         )
@@ -421,6 +421,20 @@ def generate_cohort_oracle(config) -> list[PatientRecord]:
             )
         )
     return records
+
+
+def scenario_configs_oracle(base):
+    """The four grid scenarios of ``base``, by label, from this file's own table."""
+    toggles = (
+        ("both", True, True),
+        ("measurement_only", True, False),
+        ("systemic_only", False, True),
+        ("none", False, False),
+    )
+    return {
+        label: replace(base, measurement_bias_on=measurement, systemic_bias_on=systemic)
+        for label, measurement, systemic in toggles
+    }
 
 
 def threshold_protocol_oracle(config) -> Table1Summary:

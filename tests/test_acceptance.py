@@ -15,7 +15,7 @@ from oxequity.cohort import (
     ScenarioConfig,
     generate_cohort,
 )
-from oxequity.grid import SCENARIO_LABELS, ScenarioGridSpec, run_scenario_grid
+from oxequity.grid import SCENARIO_LABELS, run_scenario_grid
 from oxequity.io import write_cohort_csv
 from oxequity.metrics import (
     METRIC_ORDER,
@@ -213,7 +213,7 @@ def test_criterion_3_irls_numerics():
 
 
 def _flag_table(seed: int) -> dict[tuple[str, str], bool]:
-    result = run_scenario_grid(ScenarioGridSpec(base=ScenarioConfig(seed=seed)), AuditConfig())
+    result = run_scenario_grid(ScenarioConfig(seed=seed), AuditConfig())
     return {
         (metric.metric_name, report.scenario_label): metric.flagged
         for report in result.reports
@@ -327,9 +327,7 @@ def test_criterion_5_quantitative_targets_over_twenty_seeds():
     }
     seeds = range(1, 21)
     for seed in seeds:
-        result = run_scenario_grid(
-            ScenarioGridSpec(base=ScenarioConfig(seed=seed)), AuditConfig()
-        )
+        result = run_scenario_grid(ScenarioConfig(seed=seed), AuditConfig())
         by = {
             rep.scenario_label: {m.metric_name: m for m in rep.metrics}
             for rep in result.reports
@@ -425,7 +423,7 @@ def test_criterion_7_determinism_and_common_random_numbers(tmp_path):
     report_b = report_to_json([run_full_audit(second, AuditConfig())])
     identical_reports = report_a == report_b
 
-    result = run_scenario_grid(ScenarioGridSpec(base=config), AuditConfig())
+    result = run_scenario_grid(config, AuditConfig())
     cohorts = result.cohorts
     w_true_shared = all(
         cohorts[label].w_true == cohorts["both"].w_true for label in SCENARIO_LABELS

@@ -11,6 +11,7 @@ once, and a generated cohort's ``len`` is its size.
 The IRLS kernel must add floats left to right; a source check keeps
 builtin ``sum`` (compensated since CPython 3.12) and ``math.fsum`` out of
 it, which a bit-identity test on an older interpreter could not see.
+Another source check finds imports that nothing uses.
 """
 
 import ast
@@ -57,6 +58,25 @@ def test_all_names_resolve(module_name):
     assert len(set(exported)) == len(exported), "duplicate names in __all__"
     missing = [name for name in exported if not hasattr(module, name)]
     assert not missing
+
+
+def _imported_names(tree: ast.Module):
+    """The names that the module's import statements bind."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (a.asname or a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (a.asname or a.name for a in node.names)
+
+
+@pytest.mark.parametrize("module_name", _module_names())
+def test_imports_are_used(module_name):
+    # used means read somewhere in the module, or re-exported in __all__
+    module = importlib.import_module(module_name)
+    tree = ast.parse(Path(module.__file__).read_text())
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = set(_imported_names(tree)) - read - set(getattr(module, "__all__", ()))
+    assert not unused
 
 
 def test_span_targets_exist():

@@ -58,6 +58,13 @@ def test_label_validation():
         auc_mann_whitney([1, 2, 3], [0, 1])
 
 
+def test_fractional_labels_rejected_not_truncated():
+    # int() would read [0.7, 1.9, 0] as [0, 1, 0] and return 0.5
+    with pytest.raises(ValueError, match="binary"):
+        auc_mann_whitney([1.0, 2.0, 3.0], [0.7, 1.9, 0])
+    assert auc_mann_whitney([1.0, 2.0, 3.0], [0.0, 1.0, True]) == 1.0
+
+
 def test_hanley_mcneil_se_behaviour():
     # shrinks with sample size, zero at a perfect area
     small = hanley_mcneil_se(0.8, 20, 40)

@@ -6,32 +6,24 @@ import pytest
 
 from oxequity.cohort import DEFAULT_DGP, Cohort, ScenarioConfig, generate_cohort
 from oxequity.figure import figure_summary, figure_summary_csv
-from oxequity.grid import (
-    SCENARIO_LABELS,
-    ScenarioGridSpec,
-    run_scenario_grid,
-    threshold_protocol_summary,
-)
+from oxequity.grid import SCENARIO_LABELS, run_scenario_grid, threshold_protocol_summary
 from oxequity.metrics import AuditConfig
 
-from oracles import gold_free
+from oracles import gold_free, scenario_configs_oracle
 
 
 @pytest.fixture(scope="module")
 def grid_result():
-    return run_scenario_grid(ScenarioGridSpec(base=ScenarioConfig(seed=3)), AuditConfig())
+    return run_scenario_grid(ScenarioConfig(seed=3), AuditConfig())
 
 
 class TestScenarioGrid:
-    def test_scenario_order_and_toggles(self):
-        spec = ScenarioGridSpec(base=ScenarioConfig(seed=1))
-        configs = spec.configs()
+    def test_scenario_order_and_toggles(self, grid_result):
+        configs = scenario_configs_oracle(ScenarioConfig(seed=3))
         assert tuple(configs) == SCENARIO_LABELS
-        assert (configs["both"].measurement_bias_on, configs["both"].systemic_bias_on) == (True, True)
-        assert (configs["none"].measurement_bias_on, configs["none"].systemic_bias_on) == (False, False)
-        assert configs["measurement_only"].systemic_bias_on is False
-        assert configs["systemic_only"].measurement_bias_on is False
-        assert len({c.seed for c in configs.values()}) == 1
+        assert tuple(grid_result.cohorts) == SCENARIO_LABELS
+        for label, config in configs.items():
+            assert grid_result.cohorts[label] == generate_cohort(config)
 
     def test_common_random_numbers_across_scenarios(self, grid_result):
         cohorts = grid_result.cohorts

@@ -94,6 +94,12 @@ class TestWelch:
         with pytest.raises(ValueError):
             welch_t_one_sided([2.0, 2.0], [1.0, 1.0])
 
+    @pytest.mark.parametrize("sample_hi", ([1e308, 0.0, 2.0], [1e200, -1e200, 2.0]))
+    def test_overflowing_squared_deviations_raise(self, sample_hi):
+        # finite values whose squared deviations exceed the float range
+        with pytest.raises(OverflowError):
+            welch_t_one_sided(sample_hi, [0.0, 1.0, 3.0])
+
     def test_single_degenerate_sample_is_fine(self):
         result = welch_t_one_sided([2.0, 2.0, 2.0], [0.0, 1.0, 2.0])
         assert result.p_value < 0.5

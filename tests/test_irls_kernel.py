@@ -16,12 +16,11 @@ import random
 import pytest
 
 from oxequity.cohort import ScenarioConfig, generate_cohort
-from oxequity.grid import ScenarioGridSpec
 from oxequity.io import read_cohort_csv, write_cohort_csv
 from oxequity.stats.logistic import _BLOCK, SingularDesignError, fit_logistic_irls
 from oxequity.stats.special import sigmoid
 
-from oracles import fit_logistic_irls_oracle
+from oracles import fit_logistic_irls_oracle, scenario_configs_oracle
 
 
 def _bits(value):
@@ -50,8 +49,7 @@ def _audit_design(cohort):
 
 @pytest.mark.parametrize("seed", (1, 2, 3))
 def test_grid_scenario_fits_match(seed):
-    spec = ScenarioGridSpec(base=ScenarioConfig(n_total=2500, seed=seed))
-    for config in spec.configs().values():
+    for config in scenario_configs_oracle(ScenarioConfig(n_total=2500, seed=seed)).values():
         fit = assert_same_fit(*_audit_design(generate_cohort(config)))
         assert fit.converged
 

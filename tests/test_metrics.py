@@ -22,7 +22,6 @@ from oxequity.metrics import (
     equality_of_opportunity_test,
     estimate_tau,
     group_auc_comparison,
-    has_gold_standard,
     information_bias_test,
     observed_outcome_gap,
     representativeness_check,
@@ -273,39 +272,79 @@ class TestTau:
             estimate_tau(Cohort.from_records(records), audit_config)
 
 
+def _stratum_cohort(hypoxemic, other):
+    """Hypoxemic (w_true 84) then other (w_true 95) patients, each given as
+    (group, treated, outcome)."""
+    rows = [(84.0, *row) for row in hypoxemic] + [(95.0, *row) for row in other]
+    return Cohort.from_records(
+        [
+            record(pid, group, w_true=w, treated=treated, outcome=outcome)
+            for pid, (w, group, treated, outcome) in enumerate(rows)
+        ]
+    )
+
+
 class TestGapAndDecomposition:
     def test_decomposition_identity(self, both_cohort, audit_config):
         tau = estimate_tau(both_cohort, audit_config)
         gap, decomposition = treatment_gap_and_outcome_decomposition(
-            both_cohort, audit_config, tau
+            both_cohort, audit_config
         )
         assert decomposition.contrast == pytest.approx(
             tau * gap.contrast, abs=1e-12
         )
+        assert decomposition.extras == {"tau": tau, "treatment_gap": gap.contrast}
         assert decomposition.flagged == gap.flagged
         assert decomposition.test is None
 
-    def test_zero_tau_gives_zero_disparity(self, both_cohort, audit_config):
+    def test_zero_tau_gives_zero_disparity(self, audit_config):
+        # treated and untreated hypoxemic patients share one outcome rate, 1/3
+        hypoxemic = [(0, 1, 1), (0, 1, 0), (0, 0, 1), (0, 0, 0), (1, 1, 0), (1, 0, 0)]
+        cohort = _stratum_cohort(hypoxemic, [(0, 1, 0)] * 4 + [(1, 0, 0)] * 4)
+        assert estimate_tau(cohort, audit_config) == 0.0
         gap, decomposition = treatment_gap_and_outcome_decomposition(
-            both_cohort, audit_config, 0.0
+            cohort, audit_config
         )
+        assert gap.status == decomposition.status == "ok"
+        assert gap.contrast != 0.0
         assert decomposition.contrast == 0.0
         assert decomposition.flagged == gap.flagged
 
-    def test_missing_tau_marks_untestable(self, both_cohort, audit_config):
+    def test_missing_tau_marks_untestable(self, audit_config):
+        # every hypoxemic patient is treated, so tau has no untreated arm
+        hypoxemic = [(0, 1, 0), (0, 1, 1), (1, 1, 0), (1, 1, 1)]
+        cohort = _stratum_cohort(hypoxemic, [(0, 0, 0), (0, 1, 0), (1, 0, 0)])
         gap, decomposition = treatment_gap_and_outcome_decomposition(
-            both_cohort, audit_config, None
+            cohort, audit_config
         )
         assert gap.status == "ok"
-        assert decomposition.status.startswith("untestable")
+        assert decomposition.status == (
+            "untestable: hypoxemic stratum lacks treated or untreated patients"
+        )
+        assert decomposition.contrast is None
         assert not decomposition.flagged
 
     def test_gap_direction_under_systemic_bias(self, both_cohort, audit_config):
-        gap, _ = treatment_gap_and_outcome_decomposition(
-            both_cohort, audit_config, 0.03
-        )
+        gap, _ = treatment_gap_and_outcome_decomposition(both_cohort, audit_config)
         assert gap.contrast > 0.0  # group 1 treated less
         assert gap.flagged
+
+    def test_status_precedence_gold_then_gap_then_tau(self, audit_config):
+        # all treated: the gap's margin is degenerate and tau has no untreated arm
+        cohort = _stratum_cohort([(0, 1, 0), (1, 1, 1)], [(0, 1, 0), (1, 1, 0)])
+        with pytest.raises(UntestableMetricError):
+            estimate_tau(cohort, audit_config)
+        gap, decomposition = treatment_gap_and_outcome_decomposition(
+            gold_free(cohort), audit_config
+        )
+        assert gap.status.startswith("untestable: degenerate treatment margin")
+        assert decomposition.status == "skipped: no gold standard"
+        gap_gold, decomposition = treatment_gap_and_outcome_decomposition(
+            cohort, audit_config
+        )
+        assert gap_gold.status == gap.status
+        assert decomposition.status == gap.status
+        assert not decomposition.flagged
 
 
 class TestObservedOutcomeGap:
@@ -441,7 +480,7 @@ class TestRunFullAudit:
         self, both_cohort, audit_config
     ):
         stripped = gold_free(both_cohort)
-        assert not has_gold_standard(stripped)
+        assert not stripped.gold
         report = run_full_audit(stripped, audit_config)
         by_name = {m.metric_name: m for m in report.metrics}
         skipped = {

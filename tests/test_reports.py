@@ -6,7 +6,7 @@ import math
 import pytest
 
 from oxequity.cohort import ScenarioConfig
-from oxequity.grid import ScenarioGridSpec, run_scenario_grid
+from oxequity.grid import run_scenario_grid
 from oxequity.metrics import METRIC_ORDER, AuditConfig
 from oxequity.reports import (
     REPORT_FORMATS,
@@ -23,9 +23,7 @@ from oxequity.reports import (
 
 @pytest.fixture(scope="module")
 def grid_reports():
-    result = run_scenario_grid(
-        ScenarioGridSpec(base=ScenarioConfig(seed=2, n_total=1200)), AuditConfig()
-    )
+    result = run_scenario_grid(ScenarioConfig(seed=2, n_total=1200), AuditConfig())
     return result.reports
 
 

@@ -23,11 +23,15 @@ from oxequity.cohort import (
     draw_cohort,
     generate_cohort,
 )
-from oxequity.grid import ScenarioGridSpec, run_scenario_grid, threshold_protocol_summary
+from oxequity.grid import run_scenario_grid, threshold_protocol_summary
 from oxequity.metrics import AuditConfig
 from oxequity.rng import CounterRng
 
-from oracles import generate_cohort_oracle, threshold_protocol_oracle
+from oracles import (
+    generate_cohort_oracle,
+    scenario_configs_oracle,
+    threshold_protocol_oracle,
+)
 
 SEEDS = (1, 2, 3, 41)
 # Noise this wide pushes a few readings past the 100% display limit.
@@ -55,15 +59,15 @@ def _base(seed, mode, dgp):
 @pytest.mark.parametrize("mode", TREATMENT_MODES)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_grid_cohorts_equal_generation_from_scratch(seed, mode, dgp):
-    spec = ScenarioGridSpec(base=_base(seed, mode, dgp))
-    result = run_scenario_grid(spec, AuditConfig())
-    for label, config in spec.configs().items():
+    base = _base(seed, mode, dgp)
+    result = run_scenario_grid(base, AuditConfig())
+    for label, config in scenario_configs_oracle(base).items():
         cohort = generate_cohort(config)
         assert result.cohorts[label] == cohort
         assert cohort == Cohort.from_records(generate_cohort_oracle(config))
     clamped = sum(result.cohorts["both"].clamped)
     assert (clamped > 0) == (dgp is CLAMPING_DGP)
-    assert result.table1 == threshold_protocol_oracle(spec.base)
+    assert result.table1 == threshold_protocol_oracle(base)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
