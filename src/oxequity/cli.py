@@ -13,7 +13,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .cohort import DEFAULT_DGP, ScenarioConfig, generate_cohort
+from .cohort import DEFAULT_DGP, TREATMENT_MODES, ScenarioConfig, generate_cohort
 from .figure import figure_summary, figure_summary_csv
 from .grid import SCENARIO_LABELS, GridResult, run_scenario_grid
 from .io import read_cohort_csv, read_params, write_cohort_csv
@@ -36,37 +36,37 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n", type=int, default=2500, help="cohort size")
-    parser.add_argument("--p-group1", type=float, default=0.2, help="P(group 1)")
-    parser.add_argument("--seed", type=int, default=1, help="generator seed")
+    default = ScenarioConfig()
+    parser.add_argument("--n", type=int, default=default.n_total, help="cohort size")
+    parser.add_argument("--p-group1", type=float, default=default.p_group1, help="P(group 1)")
+    parser.add_argument("--seed", type=int, default=default.seed, help="generator seed")
     parser.add_argument(
         "--measurement-bias",
         action=argparse.BooleanOptionalAction,
-        default=True,
+        default=default.measurement_bias_on,
         help="toggle the differential measurement-error channel",
     )
     parser.add_argument(
         "--systemic-bias",
         action=argparse.BooleanOptionalAction,
-        default=True,
+        default=default.systemic_bias_on,
         help="toggle the systemic treatment-bias channel",
     )
     parser.add_argument(
-        "--treatment-mode",
-        choices=("stochastic", "deterministic"),
-        default="stochastic",
+        "--treatment-mode", choices=TREATMENT_MODES, default=default.treatment_mode
     )
     parser.add_argument("--params", type=Path, help="flat JSON parameter file")
 
 
 def _add_audit_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--alpha", type=float, default=0.05)
-    parser.add_argument("--power", type=float, default=0.80)
-    parser.add_argument("--delta", type=float, default=1.0)
-    parser.add_argument("--flag-level", type=float, default=0.01)
-    parser.add_argument("--w-hypox", type=float, default=88.0)
-    parser.add_argument("--bin-width", type=float, default=1.0)
-    parser.add_argument("--target-prevalence", type=float, default=None)
+    default = AuditConfig()
+    parser.add_argument("--alpha", type=float, default=default.alpha)
+    parser.add_argument("--power", type=float, default=default.power)
+    parser.add_argument("--delta", type=float, default=default.delta)
+    parser.add_argument("--flag-level", type=float, default=default.flag_level)
+    parser.add_argument("--w-hypox", type=float, default=default.w_hypox)
+    parser.add_argument("--bin-width", type=float, default=default.wstar_bin_width)
+    parser.add_argument("--target-prevalence", type=float, default=default.target_prevalence)
 
 
 def build_parser() -> _Parser:
@@ -105,22 +105,19 @@ def build_parser() -> _Parser:
 
 
 def _scenario_config(args) -> ScenarioConfig:
-    dgp = read_params(args.params) if args.params else DEFAULT_DGP
-    config = ScenarioConfig(
+    return ScenarioConfig(
         n_total=args.n,
         p_group1=args.p_group1,
         seed=args.seed,
         measurement_bias_on=args.measurement_bias,
         systemic_bias_on=args.systemic_bias,
         treatment_mode=args.treatment_mode,
-        dgp=dgp,
+        dgp=read_params(args.params) if args.params else DEFAULT_DGP,
     )
-    config.validate()
-    return config
 
 
 def _audit_config(args) -> AuditConfig:
-    config = AuditConfig(
+    return AuditConfig(
         alpha=args.alpha,
         power=args.power,
         delta=args.delta,
@@ -129,8 +126,6 @@ def _audit_config(args) -> AuditConfig:
         target_prevalence=args.target_prevalence,
         wstar_bin_width=args.bin_width,
     )
-    config.validate()
-    return config
 
 
 def _emit(text: str, out: Path | None) -> None:

@@ -13,7 +13,7 @@ streams once, as whole columns, and ``derive_cohort`` applies the
 toggles and treatment rule to those draws, so scenarios that share a
 seed can share the draws.  Each formula of the process has one site, a
 column map (``measurement_errors``, ``treatment_assignments``,
-``outcome_assignments``); the one-patient functions wrap it.
+``outcome_assignments``); a single patient is a one-element column.
 
 A cohort is one frozen ``Cohort`` of columns, the type every layer
 passes on: the generator and the CSV reader build it, and the writer,
@@ -25,7 +25,8 @@ of the scenario config.  ``PatientRecord`` is only the row type of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Sequence
 
 from .rng import Channel, CounterRng
@@ -42,13 +43,9 @@ __all__ = [
     "derive_cohort",
     "draw_cohort",
     "generate_cohort",
-    "measurement_error",
     "measurement_errors",
     "oracle_tau",
-    "outcome_assignment",
     "outcome_assignments",
-    "sample_true_saturation",
-    "treatment_assignment",
     "treatment_assignments",
 ]
 
@@ -67,6 +64,14 @@ _COHORT_CHANNELS = (
     Channel.TREAT,
     Channel.OUTCOME,
 )
+
+
+def _require_finite(config) -> None:
+    """Reject a NaN or infinite value in any float field of ``config``."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,6 +97,9 @@ class DgpParams:
     p_group1=0.2, the simulated cohorts land on the documented
     acceptance targets (group error means, information ratio, occult
     hypoxemia and ventilation rates).
+
+    Construction raises ValueError on an invalid field, so a ``DgpParams``
+    that exists is valid.
     """
 
     saturation_mean: float = 88.3
@@ -110,7 +118,7 @@ class DgpParams:
     out_severity: float = 0.07
     out_benefit: float = 0.32
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in ("w_treat", "w_hypox", "err_pivot"):
             value = getattr(self, name)
             if not W_LOW < value < W_HIGH:
@@ -123,6 +131,7 @@ class DgpParams:
             raise ValueError(f"err_noise_sd must be positive, got {self.err_noise_sd!r}")
         if self.saturation_sd < 0.0:
             raise ValueError(f"saturation_sd must be >= 0, got {self.saturation_sd!r}")
+        _require_finite(self)
 
 
 DEFAULT_DGP = DgpParams()
@@ -130,7 +139,10 @@ DEFAULT_DGP = DgpParams()
 
 @dataclass(frozen=True, slots=True)
 class ScenarioConfig:
-    """One simulation scenario: sample design plus the two bias toggles."""
+    """One simulation scenario: sample design plus the two bias toggles.
+
+    Like ``DgpParams``, it is checked at construction.
+    """
 
     n_total: int = 2500
     p_group1: float = 0.2
@@ -140,7 +152,7 @@ class ScenarioConfig:
     treatment_mode: str = "stochastic"
     dgp: DgpParams = field(default_factory=DgpParams)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n_total < 2:
             raise ValueError(f"n_total must be >= 2, got {self.n_total!r}")
         if not 0.0 < self.p_group1 < 1.0:
@@ -149,7 +161,6 @@ class ScenarioConfig:
             raise ValueError(
                 f"treatment_mode must be one of {TREATMENT_MODES}, got {self.treatment_mode!r}"
             )
-        self.dgp.validate()
 
 
 @dataclass(frozen=True, slots=True)
@@ -247,22 +258,6 @@ def _saturation_inverse_cdf(uniforms: Sequence[float], params: DgpParams) -> lis
     return [W_LOW if v < W_LOW else W_HIGH if v > W_HIGH else v for v in values]
 
 
-def sample_true_saturation(
-    uniform_draws: Sequence[float], params: DgpParams
-) -> float:
-    """Truncated-normal saturation on [70, 100] by inverse-CDF transform.
-
-    Only the first draw is consumed.  The sequence form is kept so
-    callers passing a (draw, spare) pair keep working.  This is the
-    one-draw form of the column map ``draw_cohort`` applies to the whole
-    saturation channel, and gives the same bits.
-    """
-    u = float(uniform_draws[0])
-    if not 0.0 < u < 1.0:
-        raise ValueError(f"saturation draw must lie in (0, 1), got {u!r}")
-    return _saturation_inverse_cdf((u,), params)[0]
-
-
 # The hinges below write max(0.0, d) as `d if d > 0.0 else 0.0`, the
 # comparison max makes, without a call per patient.
 
@@ -290,19 +285,6 @@ def measurement_errors(
         e + (shift + slope * (d if (d := pivot - w) > 0.0 else 0.0)) if a == 1 else e
         for e, w, a in zip(errors, w_true, group_a)
     ]
-
-
-def measurement_error(
-    w_true: float,
-    group_a: int,
-    measurement_bias_on: bool,
-    noise_draw: float,
-    params: DgpParams,
-) -> float:
-    """One patient's ``measurement_errors``."""
-    return measurement_errors(
-        (w_true,), (group_a,), measurement_bias_on, (noise_draw,), params
-    )[0]
 
 
 def treatment_assignments(
@@ -335,20 +317,6 @@ def treatment_assignments(
     return [1 if u < p else 0 for u, p in zip(uniforms, sigmoids(logits))]
 
 
-def treatment_assignment(
-    w_star: float,
-    group_a: int,
-    systemic_bias_on: bool,
-    mode: str,
-    uniform_draw: float,
-    params: DgpParams,
-) -> int:
-    """One patient's ``treatment_assignments``."""
-    return treatment_assignments(
-        (w_star,), (group_a,), systemic_bias_on, mode, (uniform_draw,), params
-    )[0]
-
-
 def outcome_assignments(
     w_true: Sequence[float],
     treated: Sequence[int],
@@ -363,13 +331,6 @@ def outcome_assignments(
         for w, z in zip(w_true, treated)
     ]
     return [1 if u < p else 0 for u, p in zip(uniforms, sigmoids(logits))]
-
-
-def outcome_assignment(
-    w_true: float, treated: int, uniform_draw: float, params: DgpParams
-) -> int:
-    """One patient's ``outcome_assignments``."""
-    return outcome_assignments((w_true,), (treated,), (uniform_draw,), params)[0]
 
 
 @dataclass(frozen=True, slots=True)
@@ -401,7 +362,6 @@ def draw_cohort(config: ScenarioConfig) -> CohortDraws:
     ``CounterRng.uniform``; the group, saturation and noise columns are
     then mapped whole, with no per-patient function call.
     """
-    config.validate()
     u_group, u_saturation, u_noise, u_treat, u_out = CounterRng(
         config.seed
     ).uniform_columns(config.n_total, _COHORT_CHANNELS)

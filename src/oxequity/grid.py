@@ -22,7 +22,7 @@ deterministic shifts (``derive_cohort``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .cohort import (
     Cohort,
@@ -33,7 +33,7 @@ from .cohort import (
     outcome_assignments,
     treatment_assignments,
 )
-from .metrics import AuditConfig, EquityReport, run_full_audit
+from .metrics import AuditConfig, EquityReport, _count_by_group, run_full_audit
 
 __all__ = [
     "GridResult",
@@ -89,28 +89,31 @@ def _protocol_summary(draws: CohortDraws) -> Table1Summary:
         treatment_mode="deterministic",
     )
     dgp = draws.dgp
-    w_true, treated, outcome = cohort.w_true, cohort.treated, cohort.outcome
+    group_a, w_true, treated = cohort.group_a, cohort.w_true, cohort.treated
     treated_true = treatment_assignments(
-        w_true, draws.group_a, True, "deterministic", draws.u_treat, dgp
+        w_true, group_a, True, "deterministic", draws.u_treat, dgp
     )
     outcome_true = outcome_assignments(w_true, treated_true, draws.u_out, dgp)
-    untreated = {}
-    vent_measured = {}
-    vent_true = {}
+    hypoxemic = [w < dgp.w_hypox for w in w_true]
+    sizes, n_hypoxemic, n_untreated, y_measured, y_true = (
+        _count_by_group(column, group_a)
+        for column in (
+            [1] * len(group_a),
+            hypoxemic,
+            [h and not z for h, z in zip(hypoxemic, treated)],
+            cohort.outcome,
+            outcome_true,
+        )
+    )
     for a in (0, 1):
-        group = [i for i, g in enumerate(cohort.group_a) if g == a]
-        if not group:
+        if not sizes[a]:
             raise ValueError(f"group {a} is empty; cannot summarize the protocol")
-        hypoxemic = [i for i in group if w_true[i] < dgp.w_hypox]
-        if not hypoxemic:
+        if not n_hypoxemic[a]:
             raise ValueError(f"group {a} has no hypoxemic patients")
-        untreated[a] = sum(1 for i in hypoxemic if treated[i] == 0) / len(hypoxemic)
-        vent_measured[a] = sum(outcome[i] for i in group) / len(group)
-        vent_true[a] = sum(outcome_true[i] for i in group) / len(group)
     return Table1Summary(
-        untreated_hypoxemic=untreated,
-        outcome_measured_driven=vent_measured,
-        outcome_true_driven=vent_true,
+        untreated_hypoxemic={a: n_untreated[a] / n_hypoxemic[a] for a in (0, 1)},
+        outcome_measured_driven={a: y_measured[a] / sizes[a] for a in (0, 1)},
+        outcome_true_driven={a: y_true[a] / sizes[a] for a in (0, 1)},
     )
 
 
@@ -120,7 +123,7 @@ def threshold_protocol_summary(config: ScenarioConfig) -> Table1Summary:
     Only the seed, size, group share and DGP of ``config`` are used; its
     toggles and treatment mode are overridden by the protocol.
     """
-    return _protocol_summary(draw_cohort(replace(config, treatment_mode="deterministic")))
+    return _protocol_summary(draw_cohort(config))
 
 
 def run_scenario_grid(base: ScenarioConfig, audit: AuditConfig) -> GridResult:
@@ -132,7 +135,6 @@ def run_scenario_grid(base: ScenarioConfig, audit: AuditConfig) -> GridResult:
     all derived from those draws.  Scenario order in the result is fixed
     regardless of how the independent pieces are evaluated.
     """
-    audit.validate()
     draws = draw_cohort(base)
     cohorts = {
         label: derive_cohort(draws, measurement, systemic, base.treatment_mode)

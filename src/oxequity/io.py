@@ -299,6 +299,4 @@ def read_params(path: str | Path) -> DgpParams:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise CohortSchemaError(f"parameter {key!r} must be numeric")
         cleaned[key] = float(value)
-    params = DgpParams(**cleaned)
-    params.validate()
-    return params
+    return DgpParams(**cleaned)

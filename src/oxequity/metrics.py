@@ -43,7 +43,7 @@ from itertools import compress, repeat
 from operator import add, not_, truediv
 from typing import Sequence
 
-from .cohort import Cohort
+from .cohort import Cohort, _require_finite
 from .stats import (
     TWO_SIDED,
     SingularDesignError,
@@ -90,7 +90,11 @@ class _NoGoldStandard(UntestableMetricError):
 
 @dataclass(frozen=True, slots=True)
 class AuditConfig:
-    """Audit-side knobs: test levels, thresholds, and binning."""
+    """Audit-side knobs: test levels, thresholds, and binning.
+
+    Construction raises ValueError on an invalid field, so a config that
+    exists is valid and no metric checks it again.
+    """
 
     alpha: float = 0.05
     power: float = 0.80
@@ -100,7 +104,7 @@ class AuditConfig:
     target_prevalence: float | None = None
     wstar_bin_width: float = 1.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in ("alpha", "power", "flag_level"):
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
@@ -115,6 +119,7 @@ class AuditConfig:
             raise ValueError(
                 f"target_prevalence must lie in (0, 1), got {self.target_prevalence!r}"
             )
+        _require_finite(self)
 
 
 @dataclass(slots=True)
@@ -258,7 +263,6 @@ def detection_threshold(config: AuditConfig) -> float:
     Inverts a two-sided power analysis at the configured size and power
     for the minimum clinically meaningful difference ``delta``.
     """
-    config.validate()
     z_half_alpha = normal_quantile(1.0 - config.alpha / 2.0)
     z_power = normal_quantile(config.power)
     return (z_half_alpha + z_power) ** 2 / config.delta**2
@@ -318,13 +322,16 @@ def representativeness_check(cohort: Cohort, config: AuditConfig) -> MetricResul
 def information_bias_test(cohort: Cohort, config: AuditConfig) -> MetricResult:
     """Group means of the measurement error, with a one-sided Welch test.
 
-    Errors too large for finite moments make the metric untestable.
+    Non-finite errors, or errors too large for finite moments, make the
+    metric untestable.
     """
     _require_gold(cohort, INFORMATION_BIAS)
     _group_sizes(cohort)
     eps0, eps1 = _by_group(cohort.epsilon, cohort.group_a)
     if len(eps0) < 2 or len(eps1) < 2:
         raise UntestableMetricError("need n >= 2 per group to compare error means")
+    if not all(map(math.isfinite, cohort.epsilon)):
+        raise UntestableMetricError(_HUGE_ERRORS)
     try:
         test = welch_t_one_sided(eps1, eps0)
         m0, m1 = _mean(eps0), _mean(eps1)
@@ -640,7 +647,6 @@ def run_full_audit(
     (skipped when the metric needs the gold standard the cohort lacks),
     so a failure stays local to its own metrics.
     """
-    config.validate()
     if not cohort:
         raise ValueError("cannot audit an empty cohort")
     n0, n1 = _group_sizes(cohort)

@@ -15,11 +15,13 @@ def auc_mann_whitney(scores: Sequence[float], labels: Sequence[int]) -> float:
     computed from midranks so ties are handled exactly.
 
     Raises:
-        ValueError: mismatched lengths, labels other than 0 and 1, or
-            single-class labels.
+        ValueError: mismatched lengths, a NaN or infinite score, labels
+            other than 0 and 1, or single-class labels.
     """
     if len(scores) != len(labels):
         raise ValueError("scores and labels have different lengths")
+    if not all(map(math.isfinite, scores)):
+        raise ValueError("scores must be finite")
     # Check the raw values: int() would truncate 0.7 to 0 and 1.9 to 1.
     if any(v not in (0, 1) for v in labels):
         raise ValueError("labels must be binary")

@@ -89,8 +89,8 @@ def welch_t_one_sided(
     p-value is the upper tail of the t distribution at the statistic.
 
     Raises:
-        ValueError: a sample has fewer than two values, or both samples
-            have zero variance.
+        ValueError: a sample has fewer than two values or holds a NaN or
+            infinite value, or both samples have zero variance.
         OverflowError: finite values whose squared deviations from their
             mean exceed the float range, such as ``[1e308, 0.0, 2.0]``.
     """
@@ -98,6 +98,8 @@ def welch_t_one_sided(
     lo = [float(v) for v in sample_lo]
     if len(hi) < 2 or len(lo) < 2:
         raise ValueError("welch_t_one_sided requires n >= 2 in each sample")
+    if not (all(map(math.isfinite, hi)) and all(map(math.isfinite, lo))):
+        raise ValueError("welch_t_one_sided requires finite samples")
     m1, m0 = _mean(hi), _mean(lo)
     v1, v0 = _sample_variance(hi, m1), _sample_variance(lo, m0)
     if v1 == 0.0 and v0 == 0.0:

@@ -373,7 +373,6 @@ def generate_cohort_oracle(config) -> list[PatientRecord]:
     The truncation bounds of the saturation law are recomputed for each
     patient, as the generator did before they were hoisted per cohort.
     """
-    config.validate()
     rng = CounterRng(config.seed)
     dgp = config.dgp
     mean, sd = dgp.saturation_mean, dgp.saturation_sd

@@ -1,5 +1,6 @@
 """Mann-Whitney AUC equals the trapezoid ROC area; tie and error handling."""
 
+import math
 import random
 
 import pytest
@@ -63,6 +64,16 @@ def test_fractional_labels_rejected_not_truncated():
     with pytest.raises(ValueError, match="binary"):
         auc_mann_whitney([1.0, 2.0, 3.0], [0.7, 1.9, 0])
     assert auc_mann_whitney([1.0, 2.0, 3.0], [0.0, 1.0, True]) == 1.0
+
+
+@pytest.mark.parametrize(
+    "scores",
+    ([math.nan, 1.0, 2.0, 0.5], [1.0, 2.0, 0.5, math.nan], [1.0, math.inf, 0.5, 0.0]),
+)
+def test_non_finite_scores_rejected(scores):
+    # A NaN has no sort position: the first two gave 0.5 and 0.0.
+    with pytest.raises(ValueError, match="finite"):
+        auc_mann_whitney(scores, [1, 0, 1, 0])
 
 
 def test_hanley_mcneil_se_behaviour():

@@ -4,8 +4,10 @@ import json
 
 import pytest
 
-from oxequity.cli import main
+from oxequity.cli import _audit_config, _scenario_config, build_parser, main
+from oxequity.cohort import ScenarioConfig
 from oxequity.io import read_cohort_csv
+from oxequity.metrics import AuditConfig
 from oxequity.reports import parse_report_json
 
 
@@ -103,6 +105,19 @@ def test_w_treat_option_is_gone(tmp_path, capsys):
     out = tmp_path / "bundle"
     assert run("grid", "--n", "200", "--w-treat", "92", "--out", str(out)) == 1
     assert "--w-treat" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_option_defaults_are_the_config_defaults():
+    args = build_parser().parse_args(["grid", "--out", "bundle"])
+    assert _scenario_config(args) == ScenarioConfig()
+    assert _audit_config(args) == AuditConfig()
+
+
+def test_grid_rejects_nan_delta_before_writing(tmp_path, capsys):
+    out = tmp_path / "bundle"
+    assert run("grid", "--n", "200", "--delta", "nan", "--out", str(out)) == 1
+    assert "delta must be finite" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,7 +1,7 @@
 """Cohort generator: model formulas, channel independence, determinism."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -10,13 +10,14 @@ from oxequity.cohort import (
     Cohort,
     DgpParams,
     ScenarioConfig,
+    _saturation_inverse_cdf,
     generate_cohort,
-    measurement_error,
+    measurement_errors,
     oracle_tau,
-    outcome_assignment,
-    sample_true_saturation,
-    treatment_assignment,
+    outcome_assignments,
+    treatment_assignments,
 )
+from oxequity.metrics import AuditConfig
 
 from oracles import records_of, truncated_normal_inverse_oracle
 
@@ -27,24 +28,25 @@ MEDIAN_WIDE = 91.8859323889        # mean 92, sd 4, u = 0.5
 Q977_WIDE = 98.7720359403          # mean 92, sd 4, u = 0.977
 
 
+def saturation(u, params):
+    """One patient's true saturation: a one-element column of the inverse CDF."""
+    return _saturation_inverse_cdf((u,), params)[0]
+
+
 class TestTrueSaturation:
     def test_median_draw_is_close_to_mean(self):
-        value = sample_true_saturation((0.5, 0.123), DEFAULT_DGP)
+        value = saturation(0.5, DEFAULT_DGP)
         assert value == pytest.approx(MEDIAN_DEFAULT, abs=1e-6)
         assert value == pytest.approx(DEFAULT_DGP.saturation_mean, abs=0.01)
 
     def test_upper_quantile_matches_truncated_inverse_cdf(self):
-        value = sample_true_saturation((0.977, 0.5), DEFAULT_DGP)
+        value = saturation(0.977, DEFAULT_DGP)
         assert value == pytest.approx(Q977_DEFAULT, abs=1e-6)
 
     def test_wide_parameterization_against_oracle(self):
         params = replace(DEFAULT_DGP, saturation_mean=92.0, saturation_sd=4.0)
-        assert sample_true_saturation((0.5, 0.9), params) == pytest.approx(
-            MEDIAN_WIDE, abs=1e-6
-        )
-        assert sample_true_saturation((0.977, 0.9), params) == pytest.approx(
-            Q977_WIDE, abs=1e-6
-        )
+        assert saturation(0.5, params) == pytest.approx(MEDIAN_WIDE, abs=1e-6)
+        assert saturation(0.977, params) == pytest.approx(Q977_WIDE, abs=1e-6)
         # the frozen values themselves come from the bisection oracle
         assert truncated_normal_inverse_oracle(0.977, 92.0, 4.0) == pytest.approx(
             Q977_WIDE, abs=1e-8
@@ -52,25 +54,18 @@ class TestTrueSaturation:
 
     def test_degenerate_sd_returns_mean(self):
         params = replace(DEFAULT_DGP, saturation_sd=0.0)
-        for u in (0.01, 0.5, 0.99):
-            assert sample_true_saturation((u, u), params) == 88.3
+        assert _saturation_inverse_cdf((0.01, 0.5, 0.99), params) == [88.3] * 3
 
-    def test_second_draw_is_reserved(self):
-        a = sample_true_saturation((0.7, 0.0001), DEFAULT_DGP)
-        b = sample_true_saturation((0.7, 0.9999), DEFAULT_DGP)
-        assert a == b
+    def test_column_matches_one_draw_at_a_time(self):
+        draws = (0.7, 0.0001, 0.9999, 0.5)
+        column = _saturation_inverse_cdf(draws, DEFAULT_DGP)
+        assert column == [saturation(u, DEFAULT_DGP) for u in draws]
 
     def test_extreme_draws_stay_in_bounds(self):
-        low = sample_true_saturation((1e-300, 0.5), DEFAULT_DGP)
-        high = sample_true_saturation((1.0 - 1e-16, 0.5), DEFAULT_DGP)
+        low = saturation(1e-300, DEFAULT_DGP)
+        high = saturation(1.0 - 1e-16, DEFAULT_DGP)
         assert 70.0 <= low <= 100.0
         assert 70.0 <= high <= 100.0
-
-    def test_rejects_out_of_range_draws(self):
-        with pytest.raises(ValueError):
-            sample_true_saturation((0.0, 0.5), DEFAULT_DGP)
-        with pytest.raises(ValueError):
-            sample_true_saturation((1.0, 0.5), DEFAULT_DGP)
 
 
 class TestMeasurementError:
@@ -82,71 +77,78 @@ class TestMeasurementError:
             err_group_slope=0.2,
             err_pivot=95.0,
         )
-        eps = measurement_error(85.0, 1, True, 0.0, params)
+        (eps,) = measurement_errors((85.0,), (1,), True, (0.0,), params)
         assert eps == pytest.approx(1.3 + 1.0 + 0.2 * 10.0, abs=1e-12)
 
     def test_group_zero_gets_baseline_only(self):
-        eps = measurement_error(82.0, 0, True, 0.0, DEFAULT_DGP)
-        assert eps == DEFAULT_DGP.err_base
+        assert measurement_errors((82.0,), (0,), True, (0.0,), DEFAULT_DGP) == [
+            DEFAULT_DGP.err_base
+        ]
 
     def test_toggle_off_removes_differential_terms(self):
-        eps = measurement_error(82.0, 1, False, 0.0, DEFAULT_DGP)
-        assert eps == DEFAULT_DGP.err_base
+        assert measurement_errors((82.0,), (1,), False, (0.0,), DEFAULT_DGP) == [
+            DEFAULT_DGP.err_base
+        ]
 
     def test_noise_scales_with_configured_sd(self):
-        base = measurement_error(90.0, 0, True, 0.0, DEFAULT_DGP)
-        noisy = measurement_error(90.0, 0, True, 1.0, DEFAULT_DGP)
+        (base,) = measurement_errors((90.0,), (0,), True, (0.0,), DEFAULT_DGP)
+        (noisy,) = measurement_errors((90.0,), (0,), True, (1.0,), DEFAULT_DGP)
         assert noisy - base == pytest.approx(DEFAULT_DGP.err_noise_sd, abs=1e-12)
 
     def test_differential_error_grows_as_saturation_falls(self):
-        errors = [
-            measurement_error(w, 1, True, 0.0, DEFAULT_DGP)
-            for w in (95.0, 90.0, 87.0, 82.0, 75.0)
-        ]
+        errors = measurement_errors(
+            (95.0, 90.0, 87.0, 82.0, 75.0), (1,) * 5, True, (0.0,) * 5, DEFAULT_DGP
+        )
         assert errors == sorted(errors)
+
+
+def treated(w_star, group_a, systemic_bias_on, mode, u, params):
+    """The one-element treatment column of one patient, unpacked."""
+    (z,) = treatment_assignments((w_star,), (group_a,), systemic_bias_on, mode, (u,), params)
+    return z
 
 
 class TestTreatmentAssignment:
     def test_deterministic_threshold(self):
-        assert treatment_assignment(91.9, 0, False, "deterministic", 0.5, DEFAULT_DGP) == 1
-        assert treatment_assignment(92.0, 0, False, "deterministic", 0.5, DEFAULT_DGP) == 0
+        assert treated(91.9, 0, False, "deterministic", 0.5, DEFAULT_DGP) == 1
+        assert treated(92.0, 0, False, "deterministic", 0.5, DEFAULT_DGP) == 0
 
     def test_stochastic_probability_at_threshold(self):
         params = replace(DEFAULT_DGP, treat_intercept=1.6, treat_slope=0.35)
         # at w_star == w_treat the probability is sigmoid(1.6) ~ 0.832018
-        assert treatment_assignment(92.0, 0, False, "stochastic", 0.8320, params) == 1
-        assert treatment_assignment(92.0, 0, False, "stochastic", 0.8321, params) == 0
+        assert treated(92.0, 0, False, "stochastic", 0.8320, params) == 1
+        assert treated(92.0, 0, False, "stochastic", 0.8321, params) == 0
 
     def test_stochastic_group_penalty(self):
         params = replace(
             DEFAULT_DGP, treat_intercept=1.6, treat_slope=0.35, treat_group_penalty=-0.75
         )
         # sigmoid(1.6 - 0.75) ~ 0.700567
-        assert treatment_assignment(92.0, 1, True, "stochastic", 0.7005, params) == 1
-        assert treatment_assignment(92.0, 1, True, "stochastic", 0.7006, params) == 0
+        assert treated(92.0, 1, True, "stochastic", 0.7005, params) == 1
+        assert treated(92.0, 1, True, "stochastic", 0.7006, params) == 0
         # with systemic bias off the penalty is inert
-        assert treatment_assignment(92.0, 1, False, "stochastic", 0.8320, params) == 1
+        assert treated(92.0, 1, False, "stochastic", 0.8320, params) == 1
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
-            treatment_assignment(90.0, 0, False, "bernoulli", 0.5, DEFAULT_DGP)
+            treatment_assignments((90.0,), (0,), False, "bernoulli", (0.5,), DEFAULT_DGP)
 
 
 class TestOutcomeAssignment:
     def test_risk_at_reference_points(self):
         params = replace(DEFAULT_DGP, out_intercept=-3.0, out_severity=0.3, out_benefit=1.0)
         # untreated healthy patient: risk sigmoid(-3) ~ 0.047426
-        assert outcome_assignment(95.0, 0, 0.0474, params) == 1
-        assert outcome_assignment(95.0, 0, 0.0475, params) == 0
+        assert outcome_assignments((95.0,), (0,), (0.0474,), params) == [1]
+        assert outcome_assignments((95.0,), (0,), (0.0475,), params) == [0]
         # treated hypoxemic patient: sigmoid(-3 + 0.3 * 8 - 1) = sigmoid(-1.6) ~ 0.167982
-        assert outcome_assignment(80.0, 1, 0.1679, params) == 1
-        assert outcome_assignment(80.0, 1, 0.1680, params) == 0
+        assert outcome_assignments((80.0,), (1,), (0.1679,), params) == [1]
+        assert outcome_assignments((80.0,), (1,), (0.1680,), params) == [0]
 
     def test_treatment_is_protective_pointwise(self):
         for w in (75.0, 84.0, 88.0, 93.0, 99.0):
             for u in (0.02, 0.05, 0.11, 0.4, 0.9):
-                assert outcome_assignment(w, 1, u, DEFAULT_DGP) <= outcome_assignment(
-                    w, 0, u, DEFAULT_DGP
+                assert outcome_assignments((w,), (1,), (u,), DEFAULT_DGP) <= (
+                    outcome_assignments((w,), (0,), (u,), DEFAULT_DGP)
                 )
 
 
@@ -217,9 +219,19 @@ class TestGenerateCohort:
         with pytest.raises(ValueError):
             generate_cohort(ScenarioConfig(treatment_mode="manual"))
         with pytest.raises(ValueError):
-            DgpParams(err_noise_sd=0.0).validate()
+            DgpParams(err_noise_sd=0.0)
         with pytest.raises(ValueError):
-            DgpParams(w_hypox=93.0, w_treat=92.0).validate()
+            DgpParams(w_hypox=93.0, w_treat=92.0)
+
+
+@pytest.mark.parametrize("config_type", (DgpParams, AuditConfig))
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+def test_every_float_field_must_be_finite(config_type, bad):
+    names = [f.name for f in fields(config_type) if "float" in str(f.type)]
+    assert len(names) >= 7
+    for name in names:
+        with pytest.raises(ValueError, match=name):
+            config_type(**{name: bad})
 
 
 class TestOracleTau:

@@ -100,6 +100,14 @@ class TestWelch:
         with pytest.raises(OverflowError):
             welch_t_one_sided(sample_hi, [0.0, 1.0, 3.0])
 
+    @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+    def test_non_finite_samples_rejected(self, bad):
+        # a NaN sample gave a NaN statistic, df and p-value
+        with pytest.raises(ValueError, match="finite"):
+            welch_t_one_sided([bad, 1.0, 2.0], [0.0, 1.0, 3.0])
+        with pytest.raises(ValueError, match="finite"):
+            welch_t_one_sided([0.0, 1.0, 3.0], [1.0, bad, 2.0])
+
     def test_single_degenerate_sample_is_fine(self):
         result = welch_t_one_sided([2.0, 2.0, 2.0], [0.0, 1.0, 2.0])
         assert result.p_value < 0.5

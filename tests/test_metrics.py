@@ -110,6 +110,14 @@ class TestDetectionThreshold:
         with pytest.raises(ValueError):
             detection_threshold(AuditConfig(flag_level=1.0))
 
+    def test_invalid_config_cannot_be_built(self):
+        # Each of these once reached a metric called directly: a flag level
+        # of 2 flagged a null contrast, and a bin width of 0 divided by zero.
+        with pytest.raises(ValueError, match=r"flag_level must lie in \(0, 1\), got 2.0"):
+            AuditConfig(flag_level=2.0)
+        with pytest.raises(ValueError, match="wstar_bin_width must be positive, got 0.0"):
+            AuditConfig(wstar_bin_width=0.0)
+
 
 class TestRepresentativeness:
     def test_default_cohort_passes(self, both_cohort, audit_config):
