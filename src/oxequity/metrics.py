@@ -262,10 +262,22 @@ def detection_threshold(config: AuditConfig) -> float:
 
     Inverts a two-sided power analysis at the configured size and power
     for the minimum clinically meaningful difference ``delta``.
+
+    Raises:
+        UntestableMetricError: ``delta`` is so small or so large that the
+            threshold is not a finite float.
     """
     z_half_alpha = normal_quantile(1.0 - config.alpha / 2.0)
     z_power = normal_quantile(config.power)
-    return (z_half_alpha + z_power) ** 2 / config.delta**2
+    try:
+        threshold = (z_half_alpha + z_power) ** 2 / config.delta**2
+    except ArithmeticError:  # delta**2 overflows, or underflows to zero
+        threshold = math.inf
+    if not math.isfinite(threshold):
+        raise UntestableMetricError(
+            f"delta {config.delta!r} puts the detection threshold outside the float range"
+        )
+    return threshold
 
 
 _HUGE_ERRORS = "measurement errors too large for a finite variance"
@@ -543,8 +555,14 @@ def _systemic_cmh(cohort: Cohort, config: AuditConfig) -> MetricResult:
         math.floor,
         map(add, map(truediv, cohort.w_star, repeat(config.wstar_bin_width)), repeat(0.5)),
     )
+    try:
+        counts = Counter(zip(keys, cohort.group_a, cohort.treated))
+    except OverflowError:  # w_star / width is infinite
+        raise UntestableMetricError(
+            f"CMH bin width {config.wstar_bin_width!r} is too small for finite bins"
+        ) from None
     strata: dict[int, list[list[int]]] = {}
-    for (key, a, z), count in Counter(zip(keys, cohort.group_a, cohort.treated)).items():
+    for (key, a, z), count in counts.items():
         table = strata.setdefault(key, [[0, 0], [0, 0]])
         table[1 - a][1 - z] += count
     try:

@@ -18,14 +18,35 @@ There are two entry points:
 * ``uniform`` hashes one key.  Use it for scattered draws, such as the
   replicate index of ``cohort.oracle_tau``.
 * ``uniform_columns`` draws index 0 of several channels for patients
-  0..n-1.  It mixes each patient id once and then runs the channel and
-  index rounds as list comprehensions over that key column, one channel
-  at a time.  Use it to draw a whole cohort: it gives the same bits as
-  ``uniform`` at about two thirds of the cost per draw.
+  0..n-1.  Use it to draw a whole cohort: it gives the same bits as
+  ``uniform`` at about an eighth of the cost per draw.
+
+``uniform_columns`` runs each absorb-and-mix round on a block of
+``_BLOCK`` patients at once.  The block's 64-bit words are packed into
+one Python integer, word i in bits 128*i .. 128*i+63: a 128-bit lane
+whose high half starts at zero.  A round is then about a dozen C-level
+operations on that integer, where the list form took a dozen Python
+operations per word.  The lanes stay exact:
+
+* a lane below 2**64 times a 64-bit constant is below 2**128, so no
+  carry reaches the next lane, and masking with ``_MASK64`` in every
+  lane keeps the low 64 bits of each product;
+* ``z >> s`` moves the low s bits of lane i+1 into the top s bits of
+  lane i's high half, never into a low half, and the mask clears them
+  before the next multiply;
+* adding a 64-bit constant to every lane carries at most into bit 64,
+  which is zero at that point, so the sum stays in its lane and the
+  mask reduces it mod 2**64.
+
+Each low half therefore holds exactly the word ``uniform`` computes.
+Ids are packed, and words unpacked, through ``array("Q")`` with the
+lanes in little-endian order whatever the host's byte order.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from enum import IntEnum
 from typing import Iterable
 
@@ -35,6 +56,11 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MULT = 0xBF58476D1CE4E5B9
 _MULT2 = 0x94D049BB133111EB
+# Patients per packed block of ``uniform_columns``: large enough that the
+# integer operations dominate, small enough to bound their temporaries.
+_BLOCK = 4096
+_ONE_LANE = (1).to_bytes(16, "little")
+_SWAP = sys.byteorder == "big"  # array("Q") is native-endian
 
 
 class Channel(IntEnum):
@@ -55,12 +81,33 @@ def _mix(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _absorb_column(column: Iterable[int], add: int) -> list[int]:
-    """``_mix((z + add) & _MASK64)`` for every z of the column."""
-    zs = [(z + add) & _MASK64 for z in column]
-    zs = [((z ^ (z >> 30)) * _MULT) & _MASK64 for z in zs]
-    zs = [((z ^ (z >> 27)) * _MULT2) & _MASK64 for z in zs]
-    return [z ^ (z >> 31) for z in zs]
+def _mix_lanes(z: int, lanes: int) -> int:
+    """``_mix`` of every 128-bit lane of z whose high half is zero.
+
+    ``lanes`` is ``_MASK64`` in every lane.  Bits 97..127 of each lane
+    of the result hold bits of the next lane: mask, or read only the
+    low halves, before the next multiply.
+    """
+    z = (((z ^ (z >> 30)) & lanes) * _MULT) & lanes
+    z = (((z ^ (z >> 27)) & lanes) * _MULT2) & lanes
+    return z ^ (z >> 31)
+
+
+def _pack(words: array) -> int:
+    """One little-endian 128-bit lane per 64-bit word, high halves zero."""
+    lanes = array("Q", bytes(16 * len(words)))
+    lanes[::2] = words
+    if _SWAP:
+        lanes.byteswap()
+    return int.from_bytes(lanes, "little")
+
+
+def _unpack(z: int, m: int) -> array:
+    """The low 64 bits of each of the m lanes of z."""
+    lanes = array("Q", z.to_bytes(16 * m, "little"))
+    if _SWAP:
+        lanes.byteswap()
+    return lanes[::2]
 
 
 class CounterRng:
@@ -91,17 +138,29 @@ class CounterRng:
         """Index-0 uniforms of patients 0..n-1, one list per channel.
 
         ``uniform_columns(n, chs)[k][i] == uniform(i, chs[k])`` bit for
-        bit.  Each patient id is absorbed and mixed once; the key column
-        stays alive while each channel's two rounds run over it in turn,
-        so besides the finished columns memory holds only the keys and
-        one channel in progress.
+        bit.  Each block of patient ids is absorbed and mixed once; the
+        packed keys stay alive while each channel's two rounds run on
+        them in turn, so besides the finished columns memory holds only
+        one block's keys and one channel in progress.
         """
         channels = list(channels)
         if n < 0 or any(channel < 0 for channel in channels):
             raise ValueError("stream keys must be non-negative")
-        keys = _absorb_column(range(0, n * _MULT, _MULT), self._seed + _GOLDEN)
-        columns = []
-        for channel in channels:
-            words = _absorb_column(_absorb_column(keys, channel * _MULT + _GOLDEN), _GOLDEN)
-            columns.append([((z >> 11) + 0.5) * 2.0**-53 for z in words])
+        columns = [[] for _ in channels]
+        for start in range(0, n, _BLOCK):
+            m = min(_BLOCK, n - start)
+            ones = int.from_bytes(_ONE_LANE * m, "little")
+            lanes = _MASK64 * ones
+            # id * _MULT + seed + _GOLDEN stays below 2**128 for any
+            # 64-bit id, since _MULT < 0.75 * 2**64.
+            ids = _pack(array("Q", range(start, start + m)))
+            keys = _mix_lanes(
+                (ids * _MULT + ((self._seed + _GOLDEN) & _MASK64) * ones) & lanes, lanes
+            )
+            golden = _GOLDEN * ones
+            for column, channel in zip(columns, channels):
+                z = (keys + ((channel * _MULT + _GOLDEN) & _MASK64) * ones) & lanes
+                z = _mix_lanes((_mix_lanes(z, lanes) + golden) & lanes, lanes)
+                # (word >> 11) of every lane, then the float step of ``uniform``
+                column += [(w + 0.5) * 2.0**-53 for w in _unpack(z >> 11, m)]
         return columns

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
+from itertools import compress, repeat
+from operator import not_
 from typing import Sequence
 
 __all__ = ["auc_mann_whitney", "hanley_mcneil_se"]
@@ -11,8 +14,11 @@ __all__ = ["auc_mann_whitney", "hanley_mcneil_se"]
 def auc_mann_whitney(scores: Sequence[float], labels: Sequence[int]) -> float:
     """Area under the ROC curve via the Mann-Whitney U normalization.
 
-    Equals (concordant pairs + 0.5 * tied pairs) / (positives * negatives),
-    computed from midranks so ties are handled exactly.
+    Equals (concordant pairs + 0.5 * tied pairs) / (positives * negatives).
+    Each positive score is bisected into the sorted negatives from both
+    sides: ``bisect_left`` counts the negatives below it and
+    ``bisect_right`` those below or tied, so their sum over the positives
+    is 2U, an exact integer, and ties are handled exactly.
 
     Raises:
         ValueError: mismatched lengths, a NaN or infinite score, labels
@@ -25,25 +31,17 @@ def auc_mann_whitney(scores: Sequence[float], labels: Sequence[int]) -> float:
     # Check the raw values: int() would truncate 0.7 to 0 and 1.9 to 1.
     if any(v not in (0, 1) for v in labels):
         raise ValueError("labels must be binary")
-    lab = [int(v) for v in labels]
-    n_pos = sum(lab)
-    n_neg = len(lab) - n_pos
+    # Sorted positives only keep the bisections' memory access local.
+    positives = sorted(compress(scores, labels))
+    negatives = sorted(compress(scores, map(not_, labels)))
+    n_pos = len(positives)
+    n_neg = len(negatives)
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC needs at least one positive and one negative label")
-    order = sorted(range(len(scores)), key=lambda i: scores[i])
-    ranks = [0.0] * len(scores)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and scores[order[j + 1]] == scores[order[i]]:
-            j += 1
-        midrank = 0.5 * (i + j) + 1.0
-        for k in range(i, j + 1):
-            ranks[order[k]] = midrank
-        i = j + 1
-    rank_sum = math.fsum(r for r, v in zip(ranks, lab) if v == 1)
-    u = rank_sum - n_pos * (n_pos + 1) / 2.0
-    return u / (n_pos * n_neg)
+    twice_u = sum(map(bisect_left, repeat(negatives), positives)) + sum(
+        map(bisect_right, repeat(negatives), positives)
+    )
+    return twice_u * 0.5 / (n_pos * n_neg)
 
 
 def hanley_mcneil_se(auc: float, n_pos: int, n_neg: int) -> float:

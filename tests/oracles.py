@@ -3,10 +3,12 @@
 These deliberately avoid the package's own numerics: the normal CDF is a
 high-precision Maclaurin erf series evaluated with mpmath, quantiles
 come from bisection on it, tail probabilities from adaptive Simpson
-integration of the densities, and the AUC oracle integrates the
-empirical ROC curve with the trapezoid rule.  The cohort and Table-1
-oracles are the exception: they reuse the package's counter RNG and
-pin how draws are shared and how the formulas are mapped over columns.
+integration of the densities, and the AUC oracles integrate the
+empirical ROC curve with the trapezoid rule and sum exact midranks (the
+loop the package ran before it bisected, kept to pin its bits).  The
+cohort and Table-1 oracles are the exception: they reuse the package's
+counter RNG and pin how draws are shared and how the formulas are
+mapped over columns.
 They hash every stream afresh for each scenario, as the generator did
 before one set of draws served the whole grid, and apply the process's
 formulas one patient at a time, as the generator did before it mapped
@@ -154,6 +156,31 @@ def trapezoid_roc_auc(scores, labels) -> float:
     for (x0, y0), (x1, y1) in zip(points, points[1:]):
         area += (x1 - x0) * (y0 + y1) / 2.0
     return area
+
+
+def auc_midrank_oracle(scores, labels) -> float:
+    """Mann-Whitney AUC from the exact midrank sum of the positives.
+
+    The keyed sort and midrank loop ``auc_mann_whitney`` ran before it
+    bisected into the sorted negatives; it pins the area bit for bit.
+    """
+    lab = [int(v) for v in labels]
+    n_pos = sum(lab)
+    n_neg = len(lab) - n_pos
+    order = sorted(range(len(scores)), key=lambda i: scores[i])
+    ranks = [0.0] * len(scores)
+    i = 0
+    while i < len(order):
+        j = i
+        while j + 1 < len(order) and scores[order[j + 1]] == scores[order[i]]:
+            j += 1
+        midrank = 0.5 * (i + j) + 1.0
+        for k in range(i, j + 1):
+            ranks[order[k]] = midrank
+        i = j + 1
+    rank_sum = math.fsum(r for r, v in zip(ranks, lab) if v == 1)
+    u = rank_sum - n_pos * (n_pos + 1) / 2.0
+    return u / (n_pos * n_neg)
 
 
 def bernoulli_loglik(design_rows, outcomes, beta) -> float:

@@ -7,7 +7,7 @@ import pytest
 
 from oxequity.stats.auc import auc_mann_whitney, hanley_mcneil_se
 
-from oracles import trapezoid_roc_auc
+from oracles import auc_midrank_oracle, trapezoid_roc_auc
 
 
 def test_perfect_separation():
@@ -43,6 +43,33 @@ def test_matches_trapezoid_roc_on_random_instances():
         assert auc_mann_whitney(scores, labels) == pytest.approx(
             trapezoid_roc_auc(scores, labels), abs=1e-12
         )
+
+
+def _tie_heavy_cases(count):
+    rng = random.Random(20261018)
+    for case in range(count):
+        n = rng.randint(2, 200)
+        labels = [rng.randint(0, 1) for _ in range(n)]
+        if sum(labels) in (0, n):
+            labels[0] = 1 - labels[0]
+        top = (1, 2, 5, 30, 10**6)[case % 5]
+        yield [float(rng.randint(0, top)) for _ in range(n)], labels
+
+
+def test_matches_midrank_oracle_bit_for_bit():
+    for scores, labels in _tie_heavy_cases(300):
+        assert auc_mann_whitney(scores, labels).hex() == auc_midrank_oracle(
+            scores, labels
+        ).hex()
+
+
+def test_matches_scipy_mannwhitneyu():
+    mannwhitneyu = pytest.importorskip("scipy.stats").mannwhitneyu
+    for scores, labels in _tie_heavy_cases(60):
+        positives = [s for s, v in zip(scores, labels) if v]
+        negatives = [s for s, v in zip(scores, labels) if not v]
+        u = mannwhitneyu(positives, negatives, method="asymptotic").statistic
+        assert auc_mann_whitney(scores, labels) == u / (len(positives) * len(negatives))
 
 
 def test_single_class_rejected():

@@ -121,6 +121,18 @@ def test_grid_rejects_nan_delta_before_writing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_grid_survives_a_tiny_bin_width(tmp_path):
+    # w_star / 1e-320 is infinite: only the CMH metric becomes untestable
+    out = tmp_path / "bundle"
+    assert run("grid", "--n", "300", "--bin-width", "1e-320", "--out", str(out)) == 0
+    payload = parse_report_json((out / "table2.json").read_text())
+    for report in payload:
+        statuses = {m.metric_name: m.status for m in report.metrics}
+        assert statuses["systemic_bias_cmh"] == (
+            "untestable: CMH bin width 1e-320 is too small for finite bins"
+        )
+
+
 def test_grid_writes_expected_bundle(tmp_path):
     out = tmp_path / "bundle"
     assert run("grid", "--n", "1000", "--seed", "2", "--out", str(out)) == 0

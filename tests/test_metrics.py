@@ -102,6 +102,13 @@ class TestDetectionThreshold:
             AuditConfig(delta=1.0)
         )
 
+    def test_threshold_outside_float_range_is_untestable(self):
+        tiny = detection_threshold(AuditConfig(delta=1e150))
+        assert tiny == pytest.approx(I_STAR_DEFAULT * 1e-300)
+        for delta in (1e-200, 1e-160, 1e200):
+            with pytest.raises(UntestableMetricError, match="outside the float range"):
+                detection_threshold(AuditConfig(delta=delta))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             detection_threshold(AuditConfig(alpha=0.0))
@@ -634,6 +641,46 @@ class TestRunFullAudit:
         assert [m["metric_name"] for m in payload["reports"][0]["metrics"]] == list(
             METRIC_ORDER
         )
+
+    @pytest.mark.parametrize(
+        ("config", "metric", "status"),
+        (
+            # w_star / 1e-320 is infinite, and math.floor of it raises
+            (
+                AuditConfig(wstar_bin_width=1e-320),
+                "systemic_bias_cmh",
+                "untestable: CMH bin width 1e-320 is too small for finite bins",
+            ),
+            # delta**2 underflows to 0 (ZeroDivisionError), overflows
+            # (OverflowError), or is subnormal and the threshold infinite
+            (
+                AuditConfig(delta=1e-200),
+                "representativeness",
+                "untestable: delta 1e-200 puts the detection threshold outside the float range",
+            ),
+            (
+                AuditConfig(delta=1e200),
+                "representativeness",
+                "untestable: delta 1e+200 puts the detection threshold outside the float range",
+            ),
+            (
+                AuditConfig(delta=1e-160),
+                "representativeness",
+                "untestable: delta 1e-160 puts the detection threshold outside the float range",
+            ),
+        ),
+        ids=("tiny-bin-width", "delta-squared-zero", "delta-squared-overflow", "delta-subnormal"),
+    )
+    def test_extreme_config_is_local_to_its_metric(self, config, metric, status):
+        cohort = generate_cohort(ScenarioConfig(n_total=300, seed=3))
+        report = run_full_audit(cohort, config)
+        base = run_full_audit(cohort, AuditConfig())
+        for m, b in zip(report.metrics, base.metrics):
+            if m.metric_name == metric:
+                assert (m.status, m.flagged) == (status, False)
+            else:
+                assert m == b
+        assert len(json.loads(report_to_json([report]))["reports"][0]["metrics"]) == 10
 
     def test_single_group_rejected(self, audit_config):
         records = [record(i, 0) for i in range(10)]

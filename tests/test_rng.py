@@ -3,10 +3,11 @@
 import hashlib
 import math
 import struct
+from array import array
 
 import pytest
 
-from oxequity.rng import Channel, CounterRng
+from oxequity.rng import _BLOCK, Channel, CounterRng, _pack
 from oxequity.stats.special import normal_quantile
 
 
@@ -113,3 +114,19 @@ def test_column_draw_rejects_negative_keys():
         rng.uniform_columns(3, [Channel.GROUP, -1])
     with pytest.raises(ValueError):
         rng.uniform(0, -1)
+
+
+@pytest.mark.parametrize("n", (0, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3))
+@pytest.mark.parametrize("seed", (0, 2**64 - 1, 2**64 + 1))
+def test_column_draws_cross_block_edges(n, seed):
+    # Block boundaries of the lane kernel; ORACLE is the highest channel,
+    # and a repeated channel must give the same column twice.
+    rng = CounterRng(seed)
+    channels = [Channel.ORACLE, Channel.GROUP, Channel.ORACLE]
+    columns = rng.uniform_columns(n, channels)
+    assert [len(column) for column in columns] == [n, n, n]
+    assert columns == [[rng.uniform(i, ch) for i in range(n)] for ch in channels]
+
+
+def test_lanes_are_little_endian_128_bit():
+    assert _pack(array("Q", [1, 2**64 - 1, 3])) == 1 + ((2**64 - 1) << 128) + (3 << 256)
