@@ -13,7 +13,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .cohort import DEFAULT_DGP, TREATMENT_MODES, ScenarioConfig, generate_cohort
+from .cohort import DEFAULT_DGP, TREATMENT_MODES, W_HIGH, W_LOW, ScenarioConfig, generate_cohort
 from .figure import figure_summary, figure_summary_csv
 from .grid import SCENARIO_LABELS, GridResult, run_scenario_grid
 from .io import read_cohort_csv, read_params, write_cohort_csv
@@ -99,8 +99,7 @@ def build_parser() -> _Parser:
     figure.add_argument("--in", dest="input", type=Path, required=True)
     figure.add_argument("--out", type=Path, help="default: stdout")
     figure.add_argument("--bin-width", type=float, default=1.0)
-    figure.add_argument("--range", type=float, nargs=2, default=(70.0, 100.0))
-    figure.add_argument("--w-hypox", type=float, default=88.0)
+    figure.add_argument("--range", type=float, nargs=2, default=(W_LOW, W_HIGH))
     return parser
 
 
@@ -177,12 +176,7 @@ def _cmd_grid(args) -> int:
 
 def _cmd_figure(args) -> int:
     cohort = read_cohort_csv(args.input, require_gold=True)
-    summary = figure_summary(
-        cohort,
-        bin_width=args.bin_width,
-        value_range=tuple(args.range),
-        reference_line=args.w_hypox,
-    )
+    summary = figure_summary(cohort, bin_width=args.bin_width, value_range=tuple(args.range))
     _emit(figure_summary_csv(summary), args.out)
     return EXIT_OK
 

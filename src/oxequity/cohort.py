@@ -13,7 +13,8 @@ streams once, as whole columns, and ``derive_cohort`` applies the
 toggles and treatment rule to those draws, so scenarios that share a
 seed can share the draws.  Each formula of the process has one site, a
 column map (``measurement_errors``, ``treatment_assignments``,
-``outcome_assignments``); a single patient is a one-element column.
+``outcome_risks``); a single patient is a one-element column.  The
+outcome risks serve both the outcome draws and the exact ``oracle_tau``.
 
 A cohort is one frozen ``Cohort`` of columns, the type every layer
 passes on: the generator and the CSV reader build it, and the writer,
@@ -27,10 +28,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from itertools import repeat
+from operator import add, sub, truediv
 from typing import Iterable, Sequence
 
 from .rng import Channel, CounterRng
-from .stats.special import normal_cdf, normal_quantiles, sigmoid, sigmoids
+from .stats.special import normal_cdf, normal_quantiles, sigmoids
 
 __all__ = [
     "Cohort",
@@ -46,17 +49,17 @@ __all__ = [
     "measurement_errors",
     "oracle_tau",
     "outcome_assignments",
+    "outcome_risks",
     "treatment_assignments",
+    "wstar_bins",
 ]
 
 TREATMENT_MODES = ("stochastic", "deterministic")
 
 # Saturations live on this physiologic window; the oximeter display is
-# clamped to [0, 100].
+# limited to [0, 100].
 W_LOW = 70.0
 W_HIGH = 100.0
-
-_ORACLE_SEED = 271828182845904523
 _COHORT_CHANNELS = (
     Channel.GROUP,
     Channel.SATURATION,
@@ -177,7 +180,6 @@ class PatientRecord:
     epsilon: float | None
     treated: int
     outcome: int
-    clamped: bool = False
 
 
 _BINARY = frozenset((0, 1))
@@ -189,7 +191,6 @@ _COLUMNS = (
     "epsilon",
     "treated",
     "outcome",
-    "clamped",
 )
 
 
@@ -200,11 +201,10 @@ class Cohort:
     ``w_true`` and ``epsilon`` hold None for patients without a gold
     standard (rows of a file whose gold fields are blank); ``gold`` is
     True when every patient has both, and is computed once, here.
-    ``group_a``, ``treated`` and ``outcome`` hold only 0 and 1.
-    ``clamped`` marks the rare patients whose raw reading fell outside
-    the display range, for whom w_star != w_true + epsilon.  The columns
-    are read, never written: cohorts derived from shared draws share
-    their true-saturation and group columns.
+    ``group_a``, ``treated`` and ``outcome`` hold only 0 and 1.  A
+    generated ``w_star`` is ``w_true + epsilon`` clipped to the display
+    range [0, 100].  The columns are read, never written: cohorts derived
+    from shared draws share their true-saturation and group columns.
     """
 
     patient_id: list[int]
@@ -214,7 +214,6 @@ class Cohort:
     epsilon: list[float | None]
     treated: list[int]
     outcome: list[int]
-    clamped: list[bool]
     gold: bool = field(init=False)
 
     def __post_init__(self) -> None:
@@ -243,7 +242,7 @@ def _saturation_inverse_cdf(uniforms: Sequence[float], params: DgpParams) -> lis
     The law is normal, truncated to [W_LOW, W_HIGH].  The normal CDF at
     the two window edges is evaluated once per column, and the probits
     come from one ``normal_quantiles`` pass.  Pathological tail draws
-    that escape the window through floating point are clamped back to
+    that escape the window through floating point are clipped back to
     the bounds.
     """
     mean, sd = params.saturation_mean, params.saturation_sd
@@ -317,20 +316,28 @@ def treatment_assignments(
     return [1 if u < p else 0 for u, p in zip(uniforms, sigmoids(logits))]
 
 
+def outcome_risks(
+    w_true: Sequence[float], treated: Sequence[int], params: DgpParams
+) -> list[float]:
+    """Adverse-outcome probabilities; risk rises with hypoxemia depth, falls with treatment."""
+    intercept, severity, benefit = params.out_intercept, params.out_severity, params.out_benefit
+    w_hypox = params.w_hypox
+    return sigmoids(
+        [
+            intercept + severity * (d if (d := w_hypox - w) > 0.0 else 0.0) - benefit * z
+            for w, z in zip(w_true, treated)
+        ]
+    )
+
+
 def outcome_assignments(
     w_true: Sequence[float],
     treated: Sequence[int],
     uniforms: Sequence[float],
     params: DgpParams,
 ) -> list[int]:
-    """Adverse-outcome draws; risk rises with hypoxemia depth, falls with treatment."""
-    intercept, severity, benefit = params.out_intercept, params.out_severity, params.out_benefit
-    w_hypox = params.w_hypox
-    logits = [
-        intercept + severity * (d if (d := w_hypox - w) > 0.0 else 0.0) - benefit * z
-        for w, z in zip(w_true, treated)
-    ]
-    return [1 if u < p else 0 for u, p in zip(uniforms, sigmoids(logits))]
+    """Adverse-outcome draws, one uniform per patient against its risk."""
+    return [1 if u < p else 0 for u, p in zip(uniforms, outcome_risks(w_true, treated, params))]
 
 
 @dataclass(frozen=True, slots=True)
@@ -390,20 +397,17 @@ def derive_cohort(
     dgp = draws.dgp
     group_a, w_true = draws.group_a, draws.w_true
     epsilon = measurement_errors(w_true, group_a, measurement_bias_on, draws.noise, dgp)
-    # The raw reading w + e, clamped to min(max(r, 0.0), 100.0) by the
+    # The raw reading r = w + e, clipped to min(max(r, 0.0), 100.0) by the
     # comparisons max and min make.
     w_star = [
         100.0 if 100.0 < (r := w + e) else 0.0 if 0.0 > r else r
         for w, e in zip(w_true, epsilon)
     ]
-    clamped = [(r := w + e) < 0.0 or r > 100.0 for w, e in zip(w_true, epsilon)]
     treated = treatment_assignments(
         w_star, group_a, systemic_bias_on, treatment_mode, draws.u_treat, dgp
     )
     outcome = outcome_assignments(w_true, treated, draws.u_out, dgp)
-    return Cohort(
-        list(range(len(w_true))), group_a, w_true, w_star, epsilon, treated, outcome, clamped
-    )
+    return Cohort(list(range(len(w_true))), group_a, w_true, w_star, epsilon, treated, outcome)
 
 
 def generate_cohort(config: ScenarioConfig) -> Cohort:
@@ -422,30 +426,33 @@ def generate_cohort(config: ScenarioConfig) -> Cohort:
     )
 
 
-def oracle_tau(params: DgpParams, cohort: Cohort, replicate_count: int) -> float:
-    """Ground-truth treatment effect E[Y(0)] - E[Y(1)] over the cohort.
+def oracle_tau(params: DgpParams, cohort: Cohort) -> float:
+    """Ground-truth treatment effect E[Y(0) - Y(1)] among the truly hypoxemic.
 
-    Monte Carlo over the cohort's true saturations with the outcome
-    model applied directly, using one shared uniform per (patient,
-    replicate) for both potential outcomes.  Deterministic for a given
-    cohort and replicate count; serves as the oracle against which the
-    data-driven estimator is validated.
+    The exact mean, over the patients with ``w_true < params.w_hypox``,
+    of the untreated minus the treated outcome risk.  That is the stratum
+    whose outcome contrast ``metrics.estimate_tau`` measures, so this is
+    the value that estimator targets.
     """
-    if replicate_count < 1:
-        raise ValueError(f"replicate_count must be >= 1, got {replicate_count!r}")
-    if not cohort:
-        raise ValueError("oracle_tau needs a non-empty cohort")
     if None in cohort.w_true:
         raise ValueError("oracle_tau requires true saturations for every patient")
-    rng = CounterRng(_ORACLE_SEED)
-    diff_total = 0
-    for patient_id, w_true in zip(cohort.patient_id, cohort.w_true):
-        severity = params.out_severity * max(0.0, params.w_hypox - w_true)
-        risk_untreated = sigmoid(params.out_intercept + severity)
-        risk_treated = sigmoid(params.out_intercept + severity - params.out_benefit)
-        for r in range(replicate_count):
-            u = rng.uniform(patient_id, Channel.ORACLE, r)
-            diff_total += (1 if u < risk_untreated else 0) - (
-                1 if u < risk_treated else 0
-            )
-    return diff_total / (len(cohort) * replicate_count)
+    w_hypox = params.w_hypox
+    stratum = [w for w in cohort.w_true if w < w_hypox]
+    if not stratum:
+        raise ValueError("oracle_tau needs a truly hypoxemic patient")
+    n = len(stratum)
+    untreated = outcome_risks(stratum, [0] * n, params)
+    treated = outcome_risks(stratum, [1] * n, params)
+    return sum(map(sub, untreated, treated)) / n
+
+
+def wstar_bins(w_star: Iterable[float], width: float) -> list[int]:
+    """The bin of each measured value: floor(w_star / width + 0.5).
+
+    Bin k is centred on k * width.  Raises ValueError when a quotient is
+    infinite, which a tiny positive width makes of any reading above 0.
+    """
+    try:
+        return list(map(math.floor, map(add, map(truediv, w_star, repeat(width)), repeat(0.5))))
+    except OverflowError:
+        raise ValueError(f"bin width {width!r} is too small for finite bins") from None

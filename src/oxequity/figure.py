@@ -2,17 +2,19 @@
 
 Produces the data behind an accuracy-by-group figure: for each
 measured-saturation bin and group, a five-number summary of the true
-saturations, plus the hypoxemia reference line.  No plotting here; the
-CSV is ready for any plotting front end.
+saturations.  The bins are those of the audit's CMH test
+(``cohort.wstar_bins``).  No plotting here; the CSV is ready for any
+plotting front end.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Sequence
 
-from .cohort import Cohort
+from .cohort import W_HIGH, W_LOW, Cohort, wstar_bins
 
 __all__ = ["FigureBin", "FigureSummary", "figure_summary", "figure_summary_csv"]
 
@@ -32,8 +34,6 @@ class FigureBin:
 @dataclass(slots=True)
 class FigureSummary:
     bins: list[FigureBin]
-    reference_line: float
-    bin_width: float
     out_of_range: int
 
 
@@ -51,8 +51,7 @@ def _quantile(sorted_values: Sequence[float], q: float) -> float:
 def figure_summary(
     cohort: Cohort,
     bin_width: float = 1.0,
-    value_range: tuple[float, float] = (70.0, 100.0),
-    reference_line: float = 88.0,
+    value_range: tuple[float, float] = (W_LOW, W_HIGH),
 ) -> FigureSummary:
     """Five-number summaries of w_true per (measured-value bin, group).
 
@@ -60,7 +59,9 @@ def figure_summary(
     default, matching device display precision).  Patients whose measured
     value falls outside ``value_range`` are excluded from bins but
     counted, so bin counts plus ``out_of_range`` equal the cohort size.
-    Empty bins are omitted.
+    Empty bins are omitted.  Raises ValueError on an invalid width or
+    range, an empty or gold-free cohort, or a width too small for finite
+    bins.
     """
     if bin_width <= 0.0:
         raise ValueError(f"bin_width must be positive, got {bin_width!r}")
@@ -71,14 +72,12 @@ def figure_summary(
         raise ValueError("cannot summarize an empty cohort")
     if None in cohort.w_true:
         raise ValueError("figure data needs gold-standard true saturations")
+    in_range = [lo <= w <= hi for w in cohort.w_star]
+    keys = wstar_bins(compress(cohort.w_star, in_range), bin_width)
     grouped: dict[tuple[int, int], list[float]] = {}
-    out_of_range = 0
-    for w_star, group_a, w_true in zip(cohort.w_star, cohort.group_a, cohort.w_true):
-        if w_star < lo or w_star > hi:
-            out_of_range += 1
-            continue
-        key = (math.floor(w_star / bin_width + 0.5), group_a)
-        grouped.setdefault(key, []).append(w_true)
+    groups, w_true = compress(cohort.group_a, in_range), compress(cohort.w_true, in_range)
+    for key, group_a, w in zip(keys, groups, w_true):
+        grouped.setdefault((key, group_a), []).append(w)
     bins = []
     for (bin_index, group_a), values in sorted(grouped.items()):
         values.sort()
@@ -94,12 +93,7 @@ def figure_summary(
                 maximum=values[-1],
             )
         )
-    return FigureSummary(
-        bins=bins,
-        reference_line=reference_line,
-        bin_width=bin_width,
-        out_of_range=out_of_range,
-    )
+    return FigureSummary(bins=bins, out_of_range=len(cohort) - len(keys))
 
 
 def figure_summary_csv(summary: FigureSummary) -> str:

@@ -24,7 +24,7 @@ from dataclasses import fields as dataclass_fields
 from itertools import islice
 from pathlib import Path
 
-from .cohort import Cohort, DgpParams
+from .cohort import W_HIGH, W_LOW, Cohort, DgpParams
 
 __all__ = [
     "COHORT_COLUMNS",
@@ -45,8 +45,6 @@ COHORT_COLUMNS = (
     "outcome",
 )
 _GOLD_COLUMNS = ("w_true", "epsilon")
-# Tolerance for re-deriving the clamp flag from 4-decimal serialized values.
-_CLAMP_TOL = 2e-4
 # Rows parsed per block.  Larger blocks parse no faster and raise the
 # reader's memory high-water mark.
 _BLOCK = 512
@@ -179,15 +177,11 @@ def _parse_block(block: list[list[str]], layout: _Layout, first_row_of_id: dict[
     ):
         return None
     if layout.has_gold:
-        if not (_in_range(w_true, 70.0, 100.0) and all(map(math.isfinite, epsilon))):
+        if not (_in_range(w_true, W_LOW, W_HIGH) and all(map(math.isfinite, epsilon))):
             return None
-        clamped = [
-            abs((t + e) - s) > _CLAMP_TOL for t, e, s in zip(w_true, epsilon, w_star)
-        ]
     else:
         w_true = epsilon = [None] * len(block)
-        clamped = [False] * len(block)
-    return ids, group_a, w_true, w_star, epsilon, treated, outcome, clamped
+    return ids, group_a, w_true, w_star, epsilon, treated, outcome
 
 
 def _parse_rows(
@@ -197,8 +191,8 @@ def _parse_rows(
 
     Blank rows are skipped.  Raises CohortSchemaError at the first fault.
     """
-    columns = tuple([] for _ in range(8))
-    ids, group_a, w_true, w_star, epsilon, treated, outcome, clamped = columns
+    columns = tuple([] for _ in COHORT_COLUMNS)
+    ids, group_a, w_true, w_star, epsilon, treated, outcome = columns
     for row_number, row in enumerate(block, start=start):
         if not row or all(not cell.strip() for cell in row):
             continue
@@ -216,7 +210,7 @@ def _parse_rows(
                     "w_true" if not raw_true else "epsilon",
                 )
             if raw_true or raw_eps:
-                true_value = _parse_float(raw_true, row_number, "w_true", 70.0, 100.0)
+                true_value = _parse_float(raw_true, row_number, "w_true", W_LOW, W_HIGH)
                 eps_value = _parse_float(raw_eps, row_number, "epsilon")
         star_value = _parse_float(row[layout.at_star].strip(), row_number, "w_star", 0.0, 100.0)
         patient_id = _parse_int(row[layout.at_id].strip(), row_number, "patient_id")
@@ -234,9 +228,6 @@ def _parse_rows(
         epsilon.append(eps_value)
         treated.append(_parse_int(row[layout.at_treated].strip(), row_number, "treated", True))
         outcome.append(_parse_int(row[layout.at_outcome].strip(), row_number, "outcome", True))
-        clamped.append(
-            eps_value is not None and abs((true_value + eps_value) - star_value) > _CLAMP_TOL
-        )
     return columns
 
 
@@ -256,7 +247,7 @@ def read_cohort_csv(path: str | Path, require_gold: bool = True) -> Cohort:
         except StopIteration:
             raise CohortSchemaError("file is empty") from None
         layout = _Layout(header, require_gold)
-        columns = tuple([] for _ in range(8))
+        columns = tuple([] for _ in COHORT_COLUMNS)
         first_row_of_id: dict[int, int] = {}
         start = 2
         while block := list(islice(reader, _BLOCK)):

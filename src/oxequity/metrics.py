@@ -39,11 +39,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import compress, repeat
-from operator import add, not_, truediv
+from itertools import compress
+from operator import not_
 from typing import Sequence
 
-from .cohort import Cohort, _require_finite
+from .cohort import Cohort, _require_finite, wstar_bins
 from .stats import (
     TWO_SIDED,
     SingularDesignError,
@@ -436,11 +436,13 @@ def equality_of_opportunity_test(cohort: Cohort, config: AuditConfig) -> MetricR
 
 
 def estimate_tau(cohort: Cohort, config: AuditConfig) -> float:
-    """Unadjusted treated-vs-untreated outcome contrast among the hypoxemic.
+    """Unadjusted untreated-minus-treated outcome rate among the hypoxemic.
 
-    This is a stratum-restricted difference of observed outcome rates,
-    not a causal adjustment; the simulator's Monte Carlo oracle provides
-    the check that it tracks the true effect under the default process.
+    The estimand is E[Y(0) - Y(1) | w_true < w_hypox], the treatment
+    effect within the truly hypoxemic stratum, which ``cohort.oracle_tau``
+    computes exactly for a simulated cohort.  This is a difference of
+    observed rates, not a causal adjustment: it is unbiased only while
+    treatment within the stratum is as good as random.
     """
     hypoxemic, _ = _hypoxemic_stratum(cohort, config, "treatment effect estimate")
     treated = list(compress(cohort.treated, hypoxemic))
@@ -550,17 +552,11 @@ def _systemic_logistic(cohort: Cohort, config: AuditConfig) -> MetricResult:
 
 
 def _systemic_cmh(cohort: Cohort, config: AuditConfig) -> MetricResult:
-    # floor(w_star / width + 0.5): the bin of each measured value
-    keys = map(
-        math.floor,
-        map(add, map(truediv, cohort.w_star, repeat(config.wstar_bin_width)), repeat(0.5)),
-    )
     try:
-        counts = Counter(zip(keys, cohort.group_a, cohort.treated))
-    except OverflowError:  # w_star / width is infinite
-        raise UntestableMetricError(
-            f"CMH bin width {config.wstar_bin_width!r} is too small for finite bins"
-        ) from None
+        keys = wstar_bins(cohort.w_star, config.wstar_bin_width)
+    except ValueError as exc:
+        raise UntestableMetricError(f"CMH {exc}") from None
+    counts = Counter(zip(keys, cohort.group_a, cohort.treated))
     strata: dict[int, list[list[int]]] = {}
     for (key, a, z), count in counts.items():
         table = strata.setdefault(key, [[0, 0], [0, 0]])

@@ -15,11 +15,15 @@ Because a draw depends only on its key, the same bits can be computed in
 any order (the counter-based design of Salmon et al. 2011, Random123).
 There are two entry points:
 
-* ``uniform`` hashes one key.  Use it for scattered draws, such as the
-  replicate index of ``cohort.oracle_tau``.
 * ``uniform_columns`` draws index 0 of several channels for patients
-  0..n-1.  Use it to draw a whole cohort: it gives the same bits as
-  ``uniform`` at about an eighth of the cost per draw.
+  0..n-1.  The generator draws every cohort through it.
+* ``uniform`` hashes one key.  It is the reference that
+  ``uniform_columns`` matches bit for bit, and the draw whose cost the
+  benchmark's ``rng.draw_ns`` measures.
+
+Both map the 53-bit word w to (w + 0.5) / 2**53, except the top word,
+for which that sum rounds to 2**53: it maps to ``_BELOW_ONE``, the
+largest float below 1, so every draw lies in the open interval (0, 1).
 
 ``uniform_columns`` runs each absorb-and-mix round on a block of
 ``_BLOCK`` patients at once.  The block's 64-bit words are packed into
@@ -61,6 +65,7 @@ _MULT2 = 0x94D049BB133111EB
 _BLOCK = 4096
 _ONE_LANE = (1).to_bytes(16, "little")
 _SWAP = sys.byteorder == "big"  # array("Q") is native-endian
+_BELOW_ONE = 1.0 - 2.0**-53
 
 
 class Channel(IntEnum):
@@ -71,8 +76,6 @@ class Channel(IntEnum):
     NOISE = 2
     TREAT = 3
     OUTCOME = 4
-    # Auxiliary stream for Monte Carlo replicates outside the cohort proper.
-    ORACLE = 5
 
 
 def _mix(z: int) -> int:
@@ -132,7 +135,8 @@ class CounterRng:
         z = ((z ^ (z >> 31)) + index * _MULT + _GOLDEN) & _MASK64
         z = ((z ^ (z >> 30)) * _MULT) & _MASK64
         z = ((z ^ (z >> 27)) * _MULT2) & _MASK64
-        return (((z ^ (z >> 31)) >> 11) + 0.5) * 2.0**-53
+        u = (((z ^ (z >> 31)) >> 11) + 0.5) * 2.0**-53
+        return u if u < 1.0 else _BELOW_ONE
 
     def uniform_columns(self, n: int, channels: Iterable[Channel]) -> list[list[float]]:
         """Index-0 uniforms of patients 0..n-1, one list per channel.
@@ -162,5 +166,8 @@ class CounterRng:
                 z = (keys + ((channel * _MULT + _GOLDEN) & _MASK64) * ones) & lanes
                 z = _mix_lanes((_mix_lanes(z, lanes) + golden) & lanes, lanes)
                 # (word >> 11) of every lane, then the float step of ``uniform``
-                column += [(w + 0.5) * 2.0**-53 for w in _unpack(z >> 11, m)]
+                draws = [(w + 0.5) * 2.0**-53 for w in _unpack(z >> 11, m)]
+                if 1.0 in draws:  # the top word, once in 2**53 draws
+                    draws = [u if u < 1.0 else _BELOW_ONE for u in draws]
+                column += draws
         return columns

@@ -238,7 +238,8 @@ def fit_logistic_irls(
 
     An intercept column is prepended internally, so ``design_rows``
     carries covariates only.  Convergence means every component of the
-    score X'(y - mu) has magnitude at most ``tol``.
+    score X'(y - mu) has magnitude at most ``tol`` and the final
+    information matrix can be inverted for standard errors.
 
     Raises:
         SingularDesignError: collinear design columns (detected at the
@@ -316,6 +317,7 @@ def fit_logistic_irls(
             ses = [math.sqrt(max(covariance[j][j], 0.0)) for j in range(width)]
         except _SingularPivot:
             ses = [_NAN] * width
+            converged = False
     else:
         ses = [_NAN] * width
     wald = [

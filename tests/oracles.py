@@ -3,12 +3,14 @@
 These deliberately avoid the package's own numerics: the normal CDF is a
 high-precision Maclaurin erf series evaluated with mpmath, quantiles
 come from bisection on it, tail probabilities from adaptive Simpson
-integration of the densities, and the AUC oracles integrate the
+integration of the densities, the AUC oracles integrate the
 empirical ROC curve with the trapezoid rule and sum exact midranks (the
-loop the package ran before it bisected, kept to pin its bits).  The
-cohort and Table-1 oracles are the exception: they reuse the package's
-counter RNG and pin how draws are shared and how the formulas are
-mapped over columns.
+loop the package ran before it bisected, kept to pin its bits), and the
+CMH statistic is summed in exact rationals.  The SplitMix64 finalizer
+and its inverse are written out here to build stream keys whose draw is
+a chosen word.  The cohort and Table-1 oracles are the exception: they
+reuse the package's counter RNG and pin how draws are shared and how
+the formulas are mapped over columns.
 They hash every stream afresh for each scenario, as the generator did
 before one set of draws served the whole grid, and apply the process's
 formulas one patient at a time, as the generator did before it mapped
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import mpmath as mp
 
@@ -339,6 +342,67 @@ def binomial_reject_count_oracle(n: int, q: float, level: float) -> int:
     return m
 
 
+def cmh_statistic_oracle(strata) -> Fraction | None:
+    """Exact CMH statistic of integer 2x2 strata; None when every stratum is degenerate.
+
+    A stratum with a zero row or column margin carries no information and
+    is skipped, as in the package.
+    """
+    excess = variance = Fraction(0)
+    for (a, b), (c, d) in strata:
+        n = a + b + c + d
+        r1, r2, c1, c2 = a + b, c + d, a + c, b + d
+        if 0 in (r1, r2, c1, c2):
+            continue
+        excess += a - Fraction(r1 * c1, n)
+        variance += Fraction(r1 * r2 * c1 * c2, n * n * (n - 1))
+    return excess * excess / variance if variance else None
+
+
+_MASK64 = (1 << 64) - 1
+_SM_GOLDEN = 0x9E3779B97F4A7C15
+_SM_MULT = 0xBF58476D1CE4E5B9
+_SM_MULT2 = 0x94D049BB133111EB
+
+
+def splitmix64_finalizer(z: int) -> int:
+    z = ((z ^ (z >> 30)) * _SM_MULT) & _MASK64
+    z = ((z ^ (z >> 27)) * _SM_MULT2) & _MASK64
+    return z ^ (z >> 31)
+
+
+def _undo_xorshift(y: int, s: int) -> int:
+    """The x with x ^ (x >> s) == y: each pass fixes s more top bits."""
+    x = y
+    for _ in range(64 // s + 1):
+        x = y ^ (x >> s)
+    return x
+
+
+def splitmix64_finalizer_inverse(z: int) -> int:
+    z = _undo_xorshift(z, 31)
+    z = _undo_xorshift((z * pow(_SM_MULT2, -1, 1 << 64)) & _MASK64, 27)
+    return _undo_xorshift((z * pow(_SM_MULT, -1, 1 << 64)) & _MASK64, 30)
+
+
+def channel_for_word(seed: int, patient_id: int, word: int, index: int = 0) -> int:
+    """The channel key whose 64-bit word at (seed, patient_id, channel, index) is ``word``.
+
+    A draw absorbs seed, patient, channel and index in turn, each as
+    ``z + key * MULT + GOLDEN`` followed by the finalizer; the finalizer is
+    a bijection and MULT is odd, so the channel step can be solved for.
+    """
+    seed_key = splitmix64_finalizer(((seed & _MASK64) + _SM_GOLDEN) & _MASK64)
+    after_patient = splitmix64_finalizer(
+        (seed_key + patient_id * _SM_MULT + _SM_GOLDEN) & _MASK64
+    )
+    after_channel = (
+        splitmix64_finalizer_inverse(word) - index * _SM_MULT - _SM_GOLDEN
+    ) & _MASK64
+    channel_sum = splitmix64_finalizer_inverse(after_channel)
+    return ((channel_sum - after_patient - _SM_GOLDEN) * pow(_SM_MULT, -1, 1 << 64)) & _MASK64
+
+
 def records_of(cohort: Cohort) -> list[PatientRecord]:
     """One record per patient of a cohort, in its order: the row view tests read."""
     columns = (
@@ -349,7 +413,6 @@ def records_of(cohort: Cohort) -> list[PatientRecord]:
         cohort.epsilon,
         cohort.treated,
         cohort.outcome,
-        cohort.clamped,
     )
     return [PatientRecord(*row) for row in zip(*columns)]
 
@@ -357,7 +420,7 @@ def records_of(cohort: Cohort) -> list[PatientRecord]:
 def gold_free(cohort: Cohort) -> Cohort:
     """The cohort without its gold standard, as a file lacking the gold columns reads."""
     n = len(cohort)
-    return replace(cohort, w_true=[None] * n, epsilon=[None] * n, clamped=[False] * n)
+    return replace(cohort, w_true=[None] * n, epsilon=[None] * n)
 
 
 def _sigmoid_oracle(x: float) -> float:
@@ -421,8 +484,7 @@ def generate_cohort_oracle(config) -> list[PatientRecord]:
         epsilon = _measurement_error_oracle(
             w_true, group_a, config.measurement_bias_on, noise, dgp
         )
-        raw = w_true + epsilon
-        w_star = min(max(raw, 0.0), 100.0)
+        w_star = min(max(w_true + epsilon, 0.0), 100.0)
         treated = _treatment_assignment_oracle(
             w_star,
             group_a,
@@ -443,7 +505,6 @@ def generate_cohort_oracle(config) -> list[PatientRecord]:
                 epsilon=epsilon,
                 treated=treated,
                 outcome=outcome,
-                clamped=raw < 0.0 or raw > 100.0,
             )
         )
     return records
@@ -592,6 +653,7 @@ def fit_logistic_irls_oracle(design_rows, outcomes, max_iter=50, tol=1e-8) -> Lo
             ses = [math.sqrt(max(covariance[j][j], 0.0)) for j in range(width)]
         except ValueError:
             ses = [math.nan] * width
+            converged = False
     else:
         ses = [math.nan] * width
     wald = [

@@ -11,10 +11,12 @@ once, and a generated cohort's ``len`` is its size.
 The IRLS kernel must add floats left to right; a source check keeps
 builtin ``sum`` (compensated since CPython 3.12) and ``math.fsum`` out of
 it, which a bit-identity test on an older interpreter could not see.
-Another source check finds imports that nothing uses.
+Another source check finds imports that nothing uses, and a third finds
+``Cohort`` columns that nothing reads.
 """
 
 import ast
+import dataclasses
 import importlib
 import pkgutil
 import sys
@@ -24,7 +26,7 @@ from pathlib import Path
 import pytest
 
 import oxequity
-from oxequity.cohort import ScenarioConfig, generate_cohort
+from oxequity.cohort import Cohort, ScenarioConfig, generate_cohort
 from oxequity.metrics import AuditConfig, run_full_audit
 
 from oracles import gold_free
@@ -77,6 +79,43 @@ def test_imports_are_used(module_name):
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = set(_imported_names(tree)) - read - set(getattr(module, "__all__", ()))
     assert not unused
+
+
+def _reads_outside_builders(tree: ast.Module) -> set[str]:
+    """Attribute names loaded in ``tree``, except inside the ``Cohort`` class
+    and inside functions that construct a ``Cohort``."""
+    builders = {
+        node
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.ClassDef) and node.name == "Cohort")
+        or (
+            isinstance(node, ast.FunctionDef)
+            and any(
+                isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Name)
+                and call.func.id == "Cohort"
+                for call in ast.walk(node)
+            )
+        )
+    }
+    inside = {id(n) for builder in builders for n in ast.walk(builder)}
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Load)
+        and id(node) not in inside
+    }
+
+
+def test_every_cohort_field_is_read():
+    # A column that only the generator and the reader fill is dead state.
+    read = set()
+    for module_name in _module_names():
+        module = importlib.import_module(module_name)
+        read |= _reads_outside_builders(ast.parse(Path(module.__file__).read_text()))
+    unread = [f.name for f in dataclasses.fields(Cohort) if f.name not in read]
+    assert not unread
 
 
 def test_span_targets_exist():

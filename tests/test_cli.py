@@ -186,6 +186,45 @@ def test_figure_rejects_gold_free(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_figure_has_no_reference_line_option(tmp_path, capsys):
+    cohort = tmp_path / "c.csv"
+    run("simulate", "--n", "50", "--seed", "6", "--out", str(cohort))
+    capsys.readouterr()
+    assert run("figure", "--in", str(cohort), "--w-hypox", "88") == 1
+    assert "unrecognized arguments: --w-hypox 88" in capsys.readouterr().err
+
+
+def test_figure_rejects_a_tiny_bin_width(tmp_path, capsys):
+    # the CMH bins of the audit: w_star / 1e-320 is infinite
+    cohort = tmp_path / "c.csv"
+    run("simulate", "--n", "50", "--seed", "6", "--out", str(cohort))
+    capsys.readouterr()
+    assert run("figure", "--in", str(cohort), "--bin-width", "1e-320") == 1
+    assert capsys.readouterr().err == (
+        "error: bin width 1e-320 is too small for finite bins\n"
+    )
+
+
+# Gold-free and quasi-separated: the IRLS score vanishes while the
+# information matrix becomes singular, so no standard error exists.
+QUASI_SEPARATED_CSV = (
+    "group_a,w_star,treated,patient_id,outcome\n"
+    "0,0,0,0,0\n0,0,0,1,0\n0,0,0,2,0\n0,25,0,3,0\n1,0,1,4,0\n1,8,0,5,0\n1,77,1,6,0\n"
+)
+
+
+def test_audit_json_of_a_quasi_separated_cohort(tmp_path, capsys):
+    cohort = tmp_path / "c.csv"
+    cohort.write_text(QUASI_SEPARATED_CSV)
+    assert run("audit", "--in", str(cohort), "--format", "json") == 0
+    metrics = json.loads(capsys.readouterr().out)["reports"][0]["metrics"]
+    logistic = next(m for m in metrics if m["metric_name"] == "systemic_bias_logistic")
+    assert logistic["status"] == (
+        "non-converged: separation suspected; stratified test stands alone"
+    )
+    assert logistic["test"] is None
+
+
 def test_params_file_flows_through(tmp_path):
     params = tmp_path / "p.json"
     params.write_text('{"err_base": 0.0, "err_noise_sd": 0.5}\n')

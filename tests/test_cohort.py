@@ -19,7 +19,7 @@ from oxequity.cohort import (
 )
 from oxequity.metrics import AuditConfig
 
-from oracles import records_of, truncated_normal_inverse_oracle
+from oracles import gold_free, records_of, truncated_normal_inverse_oracle
 
 # frozen oracle inversions of the truncated-normal CDF
 MEDIAN_DEFAULT = 88.2999990574     # mean 88.3, sd 2.35, u = 0.5
@@ -189,8 +189,7 @@ class TestGenerateCohort:
             assert 70.0 <= r.w_true <= 100.0
             assert 0.0 <= r.w_star <= 100.0
             assert r.group_a in (0, 1) and r.treated in (0, 1) and r.outcome in (0, 1)
-            if not r.clamped:
-                assert r.w_star == pytest.approx(r.w_true + r.epsilon, abs=1e-12)
+            assert r.w_star == min(max(r.w_true + r.epsilon, 0.0), 100.0)
 
     def test_differential_means_ordered_across_seeds(self):
         # sample mean of the error: group 1 above group 0 above zero
@@ -205,7 +204,9 @@ class TestGenerateCohort:
         clamped = total = 0
         for seed in range(1, 13):
             cohort = generate_cohort(ScenarioConfig(seed=seed))
-            clamped += sum(cohort.clamped)
+            raw = [w + e for w, e in zip(cohort.w_true, cohort.epsilon)]
+            assert cohort.w_star == [min(max(r, 0.0), 100.0) for r in raw]
+            clamped += sum(not 0.0 <= r <= 100.0 for r in raw)
             total += len(cohort)
         assert clamped / total < 0.001
 
@@ -234,33 +235,49 @@ def test_every_float_field_must_be_finite(config_type, bad):
             config_type(**{name: bad})
 
 
+def _expit(x):
+    return 1.0 / (1.0 + math.exp(-x))
+
+
 class TestOracleTau:
     def test_no_benefit_means_zero(self):
         params = replace(DEFAULT_DGP, out_benefit=0.0)
         cohort = generate_cohort(ScenarioConfig(n_total=300, seed=3, dgp=params))
-        assert oracle_tau(params, cohort, 200) == 0.0
+        assert oracle_tau(params, cohort) == 0.0
 
     def test_single_patient_closed_form(self):
         params = replace(DEFAULT_DGP, out_intercept=-3.0, out_severity=0.3, out_benefit=1.0)
         cohort = generate_cohort(ScenarioConfig(n_total=2, seed=1, dgp=params))
-        patient = Cohort.from_records([replace(records_of(cohort)[0], w_true=95.0)])
-        # sigmoid(-3) - sigmoid(-4) ~ 0.0294397
-        assert oracle_tau(params, patient, 200000) == pytest.approx(
-            0.0294396632, abs=1.5e-3
-        )
+        patient = Cohort.from_records([replace(records_of(cohort)[0], w_true=84.0)])
+        # severity 0.3 * (88 - 84): sigmoid(-1.8) - sigmoid(-2.8) ~ 0.0846
+        expected = _expit(-1.8) - _expit(-2.8)
+        assert oracle_tau(params, patient) == pytest.approx(expected, rel=0, abs=1e-15)
+
+    def test_mean_over_the_hypoxemic_stratum(self):
+        cohort = generate_cohort(ScenarioConfig(seed=1))
+        p = DEFAULT_DGP
+        stratum = [w for w in cohort.w_true if w < p.w_hypox]
+        assert 0 < len(stratum) < len(cohort)
+        diffs = [
+            _expit(p.out_intercept + p.out_severity * (p.w_hypox - w))
+            - _expit(p.out_intercept + p.out_severity * (p.w_hypox - w) - p.out_benefit)
+            for w in stratum
+        ]
+        tau = oracle_tau(p, cohort)
+        assert tau == pytest.approx(math.fsum(diffs) / len(diffs), rel=1e-12)
+        assert tau == pytest.approx(0.03139, abs=5e-6)
 
     def test_default_effect_in_documented_band(self):
         cohort = generate_cohort(ScenarioConfig(seed=1))
-        tau = oracle_tau(DEFAULT_DGP, cohort, 100)
+        tau = oracle_tau(DEFAULT_DGP, cohort)
         assert 0.025 <= tau <= 0.035
-
-    def test_deterministic_in_replicates(self):
-        cohort = generate_cohort(ScenarioConfig(n_total=100, seed=8))
-        assert oracle_tau(DEFAULT_DGP, cohort, 50) == oracle_tau(DEFAULT_DGP, cohort, 50)
 
     def test_validation(self):
         cohort = generate_cohort(ScenarioConfig(n_total=10, seed=1))
         with pytest.raises(ValueError):
-            oracle_tau(DEFAULT_DGP, cohort, 0)
-        with pytest.raises(ValueError):
-            oracle_tau(DEFAULT_DGP, Cohort.from_records([]), 10)
+            oracle_tau(DEFAULT_DGP, Cohort.from_records([]))
+        with pytest.raises(ValueError, match="true saturations"):
+            oracle_tau(DEFAULT_DGP, gold_free(cohort))
+        healthy = Cohort.from_records([replace(records_of(cohort)[0], w_true=95.0)])
+        with pytest.raises(ValueError, match="hypoxemic"):
+            oracle_tau(DEFAULT_DGP, healthy)

@@ -18,7 +18,7 @@ from oxequity.stats.hypotests import (
 )
 from oxequity.stats.special import normal_cdf
 
-from oracles import chi_square_tail_oracle, student_t_tail_oracle
+from oracles import chi_square_tail_oracle, cmh_statistic_oracle, student_t_tail_oracle
 
 # frozen from the adaptive-integration oracles
 T_TAIL_4_2449 = 0.0352605884618  # P(T_4 > 2.449)
@@ -227,3 +227,51 @@ class TestCmh:
                 (n - 1) / n * pearson.statistic, rel=1e-9, abs=1e-12
             )
             checked += 1
+
+
+def _random_strata(rng):
+    """1-8 integer 2x2 strata; about a third have a zero row or column margin."""
+    strata = []
+    for _ in range(rng.randint(1, 8)):
+        table = [[rng.randint(0, 12) for _ in range(2)] for _ in range(2)]
+        if rng.random() < 1 / 3:
+            if rng.random() < 0.5:
+                table[rng.randint(0, 1)] = [0, 0]
+            else:
+                column = rng.randint(0, 1)
+                table[0][column] = table[1][column] = 0
+        strata.append(table)
+    return strata
+
+
+def test_cmh_matches_exact_rational_oracle():
+    rng = random.Random(20261018)
+    checked = degenerate = 0
+    for _ in range(500):
+        strata = _random_strata(rng)
+        exact = cmh_statistic_oracle(strata)
+        if exact is None:
+            with pytest.raises(ValueError, match="every stratum is degenerate"):
+                cmh_conditional_independence(strata)
+            degenerate += 1
+            continue
+        result = cmh_conditional_independence(strata)
+        assert result.statistic == pytest.approx(float(exact), rel=1e-12, abs=1e-12)
+        assert result.p_value == pytest.approx(
+            chi_square_tail_oracle(float(exact), 1.0), rel=1e-9, abs=1e-15
+        )
+        checked += 1
+    assert checked > 400 and degenerate > 0
+
+
+def test_welch_matches_scipy():
+    stats = pytest.importorskip("scipy.stats")
+    rng = random.Random(7)
+    for _ in range(200):
+        hi = [rng.gauss(0.3, rng.uniform(0.1, 3.0)) for _ in range(rng.randint(2, 40))]
+        lo = [rng.gauss(0.0, rng.uniform(0.1, 3.0)) for _ in range(rng.randint(2, 40))]
+        result = welch_t_one_sided(hi, lo)
+        ref = stats.ttest_ind(hi, lo, equal_var=False, alternative="greater")
+        assert result.statistic == pytest.approx(ref.statistic, rel=1e-12)
+        assert result.df == pytest.approx(ref.df, rel=1e-12)
+        assert result.p_value == pytest.approx(ref.pvalue, rel=1e-9)

@@ -144,16 +144,6 @@ def test_non_finite_epsilon_rejected(tmp_path, cohort, value):
     assert excinfo.value.column == "epsilon"
 
 
-def test_clamp_flag_rederived(tmp_path):
-    path = tmp_path / "clamp.csv"
-    path.write_text(
-        ",".join(COHORT_COLUMNS)
-        + "\n0,0,99.5000,100.0000,1.3000,0,0\n1,0,90.0000,91.3000,1.3000,1,0\n"
-    )
-    loaded = read_cohort_csv(path)
-    assert loaded.clamped == [True, False]
-
-
 def test_params_round_trip(tmp_path):
     path = tmp_path / "params.json"
     custom = replace(DEFAULT_DGP, err_base=0.9, treat_slope=0.05)

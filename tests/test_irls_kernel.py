@@ -101,6 +101,12 @@ def test_complete_separation_matches():
     assert not fit.converged
 
 
+def test_singular_final_information_matches():
+    rows = [(0.0, 0.0)] * 3 + [(25.0, 0.0), (0.0, 1.0), (8.0, 1.0), (77.0, 1.0)]
+    fit = assert_same_fit(rows, [0, 0, 0, 0, 1, 0, 1])
+    assert fit.max_abs_score <= 1e-8 and not fit.converged
+
+
 def test_collinear_design_matches():
     rng = random.Random(3)
     rows = []

@@ -109,6 +109,20 @@ def test_complete_separation_flagged_not_raised():
     assert all(math.isnan(p) for p in fit.p_values)
 
 
+# (w_star, group) -> treated of a 7-patient cohort: the score test passes
+# at iteration 22 while the final information matrix is singular.
+QUASI_SEPARATED_ROWS = [(0.0, 0.0)] * 3 + [(25.0, 0.0), (0.0, 1.0), (8.0, 1.0), (77.0, 1.0)]
+QUASI_SEPARATED_OUTCOMES = [0, 0, 0, 0, 1, 0, 1]
+
+
+def test_singular_final_information_is_not_converged():
+    fit = fit_logistic_irls(QUASI_SEPARATED_ROWS, QUASI_SEPARATED_OUTCOMES)
+    assert fit.max_abs_score <= 1e-8
+    assert not fit.converged
+    assert all(math.isnan(se) for se in fit.standard_errors)
+    assert all(math.isnan(p) for p in fit.p_values)
+
+
 def test_collinear_design_names_column():
     rng = random.Random(3)
     rows = []

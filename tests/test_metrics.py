@@ -269,7 +269,7 @@ class TestTau:
         for seed in range(1, 31):
             cohort = generate_cohort(ScenarioConfig(seed=seed))
             tau_hat = estimate_tau(cohort, audit_config)
-            tau_true = oracle_tau(DEFAULT_DGP, cohort, 60)
+            tau_true = oracle_tau(DEFAULT_DGP, cohort)
             stratum = [r for r in records_of(cohort) if r.w_true < 88.0]
             treated = [r for r in stratum if r.treated == 1]
             untreated = [r for r in stratum if r.treated == 0]

@@ -10,6 +10,8 @@ import pytest
 from oxequity.rng import _BLOCK, Channel, CounterRng, _pack
 from oxequity.stats.special import normal_quantile
 
+from oracles import channel_for_word
+
 
 def test_reproducible_across_instances():
     a = CounterRng(42)
@@ -76,7 +78,8 @@ FROZEN_SEED = 2**64 + 0x5DEECE66D
 COHORT_CHANNELS = (Channel.GROUP, Channel.SATURATION, Channel.NOISE, Channel.TREAT, Channel.OUTCOME)
 # 2000 patients x the five cohort channels, index 0, patient-major
 COHORT_WORDS_SHA256 = "3bf5cefeabfee0c7ccd546fc7c02ff58b40c318a5b2e7023d83c7fffc8a5c6c3"
-# 1000 spread patient ids x ORACLE replicate indices 0..9
+# 1000 spread patient ids x channel 5 (once the Monte Carlo oracle's
+# stream), indices 0..9
 ORACLE_WORDS_SHA256 = "05723086d80d43eb9d89f106756084768cc4fd97da6832c7ff3e28efc79b4e98"
 
 
@@ -88,7 +91,7 @@ def test_scalar_draws_match_frozen_digests():
     rng = CounterRng(FROZEN_SEED)
     cohort = [rng.uniform(i, ch) for i in range(2000) for ch in COHORT_CHANNELS]
     assert _sha256(cohort) == COHORT_WORDS_SHA256
-    oracle = [rng.uniform(i * 7919, Channel.ORACLE, r) for i in range(1000) for r in range(10)]
+    oracle = [rng.uniform(i * 7919, 5, r) for i in range(1000) for r in range(10)]
     assert _sha256(oracle) == ORACLE_WORDS_SHA256
 
 
@@ -99,7 +102,7 @@ def test_column_draws_match_frozen_digest():
 
 def test_columns_follow_the_given_channel_order():
     rng = CounterRng(3)
-    channels = [Channel.ORACLE, Channel.GROUP, Channel.ORACLE]
+    channels = [5, Channel.GROUP, 5]
     columns = rng.uniform_columns(40, channels)
     assert columns == [[rng.uniform(i, ch) for i in range(40)] for ch in channels]
     assert rng.uniform_columns(0, channels) == [[], [], []]
@@ -119,10 +122,10 @@ def test_column_draw_rejects_negative_keys():
 @pytest.mark.parametrize("n", (0, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3))
 @pytest.mark.parametrize("seed", (0, 2**64 - 1, 2**64 + 1))
 def test_column_draws_cross_block_edges(n, seed):
-    # Block boundaries of the lane kernel; ORACLE is the highest channel,
+    # Block boundaries of the lane kernel; 5 is above every cohort channel,
     # and a repeated channel must give the same column twice.
     rng = CounterRng(seed)
-    channels = [Channel.ORACLE, Channel.GROUP, Channel.ORACLE]
+    channels = [5, Channel.GROUP, 5]
     columns = rng.uniform_columns(n, channels)
     assert [len(column) for column in columns] == [n, n, n]
     assert columns == [[rng.uniform(i, ch) for i in range(n)] for ch in channels]
@@ -130,3 +133,20 @@ def test_column_draws_cross_block_edges(n, seed):
 
 def test_lanes_are_little_endian_128_bit():
     assert _pack(array("Q", [1, 2**64 - 1, 3])) == 1 + ((2**64 - 1) << 128) + (3 << 256)
+
+
+def test_top_word_maps_to_the_largest_float_below_one():
+    # The channel whose draw for (seed 7, patient 0) is the 64-bit word
+    # 2**64 - 1, whose top 53 bits w give (w + 0.5) * 2**-53 == 1.0.
+    channel = channel_for_word(7, 0, 2**64 - 1)
+    assert channel == 7904560541666585842
+    rng = CounterRng(7)
+    below_one = 1.0 - 2.0**-53
+    assert rng.uniform(0, channel) == below_one
+    column = rng.uniform_columns(3, [channel])[0]
+    assert column == [below_one, rng.uniform(1, channel), rng.uniform(2, channel)]
+    assert all(0.0 < u < 1.0 for u in column)
+    # The word below it keeps the usual map, which rounds w + 0.5 to even.
+    neighbour = channel_for_word(7, 0, 2**64 - 1 - 2**11)
+    assert rng.uniform(0, neighbour) == 1.0 - 2.0**-52
+    assert rng.uniform_columns(1, [neighbour]) == [[1.0 - 2.0**-52]]

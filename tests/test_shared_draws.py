@@ -65,7 +65,8 @@ def test_grid_cohorts_equal_generation_from_scratch(seed, mode, dgp):
         cohort = generate_cohort(config)
         assert result.cohorts[label] == cohort
         assert cohort == Cohort.from_records(generate_cohort_oracle(config))
-    clamped = sum(result.cohorts["both"].clamped)
+    both = result.cohorts["both"]
+    clamped = sum(s != w + e for s, w, e in zip(both.w_star, both.w_true, both.epsilon))
     assert (clamped > 0) == (dgp is CLAMPING_DGP)
     assert result.table1 == threshold_protocol_oracle(base)
 
