@@ -591,7 +591,7 @@ def systemic_bias_tests(
             is the same, so neither test has anything to condition on.
     """
     _group_sizes(cohort)
-    if len(set(cohort.w_star)) < 2:
+    if not min(cohort.w_star) < max(cohort.w_star):
         raise UntestableMetricError("need at least two distinct measured values")
     logistic = _attempt((SYSTEMIC_BIAS_LOGISTIC,), _systemic_logistic, cohort, config)
     cmh = _attempt((SYSTEMIC_BIAS_CMH,), _systemic_cmh, cohort, config)

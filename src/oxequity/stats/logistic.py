@@ -3,9 +3,9 @@
 Newton-Raphson on the Bernoulli log-likelihood with step halving.  For
 the canonical logit link the observed and expected information coincide
 (X'WX), so standard errors come from inverting the final information
-matrix.  The solver is written for the small designs this package fits
-(a handful of coefficients on up to some tens of thousands of rows) and
-needs no linear algebra library.
+matrix.  The solver is written for designs of a handful of coefficients,
+and needs no linear algebra library: each Newton step solves its p x p
+system once, by Gaussian elimination.
 
 The per-row work runs as a column kernel.  The covariates are turned
 into columns once per fit.  Each candidate of the line search builds the
@@ -61,6 +61,11 @@ _NAN = float("nan")
 # Rows per block of the log-likelihood and score passes; bounds their
 # temporaries.
 _BLOCK = 2048
+
+# The fit stops once every score component is at most _SCORE_TOL in
+# magnitude, or after _MAX_ITER Newton steps.
+_SCORE_TOL = 1e-8
+_MAX_ITER = 50
 
 
 class SingularDesignError(ValueError):
@@ -229,17 +234,15 @@ def _score_and_information(
 
 
 def fit_logistic_irls(
-    design_rows: Sequence[Sequence[float]],
-    outcomes: Sequence[int],
-    max_iter: int = 50,
-    tol: float = 1e-8,
+    design_rows: Sequence[Sequence[float]], outcomes: Sequence[int]
 ) -> LogisticFit:
     """Maximum-likelihood logistic fit of outcomes on the given covariates.
 
     An intercept column is prepended internally, so ``design_rows``
     carries covariates only.  Convergence means every component of the
-    score X'(y - mu) has magnitude at most ``tol`` and the final
-    information matrix can be inverted for standard errors.
+    score X'(y - mu) has magnitude at most ``_SCORE_TOL`` within
+    ``_MAX_ITER`` Newton steps, and the final information matrix can be
+    inverted for standard errors.
 
     Raises:
         SingularDesignError: collinear design columns (detected at the
@@ -277,17 +280,19 @@ def fit_logistic_irls(
     )
     # At beta = 0 every weight is 1/4, so info is X'X / 4: check its rank
     # here, before the score test, so a collinear design whose score
-    # already vanishes cannot pass as converged.
+    # already vanishes cannot pass as converged.  The solution is the
+    # first Newton step.
     try:
-        _solve(info, [score])
+        (delta,) = _solve(info, [score])
     except _SingularPivot as exc:
         raise SingularDesignError([exc.column]) from None
-    while iterations < max_iter and max_abs_score > tol:
-        try:
-            (delta,) = _solve(info, [score])
-        except _SingularPivot:
-            # Weights collapsed mid-path (separation); report as such.
-            break
+    while iterations < _MAX_ITER and max_abs_score > _SCORE_TOL:
+        if iterations:
+            try:
+                (delta,) = _solve(info, [score])
+            except _SingularPivot:
+                # Weights collapsed mid-path (separation); report as such.
+                break
         step = 1.0
         for _ in range(30):
             candidate = [b + step * d for b, d in zip(beta, delta)]
@@ -306,27 +311,25 @@ def fit_logistic_irls(
 
     # A score that vanished only because every observation is classified
     # exactly is the numerical face of separation, not an interior maximum.
-    converged = max_abs_score <= tol and max_resid > _PERFECT_FIT_RESIDUAL
+    converged = max_abs_score <= _SCORE_TOL and max_resid > _PERFECT_FIT_RESIDUAL
 
     covariance = None
     if converged:
         identity = [[1.0 if i == j else 0.0 for i in range(width)] for j in range(width)]
         try:
             inv_cols = _solve(info, identity)
-            covariance = [[inv_cols[j][i] for j in range(width)] for i in range(width)]
-            ses = [math.sqrt(max(covariance[j][j], 0.0)) for j in range(width)]
         except _SingularPivot:
-            ses = [_NAN] * width
             converged = False
-    else:
-        ses = [_NAN] * width
-    wald = [
-        b / se if se and not math.isnan(se) and se > 0.0 else _NAN
-        for b, se in zip(beta, ses)
-    ]
-    p_values = [
-        2.0 * normal_cdf(-abs(z)) if not math.isnan(z) else _NAN for z in wald
-    ]
+        else:
+            covariance = [[inv_cols[j][i] for j in range(width)] for i in range(width)]
+    # se > 0.0 rejects NaN and zero alike, and normal_cdf(NaN) is NaN.
+    ses, wald, p_values = [], [], []
+    for j, b in enumerate(beta):
+        se = math.sqrt(max(covariance[j][j], 0.0)) if covariance else _NAN
+        z = b / se if se > 0.0 else _NAN
+        ses.append(se)
+        wald.append(z)
+        p_values.append(2.0 * normal_cdf(-abs(z)))
     return LogisticFit(
         coefficients=beta,
         standard_errors=ses,

@@ -599,7 +599,7 @@ def _irls_score_and_information_oracle(x_rows, y, beta):
     return score, info, max(abs(s) for s in score), max_abs_resid
 
 
-def fit_logistic_irls_oracle(design_rows, outcomes, max_iter=50, tol=1e-8) -> LogisticFit:
+def fit_logistic_irls_oracle(design_rows, outcomes, max_iter=50) -> LogisticFit:
     """The per-row IRLS loop: one (1, x...) tuple per row, sums row by row."""
     x_rows = [(1.0, *(float(v) for v in row)) for row in design_rows]
     y = [int(v) for v in outcomes]
@@ -624,7 +624,7 @@ def fit_logistic_irls_oracle(design_rows, outcomes, max_iter=50, tol=1e-8) -> Lo
     except ValueError as exc:
         column = int(str(exc).rsplit(" ", 1)[-1])
         raise SingularDesignError([column]) from None
-    while iterations < max_iter and max_abs_score > tol:
+    while iterations < max_iter and max_abs_score > 1e-8:
         try:
             (delta,) = _solve(info, [score])
         except ValueError:
@@ -642,7 +642,7 @@ def fit_logistic_irls_oracle(design_rows, outcomes, max_iter=50, tol=1e-8) -> Lo
             x_rows, y, beta
         )
 
-    converged = max_abs_score <= tol and max_resid > _PERFECT_FIT_RESIDUAL
+    converged = max_abs_score <= 1e-8 and max_resid > _PERFECT_FIT_RESIDUAL
 
     covariance = None
     if converged:

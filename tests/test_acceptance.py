@@ -129,7 +129,7 @@ def test_criterion_3_irls_numerics():
     outcomes = [
         1 if rng.random() < sigmoid(-0.4 + 0.8 * a - 1.1 * b) else 0 for a, b in rows
     ]
-    fit = fit_logistic_irls(rows, outcomes, tol=1e-8)
+    fit = fit_logistic_irls(rows, outcomes)
     if not (fit.converged and fit.max_abs_score <= 1e-8):
         problems.append(f"score did not vanish: {fit.max_abs_score!r}")
 

@@ -17,6 +17,7 @@ import pytest
 
 from oxequity.cohort import ScenarioConfig, generate_cohort
 from oxequity.io import read_cohort_csv, write_cohort_csv
+from oxequity.stats import logistic
 from oxequity.stats.logistic import _BLOCK, SingularDesignError, fit_logistic_irls
 from oxequity.stats.special import sigmoid
 
@@ -35,9 +36,9 @@ def _fit_bits(fit):
     return {f.name: _bits(getattr(fit, f.name)) for f in dataclasses.fields(fit)}
 
 
-def assert_same_fit(rows, outcomes, **kwargs):
-    expected = fit_logistic_irls_oracle(rows, outcomes, **kwargs)
-    actual = fit_logistic_irls(rows, outcomes, **kwargs)
+def assert_same_fit(rows, outcomes, max_iter=logistic._MAX_ITER):
+    expected = fit_logistic_irls_oracle(rows, outcomes, max_iter=max_iter)
+    actual = fit_logistic_irls(rows, outcomes)
     assert _fit_bits(actual) == _fit_bits(expected)
     return actual
 
@@ -97,7 +98,7 @@ def test_intercept_only_design_matches():
 
 def test_complete_separation_matches():
     rows = [(float(x),) for x in range(-10, 10)]
-    fit = assert_same_fit(rows, [1 if x >= 0 else 0 for x, in rows], max_iter=40)
+    fit = assert_same_fit(rows, [1 if x >= 0 else 0 for x, in rows])
     assert not fit.converged
 
 
@@ -123,7 +124,8 @@ def test_collinear_design_matches():
     assert str(actual.value) == str(expected.value)
 
 
-def test_single_iteration_matches():
+def test_single_iteration_matches(monkeypatch):
+    monkeypatch.setattr(logistic, "_MAX_ITER", 1)
     rows, outcomes = _random_design(2, 500, seed=1)
     fit = assert_same_fit(rows, outcomes, max_iter=1)
     assert fit.iterations == 1 and not fit.converged
@@ -188,7 +190,7 @@ def test_constant_indicator_column_matches(constant):
 def test_indicator_separation_matches():
     # the outcome is the indicator itself: quasi-complete separation
     rows, _ = _indicator_design("gb", 200, seed=13)
-    fit = assert_same_fit(rows, [int(b) for _, b in rows], max_iter=40)
+    fit = assert_same_fit(rows, [int(b) for _, b in rows])
     assert not fit.converged
 
 

@@ -44,7 +44,7 @@ def test_score_vanishes_at_convergence():
         1 if rng.random() < sigmoid(-0.5 + 1.2 * x1 - 0.8 * x2) else 0
         for x1, x2 in rows
     ]
-    fit = fit_logistic_irls(rows, outcomes, tol=1e-8)
+    fit = fit_logistic_irls(rows, outcomes)
     assert fit.converged
     assert fit.max_abs_score <= 1e-8
 
@@ -101,7 +101,7 @@ def test_wald_inference_shape():
 def test_complete_separation_flagged_not_raised():
     rows = [(float(x),) for x in range(-10, 10)]
     outcomes = [1 if x >= 0 else 0 for x, in rows]
-    fit = fit_logistic_irls(rows, outcomes, max_iter=40)
+    fit = fit_logistic_irls(rows, outcomes)
     assert not fit.converged
     assert abs(fit.coefficients[1]) > 3.0  # slope diverging
     assert all(math.isnan(se) for se in fit.standard_errors)
@@ -166,3 +166,4 @@ def test_fractional_outcomes_rejected_not_truncated():
         fit_logistic_irls(rows, [0, 1, 1, 0.5])
     # integral floats and bools are binary values and still fit
     assert fit_logistic_irls(rows, [0.0, 1.0, True, False]) == fit_logistic_irls(rows, [0, 1, 1, 0])
+
