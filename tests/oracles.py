@@ -616,6 +616,7 @@ def fit_logistic_irls_oracle(design_rows, outcomes, max_iter=50) -> LogisticFit:
     beta = [0.0] * width
     loglik = _irls_log_likelihood_oracle(x_rows, y, beta)
     iterations = 0
+    final = False
     score, info, max_abs_score, max_resid = _irls_score_and_information_oracle(
         x_rows, y, beta
     )
@@ -629,20 +630,31 @@ def fit_logistic_irls_oracle(design_rows, outcomes, max_iter=50) -> LogisticFit:
             (delta,) = _solve(info, [score])
         except ValueError:
             break
-        step = 1.0
-        for _ in range(30):
-            candidate = [b + step * d for b, d in zip(beta, delta)]
-            candidate_ll = _irls_log_likelihood_oracle(x_rows, y, candidate)
-            if candidate_ll >= loglik - 1e-10:
-                break
-            step *= 0.5
-        beta, loglik = candidate, candidate_ll
+        # Newton decrement delta'g / 2: a small one takes the full step and stops.
+        decrement = 0.0
+        for d, g in zip(delta, score):
+            decrement += d * g
+        final = decrement / 2.0 <= 1e-12 * max(1.0, abs(loglik))
+        if final:
+            candidate = [b + d for b, d in zip(beta, delta)]
+        else:
+            step = 1.0
+            for _ in range(30):
+                candidate = [b + step * d for b, d in zip(beta, delta)]
+                candidate_ll = _irls_log_likelihood_oracle(x_rows, y, candidate)
+                if candidate_ll >= loglik - 1e-10:
+                    break
+                step *= 0.5
+            loglik = candidate_ll
+        beta = candidate
         iterations += 1
         score, info, max_abs_score, max_resid = _irls_score_and_information_oracle(
             x_rows, y, beta
         )
+        if final:
+            break
 
-    converged = max_abs_score <= 1e-8 and max_resid > _PERFECT_FIT_RESIDUAL
+    converged = (max_abs_score <= 1e-8 or final) and max_resid > _PERFECT_FIT_RESIDUAL
 
     covariance = None
     if converged:

@@ -62,6 +62,14 @@ def test_csv_round_trip_at_20000_matches(tmp_path):
     assert fit.iterations > 1
 
 
+def test_large_cohort_stops_on_decrement():
+    # At n=8e4 the log-likelihood's rounding noise outgrows the line
+    # search's slack near the optimum; without the Newton-decrement stop
+    # this fit halved its steps until the iteration cap.
+    fit = assert_same_fit(*_audit_design(generate_cohort(ScenarioConfig(n_total=80000, seed=1))))
+    assert fit.converged and fit.iterations <= 10
+
+
 def _random_design(p, n, seed):
     rng = random.Random(1000 * p + n + seed)
     truth = [rng.uniform(-1.0, 1.0) for _ in range(p + 1)]
