@@ -167,3 +167,60 @@ def test_fractional_outcomes_rejected_not_truncated():
     # integral floats and bools are binary values and still fit
     assert fit_logistic_irls(rows, [0.0, 1.0, True, False]) == fit_logistic_irls(rows, [0, 1, 1, 0])
 
+
+# scipy's trust-region Newton stops at a gradient norm of 1e-5, so its
+# optimum is off the exact MLE by up to a few 1e-6 standard errors on these
+# designs, and its SEs by up to ~1e-7 relative.  The fit must agree with it
+# to 1e-4 standard errors and 1e-6 relative: far below any statistical
+# consequence, far above both solvers' stopping error.
+SCIPY_COEF_SE_TOL = 1e-4
+SCIPY_SE_RTOL = 1e-6
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_matches_scipy_minimisation(seed):
+    np = pytest.importorskip("numpy")
+    optimize = pytest.importorskip("scipy.optimize")
+    special = pytest.importorskip("scipy.special")
+    rng = random.Random(4200 + seed)
+    p = rng.randint(1, 3)
+    n = rng.randint(200, 5000)
+    indicator = rng.randrange(p)
+    truth = [rng.uniform(-1.0, 1.0) for _ in range(p + 1)]
+    columns = [
+        [float(rng.random() < 0.3) if j == indicator else rng.gauss(0.0, 1.0) for _ in range(n)]
+        for j in range(p)
+    ]
+    etas = [truth[0] + sum(b * c[i] for b, c in zip(truth[1:], columns)) for i in range(n)]
+    outcomes = [1 if rng.random() < sigmoid(eta) else 0 for eta in etas]
+    x = np.column_stack([np.ones(n), *(np.array(c) for c in columns)])
+    y = np.array(outcomes, dtype=float)
+
+    def negative_loglik(beta):
+        eta = x @ beta
+        return float(np.sum(np.logaddexp(0.0, eta) - y * eta))
+
+    def gradient(beta):
+        return x.T @ (special.expit(x @ beta) - y)
+
+    def hessian(beta):
+        mu = special.expit(x @ beta)
+        return (x * (mu * (1.0 - mu))[:, None]).T @ x
+
+    result = optimize.minimize(
+        negative_loglik,
+        np.zeros(p + 1),
+        jac=gradient,
+        hess=hessian,
+        method="trust-exact",
+    )
+    assert result.success
+    expected_se = np.sqrt(np.diag(np.linalg.inv(hessian(result.x))))
+
+    fit = fit_logistic_irls(list(zip(*columns)), outcomes)
+    assert fit.converged
+    for b, se, expected_b, expected in zip(
+        fit.coefficients, fit.standard_errors, result.x, expected_se
+    ):
+        assert abs(b - float(expected_b)) <= SCIPY_COEF_SE_TOL * float(expected)
+        assert se == pytest.approx(float(expected), rel=SCIPY_SE_RTOL)
