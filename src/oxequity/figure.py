@@ -59,15 +59,16 @@ def figure_summary(
     default, matching device display precision).  Patients whose measured
     value falls outside ``value_range`` are excluded from bins but
     counted, so bin counts plus ``out_of_range`` equal the cohort size.
-    Empty bins are omitted.  Raises ValueError on an invalid width or
-    range, an empty or gold-free cohort, or a width too small for finite
-    bins.
+    Empty bins are omitted.  Raises ValueError on a width that is not
+    finite and positive, a range that is not two finite values in
+    increasing order, an empty or gold-free cohort, or a width too small
+    for finite bins.
     """
-    if bin_width <= 0.0:
-        raise ValueError(f"bin_width must be positive, got {bin_width!r}")
+    if not (math.isfinite(bin_width) and bin_width > 0.0):
+        raise ValueError(f"bin_width must be finite and positive, got {bin_width!r}")
     lo, hi = value_range
-    if lo >= hi:
-        raise ValueError(f"invalid range {value_range!r}")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"value_range must be finite with low < high, got {value_range!r}")
     if not cohort:
         raise ValueError("cannot summarize an empty cohort")
     if None in cohort.w_true:

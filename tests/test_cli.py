@@ -205,6 +205,27 @@ def test_figure_rejects_a_tiny_bin_width(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    (
+        (("--bin-width", "inf"), "error: bin_width must be finite and positive, got inf\n"),
+        (("--bin-width", "nan"), "error: bin_width must be finite and positive, got nan\n"),
+        (
+            ("--range", "80", "nan"),
+            "error: value_range must be finite with low < high, got (80.0, nan)\n",
+        ),
+    ),
+)
+def test_figure_rejects_non_finite_width_or_range(tmp_path, capsys, args, message):
+    cohort = tmp_path / "c.csv"
+    run("simulate", "--n", "50", "--seed", "6", "--out", str(cohort))
+    capsys.readouterr()
+    assert run("figure", "--in", str(cohort), *args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
+
+
 # Gold-free and quasi-separated: the IRLS score vanishes while the
 # information matrix becomes singular, so no standard error exists.
 QUASI_SEPARATED_CSV = (
