@@ -3,7 +3,9 @@
 Numeric formatting conventions apply everywhere: values with 4 decimal
 places, p-values in scientific notation with two significant digits, and
 p-values below 1e-15 rendered as the string ``<1e-15`` (double precision
-cannot resolve smaller tails reliably).
+cannot resolve smaller tails reliably).  Free text such as a scenario
+label is escaped for its format: ``|`` as ``\\|`` in markdown cells, and
+CSV fields quoted as RFC 4180 asks.
 """
 
 from __future__ import annotations
@@ -61,13 +63,26 @@ def _cell(metric: MetricResult) -> str:
     return " ".join(parts) if parts else "-"
 
 
+def _markdown_cell(text: str) -> str:
+    return text.replace("|", "\\|")
+
+
+def _csv_field(text: str) -> str:
+    # Quoted by hand: csv.writer with lineterminator="\n" leaves a lone
+    # "\r" unquoted on CPython 3.11, and a reader splits the row there.
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def report_to_markdown(reports: Sequence[EquityReport]) -> str:
     """Metric-by-scenario markdown table; flagged cells carry **[FLAG]**."""
     if not reports:
         raise ValueError("need at least one report")
     by_label = {rep.scenario_label: {m.metric_name: m for m in rep.metrics} for rep in reports}
     labels = [rep.scenario_label for rep in reports]
-    lines = ["| Metric | Interpretation | " + " | ".join(labels) + " |"]
+    header = " | ".join(map(_markdown_cell, labels))
+    lines = ["| Metric | Interpretation | " + header + " |"]
     lines.append("|" + " --- |" * (2 + len(labels)))
     for name in METRIC_ORDER:
         interpretation = ""
@@ -77,8 +92,8 @@ def report_to_markdown(reports: Sequence[EquityReport]) -> str:
             if metric is None:
                 cells.append("-")
                 continue
-            interpretation = metric.interpretation
-            cells.append(_cell(metric))
+            interpretation = _markdown_cell(metric.interpretation)
+            cells.append(_markdown_cell(_cell(metric)))
         lines.append(
             "| " + name + " | " + interpretation + " | " + " | ".join(cells) + " |"
         )
@@ -99,7 +114,7 @@ def report_to_csv(reports: Sequence[EquityReport]) -> str:
                 ",".join(
                     [
                         metric.metric_name,
-                        rep.scenario_label,
+                        _csv_field(rep.scenario_label),
                         format_value(metric.group_values.get(0)),
                         format_value(metric.group_values.get(1)),
                         format_value(metric.contrast),

@@ -1,7 +1,11 @@
 """Report serialization: structure, formatting conventions, round trips."""
 
 import copy
+import csv
+import dataclasses
+import io
 import math
+import re
 
 import pytest
 
@@ -126,3 +130,24 @@ def test_empty_reports_rejected():
         report_to_csv([])
     with pytest.raises(ValueError):
         report_to_json([])
+
+
+@pytest.mark.parametrize("label", ("ward 3, night", 'the "night" shift', "a | b", "two\nlines\r"))
+def test_free_text_labels_parse_back(grid_reports, label):
+    reports = [dataclasses.replace(rep, scenario_label=label) for rep in grid_reports[:2]]
+
+    rows = list(csv.reader(io.StringIO(report_to_csv(reports), newline="")))
+    assert all(len(row) == 9 for row in rows)
+    assert {row[1] for row in rows[1:]} == {label}
+
+    # A line break has no markdown table form; every other label survives
+    # the split on unescaped pipes.
+    if "\n" not in label:
+        header = report_to_markdown(reports).splitlines()[0]
+        cells = re.split(r"(?<!\\)\|", header.strip("|"))
+        assert [c.strip().replace("\\|", "|") for c in cells[2:]] == [label, label]
+
+    assert [rep.scenario_label for rep in parse_report_json(report_to_json(reports))] == [
+        label,
+        label,
+    ]
