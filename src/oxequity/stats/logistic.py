@@ -72,9 +72,7 @@ _NAN = float("nan")
 # temporaries.
 _BLOCK = 2048
 
-# The fit stops once every score component is at most _SCORE_TOL in
-# magnitude, once the Newton decrement of a step is at most _DECREMENT_TOL
-# times max(1, |loglik|), or after _MAX_ITER Newton steps.
+# The two stop tests and the step cap; see the module docstring.
 _SCORE_TOL = 1e-8
 _DECREMENT_TOL = 1e-12
 _MAX_ITER = 50
@@ -251,10 +249,10 @@ def fit_logistic_irls(
     """Maximum-likelihood logistic fit of outcomes on the given covariates.
 
     An intercept column is prepended internally, so ``design_rows``
-    carries covariates only.  Convergence means that
-    within ``_MAX_ITER`` Newton steps the score test or the decrement
-    test held (see the module docstring), that not every observation is
-    fitted exactly (which would signal separation), and that the final
+    carries covariates only.  Convergence means that within
+    ``_MAX_ITER`` Newton steps the score test or the decrement test held
+    (see the module docstring), that not every observation is fitted
+    exactly (which would signal separation), and that the final
     information matrix can be inverted for standard errors.
 
     Raises:
@@ -307,10 +305,8 @@ def fit_logistic_irls(
             except _SingularPivot:
                 # Weights collapsed mid-path (separation); report as such.
                 break
-        # The Newton decrement delta'g / 2 is the log-likelihood the full
-        # step gains near the optimum.  Once it is below the rounding noise
-        # of the n-term log-likelihood, the line search would only compare
-        # that noise: take the full step untested and stop after it.
+        # Below the log-likelihood's rounding noise the line search would
+        # only compare that noise: take the full step untested and stop.
         decrement = reduce(add, map(mul, delta, score)) / 2.0
         final = decrement <= _DECREMENT_TOL * max(1.0, abs(loglik))
         step = 1.0
