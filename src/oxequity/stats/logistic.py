@@ -27,7 +27,18 @@ are the only n-sized sequences besides the columns.  Both passes walk
 the rows in blocks of ``_BLOCK``, so their temporaries (mu, the
 residuals, the weights, w * x_j) stay bounded whatever n is.  Every loop
 over rows is a ``map``/``operator`` chain, a comprehension or an
-``itertools.compress``.
+``itertools.compress``.  Each list of terms w * x_j is built once and
+folded twice: into entry j of the information's row 0, and against the
+x_k of row j.
+
+The start point beta = 0 needs no pass over the rows for eta.  Every
+covariate is finite, so x * 0.0 is +0.0 or -0.0, and 0.0 + (+-0.0) is
++0.0: eta is exactly +0.0 on every row, whatever the design.  So every
+tail exp(-|eta|) is 1.0, every mu 0.5, every residual y - 0.5 and every
+weight 0.25, and each log-likelihood term is 0.0 - (0.0 + log1p(1.0)).
+The fit folds the start's log-likelihood, score and information from
+these constants, in the same order as at any other beta, so the bits
+are those of the generic passes.
 
 Every score, information and log-likelihood sum is folded left to right
 into a running total (``functools.reduce(operator.add, terms, total)``),
@@ -60,7 +71,7 @@ from functools import reduce
 from itertools import chain, compress, repeat
 from math import exp, isfinite, log1p
 from operator import add, mul, neg, sub
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .special import normal_cdf
 
@@ -194,49 +205,61 @@ def _times(values, x: list[float], binary: bool):
     return compress(values, x) if binary else map(mul, values, x)
 
 
-def _score_and_information(
-    columns: list[list[float]],
-    binary: list[bool],
-    y: list[int],
-    eta: list[float],
-    tails: array,
-) -> tuple[list[float], list[list[float]], float, float]:
-    p = len(columns) + 1
-    score = [0.0] * p
-    info = [[0.0] * p for _ in range(p)]
-    max_abs_resid = 0.0
+def _moments(y: list[int], eta: list[float], tails: array):
+    """Per block of rows: its slice, the residuals y - mu and the weights mu (1 - mu)."""
     for start in range(0, len(y), _BLOCK):
         rows = slice(start, start + _BLOCK)
         # sigmoid(h): 1 / (1 + exp(-h)) for h >= 0, else z / (1 + z) with
         # z = exp(h); both exponents equal -|h|
         mu = [(1.0 if h >= 0.0 else z) / (1.0 + z) for h, z in zip(eta[rows], tails[rows])]
-        resid = list(map(sub, y[rows], mu))
+        yield rows, list(map(sub, y[rows], mu)), [m * (1.0 - m) for m in mu]
+
+
+def _start_moments(y: list[int]):
+    """``_moments`` at beta = 0, where every mu is exactly 0.5."""
+    for start in range(0, len(y), _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        resid = list(map(sub, y[rows], repeat(0.5)))
+        yield rows, resid, [0.25] * len(resid)
+
+
+def _score_and_information(
+    columns: list[list[float]],
+    binary: list[bool],
+    moments: Iterable[tuple[slice, list[float], list[float]]],
+) -> tuple[list[float], list[list[float]], float, float]:
+    """Score, information, max |score| and max |residual| from the blocks of ``moments``."""
+    p = len(columns) + 1
+    score = [0.0] * p
+    info = [[0.0] * p for _ in range(p)]
+    max_abs_resid = 0.0
+    for rows, resid, w in moments:
         # max keeps its running value unless an item compares greater, as
         # the row loop's `if abs(resid) > max_abs_resid` did (NaN included).
         max_abs_resid = max(chain((max_abs_resid,), map(abs, resid)))
-        w = list(map(mul, mu, map(sub, repeat(1.0), mu)))
         # The intercept column is 1.0, and 1.0 * v == v exactly.
         xs = [column[rows] for column in columns]
         score[0] = reduce(add, resid, score[0])
-        row = info[0]
-        row[0] = reduce(add, w, row[0])
-        for k, xk in enumerate(xs, 1):
-            row[k] = reduce(add, _times(w, xk, binary[k - 1]), row[k])
+        info[0][0] = reduce(add, w, info[0][0])
         for j, xj in enumerate(xs, 1):
             score[j] = reduce(add, _times(resid, xj, binary[j - 1]), score[j])
+            # The terms of row 0's entry j are the w * x_j of row j.
+            wxj = list(_times(w, xj, binary[j - 1]))
+            info[0][j] = reduce(add, wxj, info[0][j])
             row = info[j]
             if binary[j - 1]:
                 # Rows where x_j is 0.0 add only signed zeros to row j, and
-                # where it is 1.0, w * x_j * x_k is w * x_k.
-                wxj = list(compress(w, xj))
-                row[j] = reduce(add, wxj, row[j])
+                # where it is 1.0, w * x_j * x_k is w * x_k; so the diagonal
+                # is row 0's entry j, set below.
                 for k in range(j + 1, p):
                     xk = list(compress(xs[k - 1], xj))
                     row[k] = reduce(add, _times(wxj, xk, binary[k - 1]), row[k])
             else:
-                wxj = list(map(mul, w, xj))
                 for k in range(j, p):
                     row[k] = reduce(add, _times(wxj, xs[k - 1], binary[k - 1]), row[k])
+    for j in range(1, p):
+        if binary[j - 1]:
+            info[j][j] = info[0][j]
     for j in range(p):
         for k in range(j + 1, p):
             info[k][j] = info[j][k]
@@ -281,14 +304,14 @@ def fit_logistic_irls(
     width = len(columns) + 1
     binary = [{0.0, 1.0}.issuperset(column) for column in columns]
 
+    # At beta = 0 every eta is +0.0, every tail 1.0 and every mu 0.5 (see
+    # the module docstring), so no pass over the rows computes them.
     beta = [0.0] * width
-    eta = _linear_predictor(columns, beta, n)
-    tails = _tails(eta)
-    loglik = _log_likelihood(eta, tails, y)
+    loglik = reduce(add, repeat(0.0 - (0.0 + log1p(1.0)), n), 0.0)
     iterations = 0
     final = False
     score, info, max_abs_score, max_resid = _score_and_information(
-        columns, binary, y, eta, tails
+        columns, binary, _start_moments(y)
     )
     # At beta = 0 every weight is 1/4, so info is X'X / 4: check its rank
     # here, before the score test, so a collinear design whose score
@@ -324,7 +347,7 @@ def fit_logistic_irls(
         beta = candidate
         iterations += 1
         score, info, max_abs_score, max_resid = _score_and_information(
-            columns, binary, y, eta, tails
+            columns, binary, _moments(y, eta, tails)
         )
         if final:
             break

@@ -104,6 +104,15 @@ def test_intercept_only_design_matches():
     assert_same_fit([()] * 40, [1] * 13 + [0] * 27)
 
 
+def test_zero_score_at_start_matches():
+    # The score vanishes at beta = 0, so no Newton step runs and the start
+    # point's max residual and information are the fit's own.
+    fit = assert_same_fit([(-1.0,), (1.0,), (-1.0,), (1.0,)] * 25, [0, 0, 1, 1] * 25)
+    assert fit.iterations == 0 and fit.converged
+    assert fit.coefficients == [0.0, 0.0]
+    assert fit.standard_errors == [0.2, 0.2]
+
+
 def test_complete_separation_matches():
     rows = [(float(x),) for x in range(-10, 10)]
     fit = assert_same_fit(rows, [1 if x >= 0 else 0 for x, in rows])
