@@ -76,18 +76,22 @@ def _format_gold(values: list[float | None]):
 
 def write_cohort_csv(cohort: Cohort, path: str | Path) -> None:
     """Write a cohort in the standard schema, gold fields blank when absent."""
+    # No field can hold a comma, quote or line break, so no field needs
+    # quoting, and each row is one template streamed to the file.
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(COHORT_COLUMNS)
-        writer.writerows(
-            zip(
-                cohort.patient_id,
-                cohort.group_a,
-                _format_gold(cohort.w_true),
-                map(_format_float, cohort.w_star),
-                _format_gold(cohort.epsilon),
-                cohort.treated,
-                cohort.outcome,
+        handle.write(",".join(COHORT_COLUMNS) + "\n")
+        handle.writelines(
+            map(
+                "%s,%s,%s,%.4f,%s,%s,%s\n".__mod__,
+                zip(
+                    cohort.patient_id,
+                    cohort.group_a,
+                    _format_gold(cohort.w_true),
+                    cohort.w_star,
+                    _format_gold(cohort.epsilon),
+                    cohort.treated,
+                    cohort.outcome,
+                ),
             )
         )
 

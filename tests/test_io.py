@@ -47,6 +47,27 @@ def test_round_trip_preserves_records(tmp_path, cohort):
     assert read_cohort_csv(second) == loaded
 
 
+def test_gold_free_rows_written_exactly(tmp_path):
+    # Blank gold fields, negative zeros and rounding at the 5th decimal.
+    cohort = Cohort(
+        patient_id=[0, 1, 2],
+        group_a=[1, 0, 1],
+        w_true=[None, 93.5, None],
+        w_star=[-0.0, 91.23456, 88.00004],
+        epsilon=[None, -0.00004, None],
+        treated=[0, 1, 1],
+        outcome=[1, 0, 0],
+    )
+    path = tmp_path / "cohort.csv"
+    write_cohort_csv(cohort, path)
+    assert path.read_bytes() == (
+        b"patient_id,group_a,w_true,w_star,epsilon,treated,outcome\n"
+        b"0,1,,-0.0000,,0,1\n"
+        b"1,0,93.5000,91.2346,-0.0000,1,0\n"
+        b"2,1,,88.0000,,1,0\n"
+    )
+
+
 def test_header_matches_contract(tmp_path, cohort):
     path = tmp_path / "cohort.csv"
     write_cohort_csv(cohort, path)
