@@ -4,8 +4,9 @@ Numeric formatting conventions apply everywhere: values with 4 decimal
 places, p-values in scientific notation with two significant digits, and
 p-values below 1e-15 rendered as the string ``<1e-15`` (double precision
 cannot resolve smaller tails reliably).  Free text such as a scenario
-label is escaped for its format: ``|`` as ``\\|`` in markdown cells, and
-CSV fields quoted as RFC 4180 asks.
+label is escaped for its format: ``|`` as ``\\|`` and each line break
+(``\\r\\n``, ``\\r`` or ``\\n``) as ``<br>`` in markdown cells, and CSV
+fields quoted as RFC 4180 asks.
 """
 
 from __future__ import annotations
@@ -64,7 +65,13 @@ def _cell(metric: MetricResult) -> str:
 
 
 def _markdown_cell(text: str) -> str:
-    return text.replace("|", "\\|")
+    # A table row is one line, so each line break becomes <br>.
+    return (
+        text.replace("|", "\\|")
+        .replace("\r\n", "<br>")
+        .replace("\r", "<br>")
+        .replace("\n", "<br>")
+    )
 
 
 def _csv_field(text: str) -> str:

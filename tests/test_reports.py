@@ -151,3 +151,12 @@ def test_free_text_labels_parse_back(grid_reports, label):
         label,
         label,
     ]
+
+
+@pytest.mark.parametrize("newline", ("\r\n", "\r", "\n"))
+def test_markdown_label_line_break_keeps_one_line_per_row(grid_reports, newline):
+    reports = [dataclasses.replace(grid_reports[0], scenario_label="ward" + newline + "3")]
+    lines = report_to_markdown(reports).splitlines()
+    # header, separator and one row per metric
+    assert len(lines) == 12
+    assert lines[0] == "| Metric | Interpretation | ward<br>3 |"
