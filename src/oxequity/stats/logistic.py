@@ -250,16 +250,14 @@ def _score_and_information(
             if binary[j - 1]:
                 # Rows where x_j is 0.0 add only signed zeros to row j, and
                 # where it is 1.0, w * x_j * x_k is w * x_k; so the diagonal
-                # is row 0's entry j, set below.
+                # is row 0's entry j.
+                row[j] = info[0][j]
                 for k in range(j + 1, p):
                     xk = list(compress(xs[k - 1], xj))
                     row[k] = reduce(add, _times(wxj, xk, binary[k - 1]), row[k])
             else:
                 for k in range(j, p):
                     row[k] = reduce(add, _times(wxj, xs[k - 1], binary[k - 1]), row[k])
-    for j in range(1, p):
-        if binary[j - 1]:
-            info[j][j] = info[0][j]
     for j in range(p):
         for k in range(j + 1, p):
             info[k][j] = info[j][k]
