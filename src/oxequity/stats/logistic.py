@@ -68,7 +68,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, compress, repeat
+from itertools import compress, repeat
 from math import exp, isfinite, log1p
 from operator import add, mul, neg, sub
 from typing import Iterable, Sequence
@@ -227,16 +227,18 @@ def _score_and_information(
     columns: list[list[float]],
     binary: list[bool],
     moments: Iterable[tuple[slice, list[float], list[float]]],
-) -> tuple[list[float], list[list[float]], float, float]:
-    """Score, information, max |score| and max |residual| from the blocks of ``moments``."""
+) -> tuple[list[float], list[list[float]], float, bool]:
+    """Score, information and max |score| from the blocks of ``moments``, and
+    whether some |residual| exceeds ``_PERFECT_FIT_RESIDUAL``."""
     p = len(columns) + 1
     score = [0.0] * p
     info = [[0.0] * p for _ in range(p)]
-    max_abs_resid = 0.0
+    misfit = False
     for rows, resid, w in moments:
-        # max keeps its running value unless an item compares greater, as
-        # the row loop's `if abs(resid) > max_abs_resid` did (NaN included).
-        max_abs_resid = max(chain((max_abs_resid,), map(abs, resid)))
+        # The fit asks only whether one residual exceeds the bound, so the
+        # scan stops at the first that does; a NaN residual compares false,
+        # as it did in the row loop's running max.
+        misfit = misfit or any(map(_PERFECT_FIT_RESIDUAL.__lt__, map(abs, resid)))
         # The intercept column is 1.0, and 1.0 * v == v exactly.
         xs = [column[rows] for column in columns]
         score[0] = reduce(add, resid, score[0])
@@ -261,7 +263,7 @@ def _score_and_information(
     for j in range(p):
         for k in range(j + 1, p):
             info[k][j] = info[j][k]
-    return score, info, max(abs(s) for s in score), max_abs_resid
+    return score, info, max(abs(s) for s in score), misfit
 
 
 def fit_logistic_irls(
@@ -308,7 +310,7 @@ def fit_logistic_irls(
     loglik = reduce(add, repeat(0.0 - (0.0 + log1p(1.0)), n), 0.0)
     iterations = 0
     final = False
-    score, info, max_abs_score, max_resid = _score_and_information(
+    score, info, max_abs_score, misfit = _score_and_information(
         columns, binary, _start_moments(y)
     )
     # At beta = 0 every weight is 1/4, so info is X'X / 4: check its rank
@@ -344,7 +346,7 @@ def fit_logistic_irls(
             step *= 0.5
         beta = candidate
         iterations += 1
-        score, info, max_abs_score, max_resid = _score_and_information(
+        score, info, max_abs_score, misfit = _score_and_information(
             columns, binary, _moments(y, eta, tails)
         )
         if final:
@@ -353,7 +355,7 @@ def fit_logistic_irls(
 
     # A score that vanished only because every observation is classified
     # exactly is the numerical face of separation, not an interior maximum.
-    converged = (max_abs_score <= _SCORE_TOL or final) and max_resid > _PERFECT_FIT_RESIDUAL
+    converged = (max_abs_score <= _SCORE_TOL or final) and misfit
 
     covariance = None
     if converged:

@@ -106,7 +106,7 @@ def test_intercept_only_design_matches():
 
 def test_zero_score_at_start_matches():
     # The score vanishes at beta = 0, so no Newton step runs and the start
-    # point's max residual and information are the fit's own.
+    # point's residuals and information are the fit's own.
     fit = assert_same_fit([(-1.0,), (1.0,), (-1.0,), (1.0,)] * 25, [0, 0, 1, 1] * 25)
     assert fit.iterations == 0 and fit.converged
     assert fit.coefficients == [0.0, 0.0]
