@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .cohort import DEFAULT_DGP, TREATMENT_MODES, W_HIGH, W_LOW, ScenarioConfig, generate_cohort
@@ -37,17 +38,22 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
     default = ScenarioConfig()
-    parser.add_argument("--n", type=int, default=default.n_total, help="cohort size")
+    # Each dest is the config field the option sets.
+    parser.add_argument(
+        "--n", dest="n_total", metavar="N", type=int, default=default.n_total, help="cohort size"
+    )
     parser.add_argument("--p-group1", type=float, default=default.p_group1, help="P(group 1)")
     parser.add_argument("--seed", type=int, default=default.seed, help="generator seed")
     parser.add_argument(
         "--measurement-bias",
+        dest="measurement_bias_on",
         action=argparse.BooleanOptionalAction,
         default=default.measurement_bias_on,
         help="toggle the differential measurement-error channel",
     )
     parser.add_argument(
         "--systemic-bias",
+        dest="systemic_bias_on",
         action=argparse.BooleanOptionalAction,
         default=default.systemic_bias_on,
         help="toggle the systemic treatment-bias channel",
@@ -65,7 +71,13 @@ def _add_audit_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--delta", type=float, default=default.delta)
     parser.add_argument("--flag-level", type=float, default=default.flag_level)
     parser.add_argument("--w-hypox", type=float, default=default.w_hypox)
-    parser.add_argument("--bin-width", type=float, default=default.wstar_bin_width)
+    parser.add_argument(
+        "--bin-width",
+        dest="wstar_bin_width",
+        metavar="BIN_WIDTH",
+        type=float,
+        default=default.wstar_bin_width,
+    )
     parser.add_argument("--target-prevalence", type=float, default=default.target_prevalence)
 
 
@@ -103,28 +115,20 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _config(cls, args, **given):
+    """A ``cls`` whose fields not in ``given`` come from the options of the same name."""
+    options = {f.name: getattr(args, f.name) for f in fields(cls) if f.name not in given}
+    return cls(**options, **given)
+
+
 def _scenario_config(args) -> ScenarioConfig:
-    return ScenarioConfig(
-        n_total=args.n,
-        p_group1=args.p_group1,
-        seed=args.seed,
-        measurement_bias_on=args.measurement_bias,
-        systemic_bias_on=args.systemic_bias,
-        treatment_mode=args.treatment_mode,
-        dgp=read_params(args.params) if args.params else DEFAULT_DGP,
+    return _config(
+        ScenarioConfig, args, dgp=read_params(args.params) if args.params else DEFAULT_DGP
     )
 
 
 def _audit_config(args) -> AuditConfig:
-    return AuditConfig(
-        alpha=args.alpha,
-        power=args.power,
-        delta=args.delta,
-        flag_level=args.flag_level,
-        w_hypox=args.w_hypox,
-        target_prevalence=args.target_prevalence,
-        wstar_bin_width=args.bin_width,
-    )
+    return _config(AuditConfig, args)
 
 
 def _emit(text: str, out: Path | None) -> None:

@@ -20,8 +20,10 @@ A cohort is one frozen ``Cohort`` of columns, the type every layer
 passes on: the generator and the CSV reader build it, and the writer,
 the metrics, the grid and the figure read its columns.  It is immutable
 and safe to share across threads; generation itself is a pure function
-of the scenario config.  ``PatientRecord`` is only the row type of
-``Cohort.from_records``, for cohorts built by hand.
+of the scenario config.  ``COHORT_COLUMNS`` names the columns once: it is
+both the field order of ``Cohort`` and the cohort CSV header.
+``PatientRecord`` is only the row type of ``Cohort.from_records``, for
+cohorts built by hand.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .rng import Channel, CounterRng
 from .stats.special import normal_cdf, normal_quantiles, sigmoids
 
 __all__ = [
+    "COHORT_COLUMNS",
     "Cohort",
     "CohortDraws",
     "DgpParams",
@@ -183,15 +186,6 @@ class PatientRecord:
 
 
 _BINARY = frozenset((0, 1))
-_COLUMNS = (
-    "patient_id",
-    "group_a",
-    "w_true",
-    "w_star",
-    "epsilon",
-    "treated",
-    "outcome",
-)
 
 
 @dataclass(frozen=True, slots=True)
@@ -218,7 +212,7 @@ class Cohort:
 
     def __post_init__(self) -> None:
         n = len(self.patient_id)
-        if any(len(getattr(self, name)) != n for name in _COLUMNS):
+        if any(len(getattr(self, name)) != n for name in COHORT_COLUMNS):
             raise ValueError("cohort columns differ in length")
         for name in ("group_a", "treated", "outcome"):
             if not _BINARY.issuperset(getattr(self, name)):
@@ -233,7 +227,10 @@ class Cohort:
     def from_records(cls, records: Iterable[PatientRecord]) -> Cohort:
         """The cohort of hand-built records, in their order."""
         rows = list(records)
-        return cls(*([getattr(r, name) for r in rows] for name in _COLUMNS))
+        return cls(*([getattr(r, name) for r in rows] for name in COHORT_COLUMNS))
+
+
+COHORT_COLUMNS = tuple(f.name for f in fields(Cohort) if f.init)
 
 
 def _saturation_inverse_cdf(uniforms: Sequence[float], params: DgpParams) -> list[float]:

@@ -1,7 +1,7 @@
 """Cohort CSV serialization and flat parameter files.
 
-The cohort schema is ``patient_id,group_a,w_true,w_star,epsilon,treated,
-outcome`` with floats written to 4 decimal places.  Files lacking the
+The cohort schema is the header ``COHORT_COLUMNS`` (the ``Cohort`` columns
+in field order) with floats written to 4 decimal places.  Files lacking the
 gold-standard columns (w_true, epsilon) are accepted when the caller
 does not require them; so are rows whose two gold fields are both blank.
 The cohort's ``w_true`` and ``epsilon`` columns then hold None for those
@@ -24,7 +24,7 @@ from dataclasses import fields as dataclass_fields
 from itertools import islice
 from pathlib import Path
 
-from .cohort import W_HIGH, W_LOW, Cohort, DgpParams
+from .cohort import COHORT_COLUMNS, W_HIGH, W_LOW, Cohort, DgpParams
 
 __all__ = [
     "COHORT_COLUMNS",
@@ -35,15 +35,6 @@ __all__ = [
     "write_params",
 ]
 
-COHORT_COLUMNS = (
-    "patient_id",
-    "group_a",
-    "w_true",
-    "w_star",
-    "epsilon",
-    "treated",
-    "outcome",
-)
 _GOLD_COLUMNS = ("w_true", "epsilon")
 # Rows parsed per block.  Larger blocks parse no faster and raise the
 # reader's memory high-water mark.

@@ -7,6 +7,12 @@ cannot resolve smaller tails reliably).  Free text such as a scenario
 label is escaped for its format: ``|`` as ``\\|`` and each line break
 (``\\r\\n``, ``\\r`` or ``\\n``) as ``<br>`` in markdown cells, and CSV
 fields quoted as RFC 4180 asks.
+
+The JSON keys are the field names of ``EquityReport``, ``MetricResult``
+and ``TestResult``, in both directions: ``report_to_json`` writes
+``dataclasses.asdict`` and ``parse_report_json`` passes each object back
+to its constructor.  A malformed document (not an object, a missing or
+unknown key, a value of the wrong shape) raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -86,16 +92,16 @@ def report_to_markdown(reports: Sequence[EquityReport]) -> str:
     """Metric-by-scenario markdown table; flagged cells carry **[FLAG]**."""
     if not reports:
         raise ValueError("need at least one report")
-    by_label = {rep.scenario_label: {m.metric_name: m for m in rep.metrics} for rep in reports}
-    labels = [rep.scenario_label for rep in reports]
-    header = " | ".join(map(_markdown_cell, labels))
+    # By position: two reports may share a label.
+    by_name = [{m.metric_name: m for m in rep.metrics} for rep in reports]
+    header = " | ".join(_markdown_cell(rep.scenario_label) for rep in reports)
     lines = ["| Metric | Interpretation | " + header + " |"]
-    lines.append("|" + " --- |" * (2 + len(labels)))
+    lines.append("|" + " --- |" * (2 + len(reports)))
     for name in METRIC_ORDER:
         interpretation = ""
         cells = []
-        for label in labels:
-            metric = by_label[label].get(name)
+        for metrics in by_name:
+            metric = metrics.get(name)
             if metric is None:
                 cells.append("-")
                 continue
@@ -148,47 +154,38 @@ def report_to_json(reports: Sequence[EquityReport]) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _test_from_obj(obj) -> TestResult | None:
-    if obj is None:
-        return None
-    return TestResult(
-        statistic=obj["statistic"],
-        df=obj["df"],
-        p_value=obj["p_value"],
-        direction=obj["direction"],
-        degenerate=obj["degenerate"],
-    )
+def _metric_from_obj(obj) -> MetricResult:
+    metric = MetricResult(**obj)
+    metric.group_values = {int(k): v for k, v in metric.group_values.items()}
+    if metric.test is not None:
+        metric.test = TestResult(**metric.test)
+    return metric
+
+
+def _report_from_obj(obj) -> EquityReport:
+    report = EquityReport(**obj)
+    report.metrics = list(map(_metric_from_obj, report.metrics))
+    return report
 
 
 def parse_report_json(text: str) -> list[EquityReport]:
-    """Inverse of report_to_json; rejects unknown schema versions."""
+    """Inverse of report_to_json; raises ValueError on a malformed document."""
     payload = json.loads(text)
+    if not isinstance(payload, dict):
+        raise ValueError(f"report JSON must be an object, got {type(payload).__name__}")
     version = payload.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported report schema version: {version!r}")
-    reports = []
-    for rep in payload["reports"]:
-        metrics = [
-            MetricResult(
-                metric_name=m["metric_name"],
-                group_values={int(k): v for k, v in m["group_values"].items()},
-                contrast=m["contrast"],
-                test=_test_from_obj(m["test"]),
-                flagged=m["flagged"],
-                interpretation=m["interpretation"],
-                status=m["status"],
-                extras=m["extras"],
-            )
-            for m in rep["metrics"]
-        ]
-        reports.append(
-            EquityReport(
-                scenario_label=rep["scenario_label"],
-                metrics=metrics,
-                cohort_summary=rep["cohort_summary"],
-            )
+    if payload.keys() != {"schema_version", "reports"}:
+        raise ValueError(
+            f"report schema version {SCHEMA_VERSION} holds exactly "
+            f"schema_version and reports, got {sorted(payload)}"
         )
-    return reports
+    try:
+        return list(map(_report_from_obj, payload["reports"]))
+    except (TypeError, AttributeError) as exc:
+        # A missing or unknown field, or a value of the wrong shape
+        raise ValueError(f"malformed report for schema version {SCHEMA_VERSION}: {exc}") from None
 
 
 def _renderers():

@@ -1,11 +1,12 @@
 """Command-line surface: subcommands, determinism, exit codes."""
 
+import dataclasses
 import json
 
 import pytest
 
 from oxequity.cli import _audit_config, _scenario_config, build_parser, main
-from oxequity.cohort import ScenarioConfig
+from oxequity.cohort import DgpParams, ScenarioConfig
 from oxequity.io import read_cohort_csv
 from oxequity.metrics import AuditConfig
 from oxequity.reports import parse_report_json
@@ -112,6 +113,44 @@ def test_option_defaults_are_the_config_defaults():
     args = build_parser().parse_args(["grid", "--out", "bundle"])
     assert _scenario_config(args) == ScenarioConfig()
     assert _audit_config(args) == AuditConfig()
+
+
+def test_every_option_reaches_its_config_field(tmp_path):
+    params = tmp_path / "p.json"
+    params.write_text('{"err_base": 0.5}\n')
+    args = build_parser().parse_args(
+        [
+            "grid", "--out", "bundle", "--params", str(params),
+            "--n", "321", "--p-group1", "0.3", "--seed", "7",
+            "--no-measurement-bias", "--no-systemic-bias", "--treatment-mode", "deterministic",
+            "--alpha", "0.1", "--power", "0.9", "--delta", "2.5", "--flag-level", "0.02",
+            "--w-hypox", "87.5", "--target-prevalence", "0.25", "--bin-width", "0.5",
+        ]
+    )
+    scenario = ScenarioConfig(
+        n_total=321,
+        p_group1=0.3,
+        seed=7,
+        measurement_bias_on=False,
+        systemic_bias_on=False,
+        treatment_mode="deterministic",
+        dgp=DgpParams(err_base=0.5),
+    )
+    audit = AuditConfig(
+        alpha=0.1,
+        power=0.9,
+        delta=2.5,
+        flag_level=0.02,
+        w_hypox=87.5,
+        target_prevalence=0.25,
+        wstar_bin_width=0.5,
+    )
+    assert _scenario_config(args) == scenario
+    assert _audit_config(args) == audit
+    # The argv sets every field, so a field that gains an option must be added here.
+    for config, default in ((scenario, ScenarioConfig()), (audit, AuditConfig())):
+        for field in dataclasses.fields(config):
+            assert getattr(config, field.name) != getattr(default, field.name), field.name
 
 
 def test_grid_rejects_nan_delta_before_writing(tmp_path, capsys):

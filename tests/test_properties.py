@@ -14,9 +14,16 @@ from hypothesis import strategies as st  # noqa: E402
 
 from oxequity.cohort import Cohort, ScenarioConfig, generate_cohort  # noqa: E402
 from oxequity.io import read_cohort_csv, write_cohort_csv  # noqa: E402
-from oxequity.metrics import METRIC_ORDER, AuditConfig, run_full_audit  # noqa: E402
-from oxequity.reports import report_to_json  # noqa: E402
+from oxequity.metrics import (  # noqa: E402
+    METRIC_ORDER,
+    AuditConfig,
+    EquityReport,
+    MetricResult,
+    run_full_audit,
+)
+from oxequity.reports import parse_report_json, report_to_json  # noqa: E402
 from oxequity.rng import Channel, CounterRng  # noqa: E402
+from oxequity.stats import hypotests  # noqa: E402
 
 SEEDS = st.one_of(st.integers(0, 2**64 - 1), st.integers(2**64, 2**80))
 
@@ -157,3 +164,44 @@ def test_every_ok_value_of_any_small_cohort_is_finite(cohort, width):
     assert tuple(m.metric_name for m in report.metrics) == METRIC_ORDER
     assert all(math.isfinite(v) for v in _numbers(report) if v is not None)
     report_to_json([report])
+
+
+# --- the report JSON round trip ---------------------------------------------------
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# Free text, with the characters that CSV and markdown escape drawn often.
+TEXT = st.text(st.characters() | st.sampled_from('|,"\r\n'))
+TESTS = st.builds(
+    hypotests.TestResult,
+    statistic=FINITE,
+    df=st.none() | FINITE,
+    p_value=FINITE,
+    direction=TEXT,
+    degenerate=st.booleans(),
+)
+METRICS = st.builds(
+    MetricResult,
+    metric_name=TEXT,
+    group_values=st.dictionaries(st.integers(), FINITE, max_size=3),
+    contrast=st.none() | FINITE,
+    test=st.none() | TESTS,
+    flagged=st.booleans(),
+    interpretation=TEXT,
+    status=TEXT,
+    extras=st.dictionaries(TEXT, FINITE, max_size=3),
+)
+REPORTS = st.builds(
+    EquityReport,
+    scenario_label=TEXT,
+    metrics=st.lists(METRICS, max_size=4),
+    cohort_summary=st.dictionaries(TEXT, st.none() | st.integers() | FINITE, max_size=4),
+)
+
+
+@hypothesis.settings(deadline=None)
+@hypothesis.given(reports=st.lists(REPORTS, min_size=1, max_size=3))
+def test_report_json_round_trip_is_exact(reports):
+    text = report_to_json(reports)
+    parsed = parse_report_json(text)
+    assert parsed == reports
+    assert report_to_json(parsed) == text

@@ -4,14 +4,15 @@ import copy
 import csv
 import dataclasses
 import io
+import json
 import math
 import re
 
 import pytest
 
-from oxequity.cohort import ScenarioConfig
+from oxequity.cohort import ScenarioConfig, generate_cohort
 from oxequity.grid import run_scenario_grid
-from oxequity.metrics import METRIC_ORDER, AuditConfig
+from oxequity.metrics import METRIC_ORDER, AuditConfig, run_full_audit
 from oxequity.reports import (
     REPORT_FORMATS,
     format_p_value,
@@ -59,6 +60,60 @@ def test_json_rejects_unknown_schema(grid_reports):
     )
     with pytest.raises(ValueError):
         parse_report_json(text)
+
+
+def _without(obj, key):
+    return {k: v for k, v in obj.items() if k != key}
+
+
+def _report(payload):
+    return payload["reports"][0]
+
+
+def _metric(payload):
+    return next(m for m in _report(payload)["metrics"] if m["test"] is not None)
+
+
+def _with_report(payload, report):
+    return {**payload, "reports": [report]}
+
+
+def _with_metric(payload, metric):
+    return _with_report(payload, {**_report(payload), "metrics": [metric]})
+
+
+# Each case turns a valid one-report document into a malformed one.
+MALFORMED = {
+    "list": lambda p: [],
+    "string": lambda p: "report",
+    "no_reports": lambda p: {"schema_version": 1},
+    "unknown_top_level_key": lambda p: {**p, "provenance": {}},
+    "report_without_cohort_summary": lambda p: _with_report(
+        p, _without(_report(p), "cohort_summary")
+    ),
+    "report_with_unknown_key": lambda p: _with_report(p, {**_report(p), "provenance": {}}),
+    "metrics_not_a_list": lambda p: _with_report(p, {**_report(p), "metrics": 3}),
+    "metric_with_unknown_key": lambda p: _with_metric(p, {**_metric(p), "diagnostics": {}}),
+    "group_values_not_an_object": lambda p: _with_metric(p, {**_metric(p), "group_values": [1.0]}),
+    "test_without_p_value": lambda p: _with_metric(
+        p, {**_metric(p), "test": _without(_metric(p)["test"], "p_value")}
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_json_rejects_malformed_documents(grid_reports, case):
+    payload = json.loads(report_to_json(grid_reports[:1]))
+    parse_report_json(json.dumps(payload))
+    with pytest.raises(ValueError):
+        parse_report_json(json.dumps(MALFORMED[case](payload)))
+
+
+def test_json_field_errors_name_the_schema_version(grid_reports):
+    payload = json.loads(report_to_json(grid_reports[:1]))
+    del payload["reports"][0]["cohort_summary"]
+    with pytest.raises(ValueError, match="schema version 1.*cohort_summary"):
+        parse_report_json(json.dumps(payload))
 
 
 def test_markdown_structure(grid_reports):
@@ -160,3 +215,17 @@ def test_markdown_label_line_break_keeps_one_line_per_row(grid_reports, newline)
     # header, separator and one row per metric
     assert len(lines) == 12
     assert lines[0] == "| Metric | Interpretation | ward<br>3 |"
+
+
+def test_markdown_columns_follow_report_order_when_labels_repeat():
+    # Two cohorts audited under one label keep their own columns.
+    cohorts = [generate_cohort(ScenarioConfig(n_total=400, seed=seed)) for seed in (1, 2)]
+    reports = [run_full_audit(cohort, AuditConfig(), "ward") for cohort in cohorts]
+    distinct = [
+        dataclasses.replace(rep, scenario_label=f"ward {i}") for i, rep in enumerate(reports)
+    ]
+    lines = report_to_markdown(reports).splitlines()
+    assert lines[0] == "| Metric | Interpretation | ward | ward |"
+    assert lines[1:] == report_to_markdown(distinct).splitlines()[1:]
+    # The two cohorts' cells differ, so a column repeated in error shows.
+    assert lines[1:] != report_to_markdown(reports[1:] * 2).splitlines()[1:]
