@@ -33,7 +33,7 @@ from .cohort import (
     outcome_assignments,
     treatment_assignments,
 )
-from .metrics import AuditConfig, EquityReport, _count_by_group, run_full_audit
+from .metrics import AuditConfig, EquityReport, _tally, run_full_audit
 
 __all__ = [
     "GridResult",
@@ -95,25 +95,19 @@ def _protocol_summary(draws: CohortDraws) -> Table1Summary:
     )
     outcome_true = outcome_assignments(w_true, treated_true, draws.u_out, dgp)
     hypoxemic = [w < dgp.w_hypox for w in w_true]
-    sizes, n_hypoxemic, n_untreated, y_measured, y_true = (
-        _count_by_group(column, group_a)
-        for column in (
-            [1] * len(group_a),
-            hypoxemic,
-            [h and not z for h, z in zip(hypoxemic, treated)],
-            cohort.outcome,
-            outcome_true,
-        )
-    )
-    for a in (0, 1):
-        if not sizes[a]:
+    h0, n0, h1, n1 = _tally(hypoxemic, group_a)
+    for a, size, n_hypoxemic in ((0, n0, h0), (1, n1, h1)):
+        if not size:
             raise ValueError(f"group {a} is empty; cannot summarize the protocol")
-        if not n_hypoxemic[a]:
+        if not n_hypoxemic:
             raise ValueError(f"group {a} has no hypoxemic patients")
+    u0, _, u1, _ = _tally([h and not z for h, z in zip(hypoxemic, treated)], group_a)
+    m0, _, m1, _ = _tally(cohort.outcome, group_a)
+    t0, _, t1, _ = _tally(outcome_true, group_a)
     return Table1Summary(
-        untreated_hypoxemic={a: n_untreated[a] / n_hypoxemic[a] for a in (0, 1)},
-        outcome_measured_driven={a: y_measured[a] / sizes[a] for a in (0, 1)},
-        outcome_true_driven={a: y_true[a] / sizes[a] for a in (0, 1)},
+        untreated_hypoxemic={0: u0 / h0, 1: u1 / h1},
+        outcome_measured_driven={0: m0 / n0, 1: m1 / n1},
+        outcome_true_driven={0: t0 / n0, 1: t1 / n1},
     )
 
 

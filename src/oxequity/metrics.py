@@ -27,8 +27,8 @@ effect from ``estimate_tau``.  It takes the status of the first one that
 fails, so on a gold-free cohort it is skipped whatever the gap's status.
 
 Every metric reads the cohort's columns: a group or stratum is a
-selection of a column (``itertools.compress``), and counts of 0/1
-columns are integer sums, so no per-patient object is built.
+selection of a column (``itertools.compress``), and every group rate is
+a ``_tally`` of a 0/1 column, so no per-patient object is built.
 
 All functions are pure; the report order is fixed regardless of
 evaluation order.
@@ -217,6 +217,22 @@ def _by_group(values: Sequence, group_a: Sequence[int]) -> tuple[list, list]:
     return list(compress(values, map(not_, group_a))), list(compress(values, group_a))
 
 
+def _tally(values: Sequence[int], groups: Sequence[int]) -> tuple[int, int, int, int]:
+    """Ones of the 0/1 column ``values`` and size of each 0/1 group: x0, n0, x1, n1."""
+    n1 = groups.count(1)
+    x1 = sum(compress(values, groups))
+    return sum(values) - x1, len(groups) - n1, x1, n1
+
+
+def _chi_square(tally: tuple[int, int, int, int], margin: str) -> TestResult:
+    """Pearson chi-square of a tally's group-by-value table."""
+    x0, n0, x1, n1 = tally
+    try:
+        return chi_square_independence([[x1, n1 - x1], [x0, n0 - x0]])
+    except ValueError as exc:
+        raise UntestableMetricError(f"degenerate {margin}: {exc}") from None
+
+
 def _hypoxemic(cohort: Cohort, config: AuditConfig) -> list[bool]:
     """Which patients are truly hypoxemic (w_true < w_hypox)."""
     w_hypox = config.w_hypox
@@ -383,10 +399,7 @@ def _hypoxemic_treatment(
 ) -> tuple[int, int, int, int]:
     """Treated count and size of the hypoxemic stratum: t0, n0, t1, n1."""
     hypoxemic, groups = _hypoxemic_stratum(cohort, config, metric)
-    treated = list(compress(cohort.treated, hypoxemic))
-    n1 = groups.count(1)
-    t1 = sum(compress(treated, groups))
-    return sum(treated) - t1, len(groups) - n1, t1, n1
+    return _tally(list(compress(cohort.treated, hypoxemic)), groups)
 
 
 def treatment_disparity_test(cohort: Cohort, config: AuditConfig) -> MetricResult:
@@ -418,13 +431,10 @@ def equality_of_opportunity_test(cohort: Cohort, config: AuditConfig) -> MetricR
     chi-square on that table is the square of the pooled two-proportion z.
     The group-size-weighted deviations sum to zero by construction.
     """
-    t0, n0, t1, n1 = _hypoxemic_treatment(cohort, config, EQUALITY_OF_OPPORTUNITY)
+    tally = t0, n0, t1, n1 = _hypoxemic_treatment(cohort, config, EQUALITY_OF_OPPORTUNITY)
     marginal = (t0 + t1) / (n0 + n1)
     rate0, rate1 = t0 / n0, t1 / n1
-    try:
-        test = chi_square_independence([[t1, n1 - t1], [t0, n0 - t0]])
-    except ValueError as exc:
-        raise UntestableMetricError(f"degenerate hypoxemic stratum: {exc}") from None
+    test = _chi_square(tally, "hypoxemic stratum")
     return _result(
         EQUALITY_OF_OPPORTUNITY,
         {0: rate0 - marginal, 1: rate1 - marginal},
@@ -445,32 +455,21 @@ def estimate_tau(cohort: Cohort, config: AuditConfig) -> float:
     treatment within the stratum is as good as random.
     """
     hypoxemic, _ = _hypoxemic_stratum(cohort, config, "treatment effect estimate")
-    treated = list(compress(cohort.treated, hypoxemic))
-    outcome = list(compress(cohort.outcome, hypoxemic))
-    n_treated = sum(treated)
-    n_untreated = len(treated) - n_treated
-    if not n_treated or not n_untreated:
+    y0, n0, y1, n1 = _tally(  # outcomes of the untreated (0) and the treated (1)
+        list(compress(cohort.outcome, hypoxemic)), list(compress(cohort.treated, hypoxemic))
+    )
+    if not n0 or not n1:
         raise UntestableMetricError(
             "hypoxemic stratum lacks treated or untreated patients"
         )
-    y_treated = sum(compress(outcome, treated))
-    return (sum(outcome) - y_treated) / n_untreated - y_treated / n_treated
-
-
-def _count_by_group(values: list[int], group_a: list[int]) -> tuple[int, int]:
-    """Sums of a 0/1 column over group 0 and over group 1."""
-    in_group1 = sum(compress(values, group_a))
-    return sum(values) - in_group1, in_group1
+    return y0 / n0 - y1 / n1
 
 
 def _treatment_gap(cohort: Cohort, config: AuditConfig) -> MetricResult:
-    n0, n1 = _group_sizes(cohort)
-    z0, z1 = _count_by_group(cohort.treated, cohort.group_a)
+    _group_sizes(cohort)
+    tally = z0, n0, z1, n1 = _tally(cohort.treated, cohort.group_a)
     rate0, rate1 = z0 / n0, z1 / n1
-    try:
-        test = chi_square_independence([[z1, n1 - z1], [z0, n0 - z0]])
-    except ValueError as exc:
-        raise UntestableMetricError(f"degenerate treatment margin: {exc}") from None
+    test = _chi_square(tally, "treatment margin")
     return _result(
         TREATMENT_GAP, {0: rate0, 1: rate1}, rate0 - rate1, test, _flagged(test, config)
     )
@@ -506,13 +505,10 @@ def treatment_gap_and_outcome_decomposition(
 
 def observed_outcome_gap(cohort: Cohort, config: AuditConfig) -> MetricResult:
     """Observed outcome disparity P(Y=1 | A=1) - P(Y=1 | A=0)."""
-    n0, n1 = _group_sizes(cohort)
-    y0, y1 = _count_by_group(cohort.outcome, cohort.group_a)
+    _group_sizes(cohort)
+    tally = y0, n0, y1, n1 = _tally(cohort.outcome, cohort.group_a)
     rate0, rate1 = y0 / n0, y1 / n1
-    try:
-        test = chi_square_independence([[y1, n1 - y1], [y0, n0 - y0]])
-    except ValueError as exc:
-        raise UntestableMetricError(f"degenerate outcome margin: {exc}") from None
+    test = _chi_square(tally, "outcome margin")
     return _result(
         OBSERVED_OUTCOME_GAP,
         {0: rate0, 1: rate1},
@@ -676,20 +672,12 @@ def run_full_audit(
         ((SYSTEMIC_BIAS_LOGISTIC, SYSTEMIC_BIAS_CMH), systemic_bias_tests),
         ((GROUP_AUC,), group_auc_comparison),
     )
-    results = {
-        m.metric_name: m
-        for names, evaluate in evaluators
-        for m in _attempt(names, evaluate, cohort, config)
-    }
-
+    metrics = [
+        m for names, evaluate in evaluators for m in _attempt(names, evaluate, cohort, config)
+    ]
     summary: dict[str, float | int | None] = {"n_group0": n0, "n_group1": n1}
     if cohort.gold:
-        hypoxemic = _count_by_group(_hypoxemic(cohort, config), cohort.group_a)
-    for a, size in enumerate((n0, n1)):
-        summary[f"hypoxemia_rate_group{a}"] = hypoxemic[a] / size if cohort.gold else None
-
-    return EquityReport(
-        scenario_label=scenario_label,
-        metrics=[results[name] for name in METRIC_ORDER],
-        cohort_summary=summary,
-    )
+        h0, _, h1, _ = _tally(_hypoxemic(cohort, config), cohort.group_a)
+    summary["hypoxemia_rate_group0"] = h0 / n0 if cohort.gold else None
+    summary["hypoxemia_rate_group1"] = h1 / n1 if cohort.gold else None
+    return EquityReport(scenario_label, metrics, summary)

@@ -12,15 +12,19 @@ The JSON keys are the field names of ``EquityReport``, ``MetricResult``
 and ``TestResult``, in both directions: ``report_to_json`` writes
 ``dataclasses.asdict`` and ``parse_report_json`` passes each object back
 to its constructor.  A malformed document (not an object, a missing or
-unknown key, a value of the wrong shape) raises ``ValueError``.
+unknown key, a value of the wrong shape) raises ``ValueError``, and so
+does a value that is not of its field's annotated type (a bool is not a
+number), so the dataclasses are the schema's only list of fields.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict
+from functools import cache
 from pathlib import Path
-from typing import Sequence
+from types import UnionType
+from typing import Sequence, get_args, get_origin, get_type_hints
 
 from .metrics import METRIC_ORDER, EquityReport, MetricResult
 from .stats.hypotests import TestResult
@@ -154,18 +158,45 @@ def report_to_json(reports: Sequence[EquityReport]) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
+_field_types = cache(get_type_hints)
+
+
+def _conforms(value, hint) -> bool:
+    """Whether a parsed JSON value is of the annotated type; a bool is no number."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is UnionType:
+        return any(_conforms(value, arg) for arg in args)
+    if origin is list:
+        return isinstance(value, list) and all(_conforms(v, args[0]) for v in value)
+    if origin is dict:  # JSON keys are strings; group keys pass through int()
+        return isinstance(value, dict) and all(_conforms(v, args[1]) for v in value.values())
+    if isinstance(value, bool) and hint is not bool:
+        return False
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def _checked(instance):
+    """``instance``, once every field holds a value of its annotated type."""
+    for name, hint in _field_types(type(instance)).items():
+        value = getattr(instance, name)
+        if not _conforms(value, hint):
+            kind = hint.__name__ if isinstance(hint, type) else hint
+            raise TypeError(f"field {name} must be {kind}, got {value!r}")
+    return instance
+
+
 def _metric_from_obj(obj) -> MetricResult:
     metric = MetricResult(**obj)
     metric.group_values = {int(k): v for k, v in metric.group_values.items()}
     if metric.test is not None:
-        metric.test = TestResult(**metric.test)
-    return metric
+        metric.test = _checked(TestResult(**metric.test))
+    return _checked(metric)
 
 
 def _report_from_obj(obj) -> EquityReport:
     report = EquityReport(**obj)
     report.metrics = list(map(_metric_from_obj, report.metrics))
-    return report
+    return _checked(report)
 
 
 def parse_report_json(text: str) -> list[EquityReport]:
@@ -184,7 +215,7 @@ def parse_report_json(text: str) -> list[EquityReport]:
     try:
         return list(map(_report_from_obj, payload["reports"]))
     except (TypeError, AttributeError) as exc:
-        # A missing or unknown field, or a value of the wrong shape
+        # A missing or unknown field, or a value of the wrong shape or type
         raise ValueError(f"malformed report for schema version {SCHEMA_VERSION}: {exc}") from None
 
 

@@ -1,22 +1,22 @@
 """Counter-based random number streams for common-random-numbers simulation.
 
-Every draw is a pure 64-bit hash of (seed, patient_id, channel, index),
+Every draw is a pure 64-bit hash of the key (seed, patient_id, channel),
 so a patient's draw on one channel never depends on how many draws any
 other patient or channel consumed.  Toggling a bias flag therefore
 changes deterministic mean shifts only, never the underlying randomness,
 and regeneration is bit-identical on any execution schedule.
 
-The mixer is the SplitMix64 finalizer applied after absorbing each key
-field through a multiply-add; it is not cryptographic, but its
-equidistribution is far beyond what these cohort sizes can detect (the
-500-replication null-calibration suite doubles as an empirical check).
+The mixer absorbs each key field, then 0 (once a draw index; every word
+is unchanged), by a multiply-add and the SplitMix64 finalizer.  It is not
+cryptographic, but its equidistribution is far beyond what these cohort
+sizes can detect (the 500-replication null-calibration suite checks it).
 
 Because a draw depends only on its key, the same bits can be computed in
 any order (the counter-based design of Salmon et al. 2011, Random123).
 There are two entry points:
 
-* ``uniform_columns`` draws index 0 of several channels for patients
-  0..n-1.  The generator draws every cohort through it.
+* ``uniform_columns`` draws several channels for patients 0..n-1.
+  The generator draws every cohort through it.
 * ``uniform`` hashes one key.  It is the reference that
   ``uniform_columns`` matches bit for bit, and the draw whose cost the
   benchmark's ``rng.draw_ns`` measures.
@@ -114,32 +114,32 @@ def _unpack(z: int, m: int) -> array:
 
 
 class CounterRng:
-    """Stateless uniform generator keyed by (patient, channel, index)."""
+    """Stateless uniform generator keyed by (patient, channel)."""
 
     __slots__ = ("_seed",)
 
     def __init__(self, seed: int):
         self._seed = _mix((int(seed) & _MASK64) + _GOLDEN & _MASK64)
 
-    def uniform(self, patient_id: int, channel: Channel, index: int = 0) -> float:
+    def uniform(self, patient_id: int, channel: Channel) -> float:
         """Uniform draw on the open interval (0, 1)."""
-        if patient_id < 0 or channel < 0 or index < 0:
+        if patient_id < 0 or channel < 0:
             raise ValueError("stream keys must be non-negative")
-        # Three absorb-and-mix rounds, one per key field, unrolled.
+        # Three absorb-and-mix rounds, unrolled: patient, channel, then 0.
         z = (self._seed + patient_id * _MULT + _GOLDEN) & _MASK64
         z = ((z ^ (z >> 30)) * _MULT) & _MASK64
         z = ((z ^ (z >> 27)) * _MULT2) & _MASK64
         z = ((z ^ (z >> 31)) + channel * _MULT + _GOLDEN) & _MASK64
         z = ((z ^ (z >> 30)) * _MULT) & _MASK64
         z = ((z ^ (z >> 27)) * _MULT2) & _MASK64
-        z = ((z ^ (z >> 31)) + index * _MULT + _GOLDEN) & _MASK64
+        z = ((z ^ (z >> 31)) + _GOLDEN) & _MASK64
         z = ((z ^ (z >> 30)) * _MULT) & _MASK64
         z = ((z ^ (z >> 27)) * _MULT2) & _MASK64
         u = (((z ^ (z >> 31)) >> 11) + 0.5) * 2.0**-53
         return u if u < 1.0 else _BELOW_ONE
 
     def uniform_columns(self, n: int, channels: Iterable[Channel]) -> list[list[float]]:
-        """Index-0 uniforms of patients 0..n-1, one list per channel.
+        """Uniforms of patients 0..n-1, one list per channel.
 
         ``uniform_columns(n, chs)[k][i] == uniform(i, chs[k])`` bit for
         bit.  Each block of patient ids is absorbed and mixed once; the

@@ -385,10 +385,23 @@ def splitmix64_finalizer_inverse(z: int) -> int:
     return _undo_xorshift((z * pow(_SM_MULT, -1, 1 << 64)) & _MASK64, 30)
 
 
-def channel_for_word(seed: int, patient_id: int, word: int, index: int = 0) -> int:
-    """The channel key whose 64-bit word at (seed, patient_id, channel, index) is ``word``.
+def counter_word(seed: int, patient_id: int, channel: int, index: int) -> int:
+    """The 64-bit word of the key (seed, patient_id, channel, index).
 
-    A draw absorbs seed, patient, channel and index in turn, each as
+    Each field in turn is absorbed as ``z + key * MULT + GOLDEN`` and
+    followed by the finalizer.  ``CounterRng`` keys a draw by
+    (seed, patient_id, channel) and absorbs 0 in the index's place.
+    """
+    z = splitmix64_finalizer(((seed & _MASK64) + _SM_GOLDEN) & _MASK64)
+    for key in (patient_id, channel, index):
+        z = splitmix64_finalizer((z + key * _SM_MULT + _SM_GOLDEN) & _MASK64)
+    return z
+
+
+def channel_for_word(seed: int, patient_id: int, word: int) -> int:
+    """The channel key whose 64-bit word at (seed, patient_id, channel) is ``word``.
+
+    A draw absorbs seed, patient, channel and 0 in turn, each as
     ``z + key * MULT + GOLDEN`` followed by the finalizer; the finalizer is
     a bijection and MULT is odd, so the channel step can be solved for.
     """
@@ -396,9 +409,7 @@ def channel_for_word(seed: int, patient_id: int, word: int, index: int = 0) -> i
     after_patient = splitmix64_finalizer(
         (seed_key + patient_id * _SM_MULT + _SM_GOLDEN) & _MASK64
     )
-    after_channel = (
-        splitmix64_finalizer_inverse(word) - index * _SM_MULT - _SM_GOLDEN
-    ) & _MASK64
+    after_channel = (splitmix64_finalizer_inverse(word) - _SM_GOLDEN) & _MASK64
     channel_sum = splitmix64_finalizer_inverse(after_channel)
     return ((channel_sum - after_patient - _SM_GOLDEN) * pow(_SM_MULT, -1, 1 << 64)) & _MASK64
 
@@ -469,7 +480,7 @@ def generate_cohort_oracle(config) -> list[PatientRecord]:
     records = []
     for i in range(config.n_total):
         group_a = 1 if rng.uniform(i, Channel.GROUP) < config.p_group1 else 0
-        u = rng.uniform(i, Channel.SATURATION, 0)
+        u = rng.uniform(i, Channel.SATURATION)
         if sd < 1e-12:
             w_true = min(max(mean, W_LOW), W_HIGH)
         else:

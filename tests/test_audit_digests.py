@@ -108,3 +108,25 @@ def test_statuses_on_degenerate_margins(cases):
     assert tau_missing["outcome_decomposition"] == (
         "untestable: hypoxemic stratum lacks treated or untreated patients"
     )
+
+
+def test_degenerate_margins_name_their_table(cases):
+    # the full statuses behind the prefixes above, one per chi-square table
+    config = AuditConfig()
+    s3 = cases["gold_seed3"][0]
+
+    def status(cohort, name):
+        return {m.metric_name: m.status for m in run_full_audit(cohort, config).metrics}[name]
+
+    assert status(cases["all_treated_gold"][0], "treatment_gap") == (
+        "untestable: degenerate treatment margin: "
+        "column 1 of the contingency table has zero total"
+    )
+    assert status(cases["hypoxemic_all_treated_gold"][0], "equality_of_opportunity") == (
+        "untestable: degenerate hypoxemic stratum: "
+        "column 1 of the contingency table has zero total"
+    )
+    assert status(replace(s3, outcome=[0] * len(s3)), "observed_outcome_gap") == (
+        "untestable: degenerate outcome margin: "
+        "column 0 of the contingency table has zero total"
+    )

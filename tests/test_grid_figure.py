@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from oxequity.cohort import DEFAULT_DGP, Cohort, ScenarioConfig, generate_cohort
+from oxequity.cohort import DEFAULT_DGP, Cohort, DgpParams, ScenarioConfig, generate_cohort
 from oxequity.figure import figure_summary, figure_summary_csv
 from oxequity.grid import SCENARIO_LABELS, run_scenario_grid, threshold_protocol_summary
 from oxequity.metrics import AuditConfig
@@ -86,6 +86,19 @@ class TestThresholdProtocol:
         group1 = [y for y, a in zip(cohort.outcome, cohort.group_a) if a == 1]
         expected = sum(group1) / len(group1)
         assert summary.outcome_measured_driven[1] == pytest.approx(expected, abs=1e-12)
+
+    def test_empty_group_rejected(self):
+        # two patients at a 0.1% group-1 share: both land in group 0
+        with pytest.raises(ValueError) as info:
+            threshold_protocol_summary(ScenarioConfig(n_total=2, p_group1=0.001, seed=1))
+        assert str(info.value) == "group 1 is empty; cannot summarize the protocol"
+
+    def test_group_without_hypoxemia_rejected(self):
+        # every true saturation is 99, above the hypoxemia threshold
+        dgp = DgpParams(saturation_mean=99.0, saturation_sd=0.0)
+        with pytest.raises(ValueError) as info:
+            threshold_protocol_summary(ScenarioConfig(n_total=50, dgp=dgp))
+        assert str(info.value) == "group 0 has no hypoxemic patients"
 
 
 class TestFigureSummary:

@@ -109,6 +109,39 @@ def test_json_rejects_malformed_documents(grid_reports, case):
         parse_report_json(json.dumps(MALFORMED[case](payload)))
 
 
+def _with_metric_fields(payload, **fields):
+    return _with_metric(payload, {**_metric(payload), **fields})
+
+
+def _with_test(payload, **fields):
+    return _with_metric_fields(payload, test={**_metric(payload)["test"], **fields})
+
+
+# Each case gives one field a value of the wrong type: (field, document).
+WRONG_TYPE = {
+    "flagged_as_string": ("flagged", lambda p: _with_metric_fields(p, flagged="false")),
+    "contrast_as_string": ("contrast", lambda p: _with_metric_fields(p, contrast="0.5")),
+    "contrast_as_bool": ("contrast", lambda p: _with_metric_fields(p, contrast=True)),
+    "p_value_as_string": ("p_value", lambda p: _with_test(p, p_value="0.5")),
+    "group_value_as_string": (
+        "group_values",
+        lambda p: _with_metric_fields(p, group_values={"0": "0.5", "1": 0.5}),
+    ),
+    "scenario_label_as_number": (
+        "scenario_label",
+        lambda p: _with_report(p, {**_report(p), "scenario_label": 5}),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_TYPE))
+def test_json_rejects_values_of_the_wrong_type(grid_reports, case):
+    field, malform = WRONG_TYPE[case]
+    payload = json.loads(report_to_json(grid_reports[:1]))
+    with pytest.raises(ValueError, match=f"schema version 1: field {field} must be"):
+        parse_report_json(json.dumps(malform(payload)))
+
+
 def test_json_field_errors_name_the_schema_version(grid_reports):
     payload = json.loads(report_to_json(grid_reports[:1]))
     del payload["reports"][0]["cohort_summary"]

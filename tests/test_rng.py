@@ -10,14 +10,15 @@ import pytest
 from oxequity.rng import _BLOCK, Channel, CounterRng, _pack
 from oxequity.stats.special import normal_quantile
 
-from oracles import channel_for_word
+from oracles import channel_for_word, counter_word
 
 
 def test_reproducible_across_instances():
     a = CounterRng(42)
     b = CounterRng(42)
-    draws_a = [a.uniform(i, Channel.NOISE, j) for i in range(50) for j in range(3)]
-    draws_b = [b.uniform(i, Channel.NOISE, j) for i in range(50) for j in range(3)]
+    channels = (Channel.NOISE, Channel.TREAT, Channel.OUTCOME)
+    draws_a = [a.uniform(i, ch) for i in range(50) for ch in channels]
+    draws_b = [b.uniform(i, ch) for i in range(50) for ch in channels]
     assert draws_a == draws_b
 
 
@@ -30,11 +31,11 @@ def test_order_of_calls_is_irrelevant():
 
 def test_keys_separate_streams():
     rng = CounterRng(1)
-    base = rng.uniform(3, Channel.SATURATION, 0)
-    assert rng.uniform(3, Channel.SATURATION, 1) != base
-    assert rng.uniform(3, Channel.NOISE, 0) != base
-    assert rng.uniform(4, Channel.SATURATION, 0) != base
-    assert CounterRng(2).uniform(3, Channel.SATURATION, 0) != base
+    base = rng.uniform(3, Channel.SATURATION)
+    assert rng.uniform(3, 5) != base
+    assert rng.uniform(3, Channel.NOISE) != base
+    assert rng.uniform(4, Channel.SATURATION) != base
+    assert CounterRng(2).uniform(3, Channel.SATURATION) != base
 
 
 def test_uniforms_live_in_open_interval():
@@ -61,7 +62,7 @@ def test_negative_keys_rejected():
     with pytest.raises(ValueError):
         rng.uniform(-1, Channel.GROUP)
     with pytest.raises(ValueError):
-        rng.uniform(0, Channel.GROUP, -2)
+        rng.uniform(0, -2)
 
 
 def test_seed_masking_consistent():
@@ -76,10 +77,12 @@ def test_seed_masking_consistent():
 # masking.
 FROZEN_SEED = 2**64 + 0x5DEECE66D
 COHORT_CHANNELS = (Channel.GROUP, Channel.SATURATION, Channel.NOISE, Channel.TREAT, Channel.OUTCOME)
-# 2000 patients x the five cohort channels, index 0, patient-major
+# 2000 patients x the five cohort channels, patient-major
 COHORT_WORDS_SHA256 = "3bf5cefeabfee0c7ccd546fc7c02ff58b40c318a5b2e7023d83c7fffc8a5c6c3"
 # 1000 spread patient ids x channel 5 (once the Monte Carlo oracle's
-# stream), indices 0..9
+# stream) x indices 0..9 of the key (seed, patient, channel, index) that
+# draws had before the index became the constant 0; each of those words is
+# now drawn through the channel that ``channel_for_word`` solves for
 ORACLE_WORDS_SHA256 = "05723086d80d43eb9d89f106756084768cc4fd97da6832c7ff3e28efc79b4e98"
 
 
@@ -91,7 +94,11 @@ def test_scalar_draws_match_frozen_digests():
     rng = CounterRng(FROZEN_SEED)
     cohort = [rng.uniform(i, ch) for i in range(2000) for ch in COHORT_CHANNELS]
     assert _sha256(cohort) == COHORT_WORDS_SHA256
-    oracle = [rng.uniform(i * 7919, 5, r) for i in range(1000) for r in range(10)]
+    oracle = [
+        rng.uniform(p, channel_for_word(FROZEN_SEED, p, counter_word(FROZEN_SEED, p, 5, r)))
+        for p in range(0, 7919000, 7919)
+        for r in range(10)
+    ]
     assert _sha256(oracle) == ORACLE_WORDS_SHA256
 
 
