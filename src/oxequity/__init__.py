@@ -4,7 +4,6 @@ from .cohort import (
     DEFAULT_DGP,
     Cohort,
     DgpParams,
-    PatientRecord,
     ScenarioConfig,
     generate_cohort,
     oracle_tau,
@@ -16,7 +15,6 @@ __all__ = [
     "DEFAULT_DGP",
     "Cohort",
     "DgpParams",
-    "PatientRecord",
     "ScenarioConfig",
     "generate_cohort",
     "oracle_tau",

@@ -22,8 +22,6 @@ the metrics, the grid and the figure read its columns.  It is immutable
 and safe to share across threads; generation itself is a pure function
 of the scenario config.  ``COHORT_COLUMNS`` names the columns once: it is
 both the field order of ``Cohort`` and the cohort CSV header.
-``PatientRecord`` is only the row type of ``Cohort.from_records``, for
-cohorts built by hand.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ __all__ = [
     "Cohort",
     "CohortDraws",
     "DgpParams",
-    "PatientRecord",
     "ScenarioConfig",
     "DEFAULT_DGP",
     "TREATMENT_MODES",
@@ -91,13 +88,13 @@ class DgpParams:
             + err_noise_sd * N(0, 1)
 
     Treatment (logit scale, stochastic mode):
-        P(Z=1) = sigmoid(treat_intercept + treat_slope * (w_treat - W*)
-                         + [systemic bias on] * treat_group_penalty * A)
+        P(Z=1) = logistic(treat_intercept + treat_slope * (w_treat - W*)
+                          + [systemic bias on] * treat_group_penalty * A)
     Deterministic mode treats exactly when W* < w_treat.
 
     Outcome (logit scale):
-        P(Y=1) = sigmoid(out_intercept + out_severity * max(0, w_hypox - W)
-                         - out_benefit * Z)
+        P(Y=1) = logistic(out_intercept + out_severity * max(0, w_hypox - W)
+                          - out_benefit * Z)
 
     The defaults are calibrated so that, at n_total=2500 and
     p_group1=0.2, the simulated cohorts land on the documented
@@ -169,22 +166,6 @@ class ScenarioConfig:
             )
 
 
-@dataclass(frozen=True, slots=True)
-class PatientRecord:
-    """One patient: the row type of ``Cohort.from_records``.
-
-    The fields mean what the ``Cohort`` columns of the same names mean.
-    """
-
-    patient_id: int
-    group_a: int
-    w_true: float | None
-    w_star: float
-    epsilon: float | None
-    treated: int
-    outcome: int
-
-
 _BINARY = frozenset((0, 1))
 
 
@@ -222,12 +203,6 @@ class Cohort:
 
     def __len__(self) -> int:
         return len(self.patient_id)
-
-    @classmethod
-    def from_records(cls, records: Iterable[PatientRecord]) -> Cohort:
-        """The cohort of hand-built records, in their order."""
-        rows = list(records)
-        return cls(*([getattr(r, name) for r in rows] for name in COHORT_COLUMNS))
 
 
 COHORT_COLUMNS = tuple(f.name for f in fields(Cohort) if f.init)

@@ -1,4 +1,4 @@
-"""Cohort CSV serialization and flat parameter files.
+"""Cohort CSV serialization, and the reader of flat parameter files.
 
 The cohort schema is the header ``COHORT_COLUMNS`` (the ``Cohort`` columns
 in field order) with floats written to 4 decimal places.  Files lacking the
@@ -24,7 +24,7 @@ from dataclasses import fields as dataclass_fields
 from itertools import islice
 from pathlib import Path
 
-from .cohort import COHORT_COLUMNS, W_HIGH, W_LOW, Cohort, DgpParams
+from .cohort import _BINARY, COHORT_COLUMNS, W_HIGH, W_LOW, Cohort, DgpParams
 
 __all__ = [
     "COHORT_COLUMNS",
@@ -32,14 +32,12 @@ __all__ = [
     "read_cohort_csv",
     "read_params",
     "write_cohort_csv",
-    "write_params",
 ]
 
 _GOLD_COLUMNS = ("w_true", "epsilon")
 # Rows parsed per block.  Larger blocks parse no faster and raise the
 # reader's memory high-water mark.
 _BLOCK = 512
-_BINARY = frozenset((0, 1))
 
 _format_float = "{:.4f}".format
 
@@ -257,14 +255,6 @@ def read_cohort_csv(path: str | Path, require_gold: bool = True) -> Cohort:
     if not columns[0]:
         raise CohortSchemaError("file contains no records")
     return Cohort(*columns)
-
-
-def write_params(params: DgpParams, path: str | Path) -> None:
-    """Write generator parameters as a flat key/value JSON document."""
-    payload = {f.name: getattr(params, f.name) for f in dataclass_fields(params)}
-    with open(path, "w", newline="") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
 
 def read_params(path: str | Path) -> DgpParams:

@@ -12,9 +12,11 @@ The JSON keys are the field names of ``EquityReport``, ``MetricResult``
 and ``TestResult``, in both directions: ``report_to_json`` writes
 ``dataclasses.asdict`` and ``parse_report_json`` passes each object back
 to its constructor.  A malformed document (not an object, a missing or
-unknown key, a value of the wrong shape) raises ``ValueError``, and so
-does a value that is not of its field's annotated type (a bool is not a
-number), so the dataclasses are the schema's only list of fields.
+unknown key, a value of the wrong shape, a metric name outside
+``METRIC_ORDER`` or repeated, a group key other than "0" or "1")
+raises ``ValueError``, and so does a value that is not of its field's
+annotated type (a bool is not a number), so the dataclasses are the
+schema's only list of fields.
 """
 
 from __future__ import annotations
@@ -187,6 +189,10 @@ def _checked(instance):
 
 def _metric_from_obj(obj) -> MetricResult:
     metric = MetricResult(**obj)
+    if metric.metric_name not in METRIC_ORDER:
+        raise ValueError(f"field metric_name must be in METRIC_ORDER, got {metric.metric_name!r}")
+    if not {"0", "1"}.issuperset(metric.group_values):
+        raise ValueError(f"field group_values must be keyed by 0 or 1, got {metric.group_values}")
     metric.group_values = {int(k): v for k, v in metric.group_values.items()}
     if metric.test is not None:
         metric.test = _checked(TestResult(**metric.test))
@@ -196,6 +202,8 @@ def _metric_from_obj(obj) -> MetricResult:
 def _report_from_obj(obj) -> EquityReport:
     report = EquityReport(**obj)
     report.metrics = list(map(_metric_from_obj, report.metrics))
+    if len({m.metric_name for m in report.metrics}) < len(report.metrics):
+        raise ValueError("field metrics must name each metric once")
     return _checked(report)
 
 
@@ -214,8 +222,8 @@ def parse_report_json(text: str) -> list[EquityReport]:
         )
     try:
         return list(map(_report_from_obj, payload["reports"]))
-    except (TypeError, AttributeError) as exc:
-        # A missing or unknown field, or a value of the wrong shape or type
+    except (TypeError, AttributeError, ValueError) as exc:
+        # A missing or unknown field, a value of the wrong shape or type, or an unknown name
         raise ValueError(f"malformed report for schema version {SCHEMA_VERSION}: {exc}") from None
 
 

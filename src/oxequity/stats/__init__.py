@@ -19,9 +19,7 @@ from .special import (
     normal_quantile,
     normal_quantiles,
     regularized_beta,
-    regularized_gamma_p,
     regularized_gamma_q,
-    sigmoid,
     sigmoids,
 )
 
@@ -42,9 +40,7 @@ __all__ = [
     "normal_quantile",
     "normal_quantiles",
     "regularized_beta",
-    "regularized_gamma_p",
     "regularized_gamma_q",
-    "sigmoid",
     "sigmoids",
     "student_t_tail",
     "two_proportion_one_sided",

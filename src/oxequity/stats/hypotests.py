@@ -68,7 +68,8 @@ def student_t_tail(statistic: float, df: float) -> float:
         raise ValueError(f"t df must be positive, got {df!r}")
     if statistic == 0.0:
         return 0.5
-    tail = 0.5 * regularized_beta(df / (df + statistic * statistic), 0.5 * df, 0.5)
+    t2 = statistic * statistic
+    tail = 0.5 * regularized_beta(df / (df + t2), 0.5 * df, 0.5, t2 / (df + t2))
     return tail if statistic > 0.0 else 1.0 - tail
 
 

@@ -21,7 +21,7 @@ The per-row work runs as a column kernel.  The covariates are turned
 into columns once per fit.  Each candidate of the line search builds the
 linear predictor eta in one pass of ``map`` chains over the columns, and
 exp(-|eta|) once, which both the log-likelihood (its softplus) and the
-score pass (its sigmoid) read; the accepted candidate's eta and
+score pass (its logistic mean) read; the accepted candidate's eta and
 exp(-|eta|) are kept for the score pass instead of being recomputed, and
 are the only n-sized sequences besides the columns.  Both passes walk
 the rows in blocks of ``_BLOCK``, so their temporaries (mu, the
@@ -125,19 +125,11 @@ class LogisticFit:
     covariance: list[list[float]] | None = None
 
 
-class _SingularPivot(ValueError):
-    """Gaussian elimination met a numerically zero pivot in ``column``."""
-
-    def __init__(self, column: int):
-        self.column = column
-        super().__init__(f"singular at column {column}")
-
-
 def _solve(matrix: list[list[float]], rhs: list[list[float]]) -> list[list[float]]:
     """Gaussian elimination with partial pivoting; returns solutions columnwise.
 
-    Raises _SingularPivot with the stuck pivot column when the matrix is
-    numerically singular.
+    Raises SingularDesignError naming the stuck pivot column when the
+    matrix is numerically singular.
     """
     p = len(matrix)
     aug = [matrix[i][:] + [col[i] for col in rhs] for i in range(p)]
@@ -146,7 +138,7 @@ def _solve(matrix: list[list[float]], rhs: list[list[float]]) -> list[list[float
         pivot_row = max(range(col, p), key=lambda r: abs(aug[r][col]))
         pivot = aug[pivot_row][col]
         if abs(pivot) <= 1e-12 * scale:
-            raise _SingularPivot(col)
+            raise SingularDesignError([col])
         if pivot_row != col:
             aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
         inv = 1.0 / aug[col][col]
@@ -209,7 +201,7 @@ def _moments(y: list[int], eta: list[float], tails: array):
     """Per block of rows: its slice, the residuals y - mu and the weights mu (1 - mu)."""
     for start in range(0, len(y), _BLOCK):
         rows = slice(start, start + _BLOCK)
-        # sigmoid(h): 1 / (1 + exp(-h)) for h >= 0, else z / (1 + z) with
+        # mu = 1 / (1 + exp(-h)) for h >= 0, else z / (1 + z) with
         # z = exp(h); both exponents equal -|h|
         mu = [(1.0 if h >= 0.0 else z) / (1.0 + z) for h, z in zip(eta[rows], tails[rows])]
         yield rows, list(map(sub, y[rows], mu)), [m * (1.0 - m) for m in mu]
@@ -297,10 +289,11 @@ def fit_logistic_irls(
         raise ValueError("design rows have inconsistent dimension")
     if not all(all(map(isfinite, column)) for column in columns):
         raise ValueError("covariates must be finite")
-    # Check the raw values: int() would truncate 0.7 to 0 and 1.9 to 1.
-    if any(v not in (0, 1) for v in outcomes):
-        raise ValueError("outcomes must be binary")
-    y = [int(v) for v in outcomes]
+    # One lookup checks each value and makes it an int: 1.0 finds 1; 0.7, NaN and "1" fail.
+    try:
+        y = list(map({0: 0, 1: 1}.__getitem__, outcomes))
+    except (KeyError, TypeError):
+        raise ValueError("outcomes must be binary") from None
     width = len(columns) + 1
     binary = [{0.0, 1.0}.issuperset(column) for column in columns]
 
@@ -317,15 +310,12 @@ def fit_logistic_irls(
     # here, before the score test, so a collinear design whose score
     # already vanishes cannot pass as converged.  The solution is the
     # first Newton step.
-    try:
-        (delta,) = _solve(info, [score])
-    except _SingularPivot as exc:
-        raise SingularDesignError([exc.column]) from None
+    (delta,) = _solve(info, [score])
     while iterations < _MAX_ITER and max_abs_score > _SCORE_TOL:
         if iterations:
             try:
                 (delta,) = _solve(info, [score])
-            except _SingularPivot:
+            except SingularDesignError:
                 # Weights collapsed mid-path (separation); report as such.
                 break
         # Below the log-likelihood's rounding noise the line search would
@@ -362,7 +352,7 @@ def fit_logistic_irls(
         identity = [[1.0 if i == j else 0.0 for i in range(width)] for j in range(width)]
         try:
             inv_cols = _solve(info, identity)
-        except _SingularPivot:
+        except SingularDesignError:
             converged = False
         else:
             covariance = [[inv_cols[j][i] for j in range(width)] for i in range(width)]

@@ -23,12 +23,12 @@ the kernel's arithmetic and summation order bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import make_dataclass, replace
 from fractions import Fraction
 
 import mpmath as mp
 
-from oxequity.cohort import W_HIGH, W_LOW, Cohort, PatientRecord
+from oxequity.cohort import COHORT_COLUMNS, W_HIGH, W_LOW, Cohort
 from oxequity.grid import Table1Summary
 from oxequity.rng import Channel, CounterRng
 from oxequity.stats.logistic import (
@@ -414,18 +414,20 @@ def channel_for_word(seed: int, patient_id: int, word: int) -> int:
     return ((channel_sum - after_patient - _SM_GOLDEN) * pow(_SM_MULT, -1, 1 << 64)) & _MASK64
 
 
-def records_of(cohort: Cohort) -> list[PatientRecord]:
+# One patient of a hand-made cohort: its fields are the cohort's columns,
+# so no field is listed here again.
+Record = make_dataclass("Record", COHORT_COLUMNS, frozen=True)
+
+
+def records_of(cohort: Cohort) -> list[Record]:
     """One record per patient of a cohort, in its order: the row view tests read."""
-    columns = (
-        cohort.patient_id,
-        cohort.group_a,
-        cohort.w_true,
-        cohort.w_star,
-        cohort.epsilon,
-        cohort.treated,
-        cohort.outcome,
-    )
-    return [PatientRecord(*row) for row in zip(*columns)]
+    return [Record(*row) for row in zip(*(getattr(cohort, c) for c in COHORT_COLUMNS))]
+
+
+def cohort_of(records) -> Cohort:
+    """The cohort of hand-made records, in their order."""
+    rows = list(records)
+    return Cohort(*([getattr(r, c) for r in rows] for c in COHORT_COLUMNS))
 
 
 def gold_free(cohort: Cohort) -> Cohort:
@@ -468,7 +470,7 @@ def _outcome_assignment_oracle(w_true, treated, uniform_draw, params):
     return 1 if uniform_draw < _sigmoid_oracle(logit) else 0
 
 
-def generate_cohort_oracle(config) -> list[PatientRecord]:
+def generate_cohort_oracle(config) -> list[Record]:
     """Per-patient generation loop: every stream hashed for this scenario alone.
 
     The truncation bounds of the saturation law are recomputed for each
@@ -508,7 +510,7 @@ def generate_cohort_oracle(config) -> list[PatientRecord]:
             w_true, treated, rng.uniform(i, Channel.OUTCOME), dgp
         )
         records.append(
-            PatientRecord(
+            Record(
                 patient_id=i,
                 group_a=group_a,
                 w_true=w_true,
@@ -631,15 +633,12 @@ def fit_logistic_irls_oracle(design_rows, outcomes, max_iter=50) -> LogisticFit:
     score, info, max_abs_score, max_resid = _irls_score_and_information_oracle(
         x_rows, y, beta
     )
-    try:
-        _solve(info, [score])
-    except ValueError as exc:
-        column = int(str(exc).rsplit(" ", 1)[-1])
-        raise SingularDesignError([column]) from None
+    # A collinear design raises SingularDesignError, naming its column.
+    _solve(info, [score])
     while iterations < max_iter and max_abs_score > 1e-8:
         try:
             (delta,) = _solve(info, [score])
-        except ValueError:
+        except SingularDesignError:
             break
         # Newton decrement delta'g / 2: a small one takes the full step and stops.
         decrement = 0.0
@@ -674,7 +673,7 @@ def fit_logistic_irls_oracle(design_rows, outcomes, max_iter=50) -> LogisticFit:
             inv_cols = _solve(info, identity)
             covariance = [[inv_cols[j][i] for j in range(width)] for i in range(width)]
             ses = [math.sqrt(max(covariance[j][j], 0.0)) for j in range(width)]
-        except ValueError:
+        except SingularDesignError:
             ses = [math.nan] * width
             converged = False
     else:

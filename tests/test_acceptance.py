@@ -30,7 +30,7 @@ from oxequity.stats.hypotests import (
     cmh_conditional_independence,
 )
 from oxequity.stats.logistic import fit_logistic_irls
-from oxequity.stats.special import normal_quantile, sigmoid
+from oxequity.stats.special import normal_quantile, sigmoids
 
 from oracles import (
     binomial_reject_count_oracle,
@@ -126,9 +126,8 @@ def test_criterion_3_irls_numerics():
 
     rng = random.Random(31)
     rows = [(rng.gauss(0, 1), rng.uniform(-1, 1)) for _ in range(2000)]
-    outcomes = [
-        1 if rng.random() < sigmoid(-0.4 + 0.8 * a - 1.1 * b) else 0 for a, b in rows
-    ]
+    risks = sigmoids([-0.4 + 0.8 * a - 1.1 * b for a, b in rows])
+    outcomes = [1 if rng.random() < p else 0 for p in risks]
     fit = fit_logistic_irls(rows, outcomes)
     if not (fit.converged and fit.max_abs_score <= 1e-8):
         problems.append(f"score did not vanish: {fit.max_abs_score!r}")
@@ -156,15 +155,14 @@ def test_criterion_3_irls_numerics():
     design = [(float(i % 2),) for i in range(5000)]
     n1 = sum(1 for (x,) in design if x == 1.0)
     n0 = len(design) - n1
+    # the same risks every seed; each seed draws its own uniforms against them
+    risks = sigmoids([truth[0] + truth[1] * x for (x,) in design])
     hits = 0
     off_closed_form = []
     worst_closed_form = 0.0
     for seed in range(200):
         gen = random.Random(5000 + seed)
-        ys = [
-            1 if gen.random() < sigmoid(truth[0] + truth[1] * x) else 0
-            for (x,) in design
-        ]
+        ys = [1 if gen.random() < p else 0 for p in risks]
         recovered = fit_logistic_irls(design, ys)
         k1 = sum(y for (x,), y in zip(design, ys) if x == 1.0)
         closed_beta, closed_se = two_level_logistic_oracle(sum(ys) - k1, n0, k1, n1)

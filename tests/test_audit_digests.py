@@ -13,11 +13,11 @@ from dataclasses import replace
 
 import pytest
 
-from oxequity.cohort import Cohort, PatientRecord, ScenarioConfig, generate_cohort
+from oxequity.cohort import ScenarioConfig, generate_cohort
 from oxequity.metrics import AuditConfig, run_full_audit
 from oxequity.reports import report_to_csv, report_to_json, report_to_markdown
 
-from oracles import gold_free
+from oracles import Record, cohort_of, gold_free
 
 DIGESTS = {
     "gold_seed3": "e000342319173eb6f0d69e76babc470587ab8cb37fc115dde97a3a604dacf072",
@@ -38,9 +38,9 @@ DIGESTS = {
 
 def _degenerate():
     # zero error everywhere, W* set by group, disjoint W* bins
-    return Cohort.from_records(
-        PatientRecord(i, int(i >= 20), 90.0 + 3.0 * (i >= 20), 90.0 + 3.0 * (i >= 20),
-                      0.0, i % 2, int(i % 4 == 0))
+    return cohort_of(
+        Record(i, int(i >= 20), 90.0 + 3.0 * (i >= 20), 90.0 + 3.0 * (i >= 20),
+               0.0, i % 2, int(i % 4 == 0))
         for i in range(40)
     )
 
@@ -50,9 +50,9 @@ def _single_wstar():
     out = []
     for i in range(60):
         w_true = 84.0 + (i % 9)
-        out.append(PatientRecord(i, i % 2, w_true, 90.0, 90.0 - w_true,
-                                 int(i % 3 == 0), int(i % 5 == 0)))
-    return Cohort.from_records(out)
+        out.append(Record(i, i % 2, w_true, 90.0, 90.0 - w_true,
+                          int(i % 3 == 0), int(i % 5 == 0)))
+    return cohort_of(out)
 
 
 @pytest.fixture(scope="module")

@@ -7,7 +7,6 @@ import pytest
 
 from oxequity.cohort import (
     DEFAULT_DGP,
-    Cohort,
     DgpParams,
     ScenarioConfig,
     _saturation_inverse_cdf,
@@ -19,7 +18,7 @@ from oxequity.cohort import (
 )
 from oxequity.metrics import AuditConfig
 
-from oracles import gold_free, records_of, truncated_normal_inverse_oracle
+from oracles import cohort_of, gold_free, records_of, truncated_normal_inverse_oracle
 
 # frozen oracle inversions of the truncated-normal CDF
 MEDIAN_DEFAULT = 88.2999990574     # mean 88.3, sd 2.35, u = 0.5
@@ -248,7 +247,7 @@ class TestOracleTau:
     def test_single_patient_closed_form(self):
         params = replace(DEFAULT_DGP, out_intercept=-3.0, out_severity=0.3, out_benefit=1.0)
         cohort = generate_cohort(ScenarioConfig(n_total=2, seed=1, dgp=params))
-        patient = Cohort.from_records([replace(records_of(cohort)[0], w_true=84.0)])
+        patient = cohort_of([replace(records_of(cohort)[0], w_true=84.0)])
         # severity 0.3 * (88 - 84): sigmoid(-1.8) - sigmoid(-2.8) ~ 0.0846
         expected = _expit(-1.8) - _expit(-2.8)
         assert oracle_tau(params, patient) == pytest.approx(expected, rel=0, abs=1e-15)
@@ -275,9 +274,9 @@ class TestOracleTau:
     def test_validation(self):
         cohort = generate_cohort(ScenarioConfig(n_total=10, seed=1))
         with pytest.raises(ValueError):
-            oracle_tau(DEFAULT_DGP, Cohort.from_records([]))
+            oracle_tau(DEFAULT_DGP, cohort_of([]))
         with pytest.raises(ValueError, match="true saturations"):
             oracle_tau(DEFAULT_DGP, gold_free(cohort))
-        healthy = Cohort.from_records([replace(records_of(cohort)[0], w_true=95.0)])
+        healthy = cohort_of([replace(records_of(cohort)[0], w_true=95.0)])
         with pytest.raises(ValueError, match="hypoxemic"):
             oracle_tau(DEFAULT_DGP, healthy)

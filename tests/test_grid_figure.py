@@ -4,12 +4,12 @@ from dataclasses import replace
 
 import pytest
 
-from oxequity.cohort import DEFAULT_DGP, Cohort, DgpParams, ScenarioConfig, generate_cohort
+from oxequity.cohort import DEFAULT_DGP, DgpParams, ScenarioConfig, generate_cohort
 from oxequity.figure import figure_summary, figure_summary_csv
 from oxequity.grid import SCENARIO_LABELS, run_scenario_grid, threshold_protocol_summary
 from oxequity.metrics import AuditConfig
 
-from oracles import gold_free, scenario_configs_oracle
+from oracles import cohort_of, gold_free, scenario_configs_oracle
 
 
 @pytest.fixture(scope="module")
@@ -144,7 +144,7 @@ class TestFigureSummary:
         with pytest.raises(ValueError):
             figure_summary(cohort, value_range=(95.0, 90.0))
         with pytest.raises(ValueError):
-            figure_summary(Cohort.from_records([]))
+            figure_summary(cohort_of([]))
 
     def test_csv_shape(self):
         cohort = generate_cohort(ScenarioConfig(seed=16, n_total=500))

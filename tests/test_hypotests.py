@@ -28,6 +28,22 @@ PROP_P = 0.00322726269952
 CHI2_2X2 = 20.0 / 3.0
 CHI2_2X2_P = 0.00982327450752
 
+# Upper-tail probabilities of the scipy check, 0.999 down to 1e-300.
+TAIL_PS = (0.999, 0.9, 0.5, 0.1, 1e-2, 1e-5, 1e-10, 1e-20, 1e-50, 1e-100)
+TAIL_PS += (1e-150, 1e-200, 1e-250, 1e-300)
+
+
+def _upper_quantile(dist, p, df):
+    """The statistic whose upper tail is p: scipy's isf, bisected on sf where isf fails."""
+    x = float(dist.isf(p, df))
+    if math.isfinite(x):
+        return x
+    lo, hi = 1.0, 1e300
+    for _ in range(200):
+        mid = math.sqrt(lo * hi)
+        lo, hi = (mid, hi) if dist.sf(mid, df) > p else (lo, mid)
+    return hi
+
 
 class TestDistributionTails:
     def test_chi_square_tail_at_zero_is_one(self):
@@ -56,6 +72,19 @@ class TestDistributionTails:
             assert student_t_tail(-t, 6.0) == pytest.approx(
                 1.0 - student_t_tail(t, 6.0), abs=1e-14
             )
+
+    @pytest.mark.parametrize("df", (1.0, 2.0, 10.0, 1e3, 1e5, 1e6))
+    @pytest.mark.parametrize("name", ("chi2", "t"))
+    def test_tails_match_scipy(self, name, df):
+        dist = getattr(pytest.importorskip("scipy.stats"), name)
+        tail = chi_square_tail if name == "chi2" else student_t_tail
+        for p in TAIL_PS:
+            x = _upper_quantile(dist, p, df)
+            if x * x == math.inf:
+                # t at df = 1 below p ~ 2e-155: student_t_tail squares the
+                # statistic, so it returns 0.0 here, and so does scipy's sf.
+                continue
+            assert tail(x, df) == pytest.approx(dist.sf(x, df), rel=1e-9, abs=0.0), p
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Cohort CSV schema, validation diagnostics, and parameter files."""
 
-from dataclasses import replace
+import json
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -11,10 +12,9 @@ from oxequity.io import (
     read_cohort_csv,
     read_params,
     write_cohort_csv,
-    write_params,
 )
 
-from oracles import records_of
+from oracles import cohort_of, records_of
 
 
 @pytest.fixture(scope="module")
@@ -23,7 +23,7 @@ def cohort():
 
 
 def _first(cohort, k):
-    return Cohort.from_records(records_of(cohort)[:k])
+    return cohort_of(records_of(cohort)[:k])
 
 
 def test_round_trip_preserves_records(tmp_path, cohort):
@@ -168,7 +168,7 @@ def test_non_finite_epsilon_rejected(tmp_path, cohort, value):
 def test_params_round_trip(tmp_path):
     path = tmp_path / "params.json"
     custom = replace(DEFAULT_DGP, err_base=0.9, treat_slope=0.05)
-    write_params(custom, path)
+    path.write_text(json.dumps(asdict(custom)))
     assert read_params(path) == custom
 
 

@@ -19,7 +19,7 @@ from oxequity.cohort import ScenarioConfig, generate_cohort
 from oxequity.io import read_cohort_csv, write_cohort_csv
 from oxequity.stats import logistic
 from oxequity.stats.logistic import _BLOCK, SingularDesignError, fit_logistic_irls
-from oxequity.stats.special import sigmoid
+from oxequity.stats.special import sigmoids
 
 from oracles import fit_logistic_irls_oracle, scenario_configs_oracle
 
@@ -81,7 +81,7 @@ def _random_design(p, n, seed):
         )
         eta = truth[0] + sum(b * x for b, x in zip(truth[1:], row))
         rows.append(row)
-        outcomes.append(1 if rng.random() < sigmoid(eta) else 0)
+        outcomes.append(1 if rng.random() < sigmoids([eta])[0] else 0)
     return rows, outcomes
 
 
@@ -132,7 +132,7 @@ def test_collinear_design_matches():
     for _ in range(50):
         x = rng.gauss(0, 1)
         rows.append((x, 2.0 * x))
-        outcomes.append(1 if rng.random() < sigmoid(x) else 0)
+        outcomes.append(1 if rng.random() < sigmoids([x])[0] else 0)
     with pytest.raises(SingularDesignError) as expected:
         fit_logistic_irls_oracle(rows, outcomes)
     with pytest.raises(SingularDesignError) as actual:
@@ -173,7 +173,7 @@ def _indicator_design(kinds, n, seed):
         row = tuple(_draw(k, rng) for k in kinds)
         eta = -0.3 + sum((0.8 if k == "b" else -0.5) * x for k, x in zip(kinds, row))
         rows.append(row)
-        outcomes.append(1 if rng.random() < sigmoid(eta) else 0)
+        outcomes.append(1 if rng.random() < sigmoids([eta])[0] else 0)
     return rows, outcomes
 
 

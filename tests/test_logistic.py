@@ -6,7 +6,7 @@ import random
 import pytest
 
 from oxequity.stats.logistic import SingularDesignError, fit_logistic_irls
-from oxequity.stats.special import sigmoid
+from oxequity.stats.special import sigmoids
 
 from oracles import fd_hessian
 
@@ -40,10 +40,8 @@ def test_saturated_two_level_closed_form():
 def test_score_vanishes_at_convergence():
     rng = random.Random(11)
     rows = [(rng.gauss(0, 1), rng.uniform(0, 1)) for _ in range(400)]
-    outcomes = [
-        1 if rng.random() < sigmoid(-0.5 + 1.2 * x1 - 0.8 * x2) else 0
-        for x1, x2 in rows
-    ]
+    risks = sigmoids([-0.5 + 1.2 * x1 - 0.8 * x2 for x1, x2 in rows])
+    outcomes = [1 if rng.random() < p else 0 for p in risks]
     fit = fit_logistic_irls(rows, outcomes)
     assert fit.converged
     assert fit.max_abs_score <= 1e-8
@@ -52,10 +50,8 @@ def test_score_vanishes_at_convergence():
 def test_information_matches_finite_difference_hessian():
     rng = random.Random(7)
     rows = [(rng.gauss(0, 1.5), rng.gauss(1, 1)) for _ in range(300)]
-    outcomes = [
-        1 if rng.random() < sigmoid(0.3 + 0.9 * x1 - 0.6 * x2) else 0
-        for x1, x2 in rows
-    ]
+    risks = sigmoids([0.3 + 0.9 * x1 - 0.6 * x2 for x1, x2 in rows])
+    outcomes = [1 if rng.random() < p else 0 for p in risks]
     fit = fit_logistic_irls(rows, outcomes)
     assert fit.converged and fit.covariance is not None
     hessian = fd_hessian(rows, outcomes, fit.coefficients)
@@ -75,10 +71,8 @@ def test_parameter_recovery_quick():
         rng = random.Random(1000 + seed)
         truth = (-0.4, 0.8, -1.1)
         rows = [(rng.gauss(0, 1), rng.uniform(-1, 1)) for _ in range(1200)]
-        outcomes = [
-            1 if rng.random() < sigmoid(truth[0] + truth[1] * x1 + truth[2] * x2) else 0
-            for x1, x2 in rows
-        ]
+        risks = sigmoids([truth[0] + truth[1] * x1 + truth[2] * x2 for x1, x2 in rows])
+        outcomes = [1 if rng.random() < p else 0 for p in risks]
         fit = fit_logistic_irls(rows, outcomes)
         assert fit.converged
         if all(
@@ -130,7 +124,7 @@ def test_collinear_design_names_column():
     for _ in range(50):
         x = rng.gauss(0, 1)
         rows.append((x, 2.0 * x))  # second covariate collinear with first
-        outcomes.append(1 if rng.random() < sigmoid(x) else 0)
+        outcomes.append(1 if rng.random() < sigmoids([x])[0] else 0)
     with pytest.raises(SingularDesignError) as excinfo:
         fit_logistic_irls(rows, outcomes)
     assert excinfo.value.columns
@@ -192,7 +186,7 @@ def test_matches_scipy_minimisation(seed):
         for j in range(p)
     ]
     etas = [truth[0] + sum(b * c[i] for b, c in zip(truth[1:], columns)) for i in range(n)]
-    outcomes = [1 if rng.random() < sigmoid(eta) else 0 for eta in etas]
+    outcomes = [1 if rng.random() < risk else 0 for risk in sigmoids(etas)]
     x = np.column_stack([np.ones(n), *(np.array(c) for c in columns)])
     y = np.array(outcomes, dtype=float)
 

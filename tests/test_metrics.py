@@ -8,8 +8,6 @@ import pytest
 
 from oxequity.cohort import (
     DEFAULT_DGP,
-    Cohort,
-    PatientRecord,
     ScenarioConfig,
     generate_cohort,
     oracle_tau,
@@ -32,7 +30,7 @@ from oxequity.metrics import (
 )
 from oxequity.reports import report_to_json
 
-from oracles import gold_free, records_of
+from oracles import Record, cohort_of, gold_free, records_of
 
 I_STAR_DEFAULT = 7.84887973435  # (z_{0.975} + z_{0.80})^2 at delta = 1
 
@@ -48,7 +46,7 @@ def record(
 ):
     if w_star is None:
         w_star = (w_true if w_true is not None else 90.0) + (epsilon or 0.0)
-    return PatientRecord(
+    return Record(
         patient_id=pid,
         group_a=group,
         w_true=w_true,
@@ -152,7 +150,7 @@ class TestRepresentativeness:
             record(102, 1, epsilon=20.0),
             record(103, 1, epsilon=30.0),
         ]
-        result = representativeness_check(Cohort.from_records(records), audit_config)
+        result = representativeness_check(cohort_of(records), audit_config)
         assert result.group_values[1] < 1.0
         assert result.flagged
 
@@ -172,7 +170,7 @@ class TestRepresentativeness:
         records = [record(i, 0, epsilon=1.5) for i in range(10)]
         records += [record(10 + i, 1, epsilon=float(i % 3)) for i in range(10)]
         with pytest.raises(UntestableMetricError, match="variance in group 0"):
-            representativeness_check(Cohort.from_records(records), audit_config)
+            representativeness_check(cohort_of(records), audit_config)
 
 
 class TestInformationBias:
@@ -186,7 +184,7 @@ class TestInformationBias:
     def test_identical_samples_not_flagged(self, audit_config):
         records = [record(i, 0, epsilon=e) for i, e in enumerate((1.0, 2.0, 3.0))]
         records += [record(10 + i, 1, epsilon=e) for i, e in enumerate((1.0, 2.0, 3.0))]
-        result = information_bias_test(Cohort.from_records(records), audit_config)
+        result = information_bias_test(cohort_of(records), audit_config)
         assert result.test.p_value == 0.5
         assert not result.flagged
         assert result.contrast == 0.0
@@ -216,14 +214,14 @@ class TestTreatmentDisparity:
             for treated in (1, 1, 1, 0):
                 records.append(record(pid, group, w_true=85.0, treated=treated))
                 pid += 1
-        result = treatment_disparity_test(Cohort.from_records(records), audit_config)
+        result = treatment_disparity_test(cohort_of(records), audit_config)
         assert result.test.p_value == 0.5
         assert not result.flagged
 
     def test_empty_stratum_untestable(self, audit_config):
         records = [record(0, 0, w_true=85.0), record(1, 1, w_true=95.0)]
         with pytest.raises(UntestableMetricError):
-            treatment_disparity_test(Cohort.from_records(records), audit_config)
+            treatment_disparity_test(cohort_of(records), audit_config)
 
 
 class TestEqualityOfOpportunity:
@@ -247,7 +245,7 @@ class TestEqualityOfOpportunity:
             for treated in (1, 1, 0, 0):
                 records.append(record(pid, group, w_true=84.0, treated=treated))
                 pid += 1
-        result = equality_of_opportunity_test(Cohort.from_records(records), audit_config)
+        result = equality_of_opportunity_test(cohort_of(records), audit_config)
         assert result.test.statistic == 0.0
         assert result.test.p_value == 1.0
         assert result.group_values == {0: 0.0, 1: 0.0}
@@ -255,7 +253,7 @@ class TestEqualityOfOpportunity:
     def test_all_treated_untestable(self, audit_config):
         records = [record(i, i % 2, w_true=84.0, treated=1) for i in range(8)]
         with pytest.raises(UntestableMetricError):
-            equality_of_opportunity_test(Cohort.from_records(records), audit_config)
+            equality_of_opportunity_test(cohort_of(records), audit_config)
 
 
 class TestTau:
@@ -284,14 +282,14 @@ class TestTau:
     def test_one_sided_stratum_untestable(self, audit_config):
         records = [record(i, i % 2, w_true=84.0, treated=1) for i in range(8)]
         with pytest.raises(UntestableMetricError):
-            estimate_tau(Cohort.from_records(records), audit_config)
+            estimate_tau(cohort_of(records), audit_config)
 
 
 def _stratum_cohort(hypoxemic, other):
     """Hypoxemic (w_true 84) then other (w_true 95) patients, each given as
     (group, treated, outcome)."""
     rows = [(84.0, *row) for row in hypoxemic] + [(95.0, *row) for row in other]
-    return Cohort.from_records(
+    return cohort_of(
         [
             record(pid, group, w_true=w, treated=treated, outcome=outcome)
             for pid, (w, group, treated, outcome) in enumerate(rows)
@@ -370,14 +368,14 @@ class TestObservedOutcomeGap:
             for outcome in (1, 0, 0, 0):
                 records.append(record(pid, group, outcome=outcome, treated=1))
                 pid += 1
-        result = observed_outcome_gap(Cohort.from_records(records), audit_config)
+        result = observed_outcome_gap(cohort_of(records), audit_config)
         assert result.contrast == 0.0
         assert result.test.p_value == 1.0
 
     def test_direction_is_group1_minus_group0(self, audit_config):
         records = [record(i, 0, outcome=0) for i in range(10)]
         records += [record(20 + i, 1, outcome=1) for i in range(10)]
-        result = observed_outcome_gap(Cohort.from_records(records), audit_config)
+        result = observed_outcome_gap(cohort_of(records), audit_config)
         assert result.contrast == pytest.approx(1.0)
 
 
@@ -417,7 +415,7 @@ class TestSystemicBias:
             records.append(
                 record(i, group, w_true=90.0 + (i % 7) * 0.5, treated=group)
             )
-        logistic, cmh = systemic_bias_tests(Cohort.from_records(records), audit_config)
+        logistic, cmh = systemic_bias_tests(cohort_of(records), audit_config)
         assert logistic.status.startswith("non-converged")
         assert not logistic.flagged
         assert cmh.status == "ok"
@@ -426,7 +424,7 @@ class TestSystemicBias:
     def test_single_reading_untestable(self, audit_config):
         records = [record(i, i % 2, w_star=90.0) for i in range(10)]
         with pytest.raises(UntestableMetricError):
-            systemic_bias_tests(Cohort.from_records(records), audit_config)
+            systemic_bias_tests(cohort_of(records), audit_config)
 
 
     def test_collinear_design_leaves_cmh_standing(self, audit_config):
@@ -436,7 +434,7 @@ class TestSystemicBias:
             record(i, int(i >= 20), w_true=90.0 + 3.0 * (i >= 20), treated=i % 2)
             for i in range(40)
         ]
-        logistic, cmh = systemic_bias_tests(Cohort.from_records(records), audit_config)
+        logistic, cmh = systemic_bias_tests(cohort_of(records), audit_config)
         assert logistic.status.startswith("untestable: singular")
         assert cmh.status.startswith("untestable: CMH strata degenerate")
         assert not logistic.flagged and not cmh.flagged
@@ -449,7 +447,7 @@ class TestSystemicBias:
             group = int(i >= 40)
             w = 86.0 + (i % 5) + 6.0 * group
             records.append(record(i, group, w_true=w, treated=int(i % 3 == 0)))
-        logistic, cmh = systemic_bias_tests(Cohort.from_records(records), audit_config)
+        logistic, cmh = systemic_bias_tests(cohort_of(records), audit_config)
         assert logistic.status == "ok"
         assert math.isfinite(logistic.contrast)
         assert math.isfinite(logistic.test.p_value)
@@ -478,7 +476,7 @@ class TestGroupAuc:
         records = [record(i, 0, w_true=84.0 + (i % 3)) for i in range(6)]
         records += [record(10 + i, 1, w_true=95.0) for i in range(6)]
         with pytest.raises(UntestableMetricError):
-            group_auc_comparison(Cohort.from_records(records), audit_config)
+            group_auc_comparison(cohort_of(records), audit_config)
 
 
 class TestRunFullAudit:
@@ -572,7 +570,7 @@ class TestRunFullAudit:
 
     def test_empty_cohort_rejected(self, audit_config):
         with pytest.raises(ValueError):
-            run_full_audit(Cohort.from_records([]), audit_config)
+            run_full_audit(cohort_of([]), audit_config)
 
     def test_failures_stay_local_and_ok_is_never_nan(self, audit_config):
         # Zero measurement error everywhere (Welch untestable), W* set by
@@ -583,7 +581,7 @@ class TestRunFullAudit:
                    outcome=int(i % 4 == 0))
             for i in range(40)
         ]
-        report = run_full_audit(Cohort.from_records(records), audit_config)
+        report = run_full_audit(cohort_of(records), audit_config)
         by_name = {m.metric_name: m for m in report.metrics}
         assert [m.metric_name for m in report.metrics] == list(METRIC_ORDER)
         assert by_name["information_bias"].status.startswith("untestable: both samples")
@@ -628,7 +626,7 @@ class TestRunFullAudit:
                    outcome=int(i % 4 == 0))
             for i in range(40)
         ]
-        report = run_full_audit(Cohort.from_records(records), audit_config)
+        report = run_full_audit(cohort_of(records), audit_config)
         by_name = {m.metric_name: m for m in report.metrics}
         assert by_name["representativeness"].status == (
             "untestable: zero measurement-error variance in group 0"
@@ -685,4 +683,4 @@ class TestRunFullAudit:
     def test_single_group_rejected(self, audit_config):
         records = [record(i, 0) for i in range(10)]
         with pytest.raises(UntestableMetricError):
-            run_full_audit(Cohort.from_records(records), audit_config)
+            run_full_audit(cohort_of(records), audit_config)

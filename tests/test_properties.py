@@ -12,7 +12,12 @@ hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import strategies as st  # noqa: E402
 
-from oxequity.cohort import Cohort, ScenarioConfig, generate_cohort  # noqa: E402
+from oxequity.cohort import (  # noqa: E402
+    TREATMENT_MODES,
+    Cohort,
+    ScenarioConfig,
+    generate_cohort,
+)
 from oxequity.io import read_cohort_csv, write_cohort_csv  # noqa: E402
 from oxequity.metrics import (  # noqa: E402
     METRIC_ORDER,
@@ -24,6 +29,8 @@ from oxequity.metrics import (  # noqa: E402
 from oxequity.reports import parse_report_json, report_to_json  # noqa: E402
 from oxequity.rng import Channel, CounterRng  # noqa: E402
 from oxequity.stats import hypotests  # noqa: E402
+
+from oracles import scenario_configs_oracle  # noqa: E402
 
 SEEDS = st.one_of(st.integers(0, 2**64 - 1), st.integers(2**64, 2**80))
 
@@ -39,6 +46,25 @@ def test_column_draws_equal_scalar_draws(seed, n, channels):
     rng = CounterRng(seed)
     expected = [[rng.uniform(i, channel) for i in range(n)] for channel in channels]
     assert rng.uniform_columns(n, channels) == expected
+
+
+# --- common random numbers ---------------------------------------------------------
+
+
+@hypothesis.settings(max_examples=50, deadline=None)
+@hypothesis.given(seed=SEEDS, n=st.integers(2, 200), mode=st.sampled_from(TREATMENT_MODES))
+def test_scenarios_of_a_seed_share_their_draws(seed, n, mode):
+    # Each scenario is generated from scratch: only common random numbers
+    # can make these columns agree.
+    base = ScenarioConfig(n_total=n, seed=seed, treatment_mode=mode)
+    cohorts = {label: generate_cohort(c) for label, c in scenario_configs_oracle(base).items()}
+    both = cohorts["both"]
+    for cohort in cohorts.values():
+        assert (cohort.w_true, cohort.group_a) == (both.w_true, both.group_a)
+    # Within a measurement-toggle pair, only the systemic toggle differs.
+    for first, second in (("both", "measurement_only"), ("systemic_only", "none")):
+        assert cohorts[first].w_star == cohorts[second].w_star
+        assert cohorts[first].epsilon == cohorts[second].epsilon
 
 
 # --- the audit over a cohort's columns -----------------------------------------
@@ -181,8 +207,8 @@ TESTS = st.builds(
 )
 METRICS = st.builds(
     MetricResult,
-    metric_name=TEXT,
-    group_values=st.dictionaries(st.integers(), FINITE, max_size=3),
+    metric_name=st.sampled_from(METRIC_ORDER),
+    group_values=st.dictionaries(st.sampled_from((0, 1)), FINITE),
     contrast=st.none() | FINITE,
     test=st.none() | TESTS,
     flagged=st.booleans(),
@@ -193,7 +219,7 @@ METRICS = st.builds(
 REPORTS = st.builds(
     EquityReport,
     scenario_label=TEXT,
-    metrics=st.lists(METRICS, max_size=4),
+    metrics=st.lists(METRICS, max_size=4, unique_by=lambda m: m.metric_name),
     cohort_summary=st.dictionaries(TEXT, st.none() | st.integers() | FINITE, max_size=4),
 )
 

@@ -142,6 +142,32 @@ def test_json_rejects_values_of_the_wrong_type(grid_reports, case):
         parse_report_json(json.dumps(malform(payload)))
 
 
+# Each case names something outside the schema: (field, document).
+OUTSIDE_VOCABULARY = {
+    "unknown_metric_name": ("metric_name", lambda p: _with_metric_fields(p, metric_name="bogus")),
+    "repeated_metric_name": (
+        "metrics",
+        lambda p: _with_report(p, {**_report(p), "metrics": [_metric(p), _metric(p)]}),
+    ),
+    "group_key_not_a_number": (
+        "group_values",
+        lambda p: _with_metric_fields(p, group_values={"x": 0.5, "1": 0.5}),
+    ),
+    "group_key_not_0_or_1": (
+        "group_values",
+        lambda p: _with_metric_fields(p, group_values={"7": 0.5, "1": 0.5}),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUTSIDE_VOCABULARY))
+def test_json_rejects_names_outside_the_schema(grid_reports, case):
+    field, malform = OUTSIDE_VOCABULARY[case]
+    payload = json.loads(report_to_json(grid_reports[:1]))
+    with pytest.raises(ValueError, match=f"schema version 1: field {field} must"):
+        parse_report_json(json.dumps(malform(payload)))
+
+
 def test_json_field_errors_name_the_schema_version(grid_reports):
     payload = json.loads(report_to_json(grid_reports[:1]))
     del payload["reports"][0]["cohort_summary"]

@@ -17,7 +17,6 @@ from oxequity.cli import main
 from oxequity.cohort import (
     DEFAULT_DGP,
     TREATMENT_MODES,
-    Cohort,
     ScenarioConfig,
     derive_cohort,
     draw_cohort,
@@ -28,6 +27,7 @@ from oxequity.metrics import AuditConfig
 from oxequity.rng import CounterRng
 
 from oracles import (
+    cohort_of,
     generate_cohort_oracle,
     scenario_configs_oracle,
     threshold_protocol_oracle,
@@ -64,7 +64,7 @@ def test_grid_cohorts_equal_generation_from_scratch(seed, mode, dgp):
     for label, config in scenario_configs_oracle(base).items():
         cohort = generate_cohort(config)
         assert result.cohorts[label] == cohort
-        assert cohort == Cohort.from_records(generate_cohort_oracle(config))
+        assert cohort == cohort_of(generate_cohort_oracle(config))
     both = result.cohorts["both"]
     clamped = sum(s != w + e for s, w, e in zip(both.w_star, both.w_true, both.epsilon))
     assert (clamped > 0) == (dgp is CLAMPING_DGP)
@@ -120,7 +120,7 @@ def test_degenerate_saturation_equals_oracle(seed):
     config = _base(seed, "stochastic", replace(DEFAULT_DGP, saturation_sd=0.0))
     cohort = generate_cohort(config)
     assert set(cohort.w_true) == {DEFAULT_DGP.saturation_mean}
-    assert cohort == Cohort.from_records(generate_cohort_oracle(config))
+    assert cohort == cohort_of(generate_cohort_oracle(config))
 
 
 def test_grid_output_bytes_unchanged(tmp_path):
