@@ -20,7 +20,6 @@ from .grid import SCENARIO_LABELS, GridResult, run_scenario_grid
 from .io import read_cohort_csv, read_params, write_cohort_csv
 from .metrics import AuditConfig, run_full_audit
 from .reports import REPORT_FORMATS, format_value, render_report, write_report
-from .stats.logistic import SingularDesignError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -198,7 +197,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (SingularDesignError, ArithmeticError) as exc:
+    except ArithmeticError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (_UsageError, ValueError, OSError) as exc:  # schema errors are ValueErrors

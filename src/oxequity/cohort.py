@@ -27,7 +27,7 @@ both the field order of ``Cohort`` and the cohort CSV header.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from itertools import repeat
 from operator import add, sub, truediv
 from typing import Iterable, Sequence
@@ -213,19 +213,23 @@ def _saturation_inverse_cdf(uniforms: Sequence[float], params: DgpParams) -> lis
 
     The law is normal, truncated to [W_LOW, W_HIGH].  The normal CDF at
     the two window edges is evaluated once per column, and the probits
-    come from one ``normal_quantiles`` pass.  Pathological tail draws
-    that escape the window through floating point are clipped back to
-    the bounds.
+    come from one ``normal_quantiles`` pass.  With the mean below the
+    window the CDF at both edges can round to 1.0, so there the law is
+    inverted through its upper tail: the scale is negated, which the
+    normal law's symmetry allows, and w still rises with u.  Pathological
+    tail draws that escape the window through floating point are clipped
+    back to the bounds.
     """
     mean, sd = params.saturation_mean, params.saturation_sd
     if sd < 1e-12:
         return [min(max(mean, W_LOW), W_HIGH)] * len(uniforms)
-    lo = normal_cdf((W_LOW - mean) / sd)
-    hi = normal_cdf((W_HIGH - mean) / sd)
+    scale = -sd if mean < W_LOW else sd
+    lo = normal_cdf((W_LOW - mean) / scale)
+    hi = normal_cdf((W_HIGH - mean) / scale)
     ps = [lo + u * (hi - lo) for u in uniforms]
     # A NaN p is neither <= 0 nor >= 1, so normal_quantiles rejects it.
     probit = iter(normal_quantiles([p for p in ps if not (p <= 0.0 or p >= 1.0)])).__next__
-    values = [W_LOW if p <= 0.0 else W_HIGH if p >= 1.0 else mean + sd * probit() for p in ps]
+    values = [W_LOW if p <= 0.0 else W_HIGH if p >= 1.0 else mean + scale * probit() for p in ps]
     return [W_LOW if v < W_LOW else W_HIGH if v > W_HIGH else v for v in values]
 
 
@@ -236,32 +240,27 @@ def _saturation_inverse_cdf(uniforms: Sequence[float], params: DgpParams) -> lis
 def measurement_errors(
     w_true: Sequence[float],
     group_a: Sequence[int],
-    measurement_bias_on: bool,
     noise: Sequence[float],
     params: DgpParams,
 ) -> list[float]:
     """Signed oximeter errors in percentage points, one per patient.
 
     Everyone shares the baseline overread and noise; the differential
-    shift-plus-hinge term applies to group A=1 only while the
-    measurement-bias channel is on, and grows as true saturation falls
-    below the pivot.
+    shift-plus-hinge term applies to group A=1 only, and grows as true
+    saturation falls below the pivot.  An off measurement-bias channel is
+    these group terms set to 0.0.
     """
     base, noise_sd = params.err_base, params.err_noise_sd
-    errors = (base + noise_sd * z for z in noise)
-    if not measurement_bias_on:
-        return list(errors)
     shift, slope, pivot = params.err_group_shift, params.err_group_slope, params.err_pivot
     return [
         e + (shift + slope * (d if (d := pivot - w) > 0.0 else 0.0)) if a == 1 else e
-        for e, w, a in zip(errors, w_true, group_a)
+        for e, w, a in zip((base + noise_sd * z for z in noise), w_true, group_a)
     ]
 
 
 def treatment_assignments(
     w_star: Sequence[float],
     group_a: Sequence[int],
-    systemic_bias_on: bool,
     mode: str,
     uniforms: Sequence[float],
     params: DgpParams,
@@ -270,7 +269,7 @@ def treatment_assignments(
 
     Deterministic mode is the bare threshold protocol 1(W* < w_treat).
     Stochastic mode draws from a logistic model in the threshold margin,
-    with a group penalty active only under systemic bias.
+    with a group penalty; an off systemic-bias channel is a penalty of 0.0.
     """
     if mode == "deterministic":
         w_treat = params.w_treat
@@ -278,13 +277,8 @@ def treatment_assignments(
     if mode != "stochastic":
         raise ValueError(f"unknown treatment mode {mode!r}")
     intercept, slope, w_treat = params.treat_intercept, params.treat_slope, params.w_treat
-    if systemic_bias_on:
-        penalty = params.treat_group_penalty
-        logits = [
-            intercept + slope * (w_treat - w) + penalty * a for w, a in zip(w_star, group_a)
-        ]
-    else:
-        logits = [intercept + slope * (w_treat - w) for w in w_star]
+    penalty = params.treat_group_penalty
+    logits = [intercept + slope * (w_treat - w) + penalty * a for w, a in zip(w_star, group_a)]
     return [1 if u < p else 0 for u, p in zip(uniforms, sigmoids(logits))]
 
 
@@ -363,21 +357,25 @@ def derive_cohort(
 ) -> Cohort:
     """Build one scenario's cohort from shared draws; no random stream is read.
 
-    Every step maps whole columns.  The cohort shares the draws' group
-    and true-saturation columns.
+    Every step maps whole columns.  An off bias channel is its group terms
+    set to 0.0, which adds +0.0 to each group-1 error or logit and so
+    leaves it bit for bit as if the term were absent.  The cohort shares
+    the draws' group and true-saturation columns.
     """
     dgp = draws.dgp
+    if not measurement_bias_on:
+        dgp = replace(dgp, err_group_shift=0.0, err_group_slope=0.0)
+    if not systemic_bias_on:
+        dgp = replace(dgp, treat_group_penalty=0.0)
     group_a, w_true = draws.group_a, draws.w_true
-    epsilon = measurement_errors(w_true, group_a, measurement_bias_on, draws.noise, dgp)
+    epsilon = measurement_errors(w_true, group_a, draws.noise, dgp)
     # The raw reading r = w + e, clipped to min(max(r, 0.0), 100.0) by the
     # comparisons max and min make.
     w_star = [
         100.0 if 100.0 < (r := w + e) else 0.0 if 0.0 > r else r
         for w, e in zip(w_true, epsilon)
     ]
-    treated = treatment_assignments(
-        w_star, group_a, systemic_bias_on, treatment_mode, draws.u_treat, dgp
-    )
+    treated = treatment_assignments(w_star, group_a, treatment_mode, draws.u_treat, dgp)
     outcome = outcome_assignments(w_true, treated, draws.u_out, dgp)
     return Cohort(list(range(len(w_true))), group_a, w_true, w_star, epsilon, treated, outcome)
 

@@ -90,9 +90,7 @@ def _protocol_summary(draws: CohortDraws) -> Table1Summary:
     )
     dgp = draws.dgp
     group_a, w_true, treated = cohort.group_a, cohort.w_true, cohort.treated
-    treated_true = treatment_assignments(
-        w_true, group_a, True, "deterministic", draws.u_treat, dgp
-    )
+    treated_true = treatment_assignments(w_true, group_a, "deterministic", draws.u_treat, dgp)
     outcome_true = outcome_assignments(w_true, treated_true, draws.u_out, dgp)
     hypoxemic = [w < dgp.w_hypox for w in w_true]
     h0, n0, h1, n1 = _tally(hypoxemic, group_a)

@@ -7,12 +7,13 @@ does not require them; so are rows whose two gold fields are both blank.
 The cohort's ``w_true`` and ``epsilon`` columns then hold None for those
 patients, and the audit skips the metrics that need the gold standard.
 
-The reader parses the file in blocks of ``_BLOCK`` rows, each turned
-into columns at once.  A block that fails any check, or holds a blank
-line, is parsed again row by row, which reports the first fault in
-file order (row-major, the columns of a row in a fixed order) or skips
-the blank lines; so the checks and messages are those of a row-at-a-time
-reader, and memory stays bounded by the block, not the file.
+``_RULES`` states each column's rule (type and bound) once, and the
+reader's two paths both read it.  The file is parsed in blocks of
+``_BLOCK`` rows, each turned into columns at once.  A block that breaks
+a rule, or holds a blank line, is parsed again row by row, which skips
+the blank lines and reports the first fault in file order (row-major,
+the columns of a row in rule order); so the checks and messages are
+those of a row-at-a-time reader, and memory stays bounded by the block.
 """
 
 from __future__ import annotations
@@ -34,6 +35,18 @@ __all__ = [
     "write_cohort_csv",
 ]
 
+# Each column's rule, in the order a row's faults are reported, the gold
+# columns first: its type, and for a float its closed range (None: any
+# finite value), for an int whether it must be 0 or 1.
+_RULES = (
+    ("w_true", float, (W_LOW, W_HIGH)),
+    ("epsilon", float, None),
+    ("w_star", float, (0.0, 100.0)),
+    ("patient_id", int, False),
+    ("group_a", int, True),
+    ("treated", int, True),
+    ("outcome", int, True),
+)
 _GOLD_COLUMNS = ("w_true", "epsilon")
 # Rows parsed per block.  Larger blocks parse no faster and raise the
 # reader's memory high-water mark.
@@ -85,40 +98,35 @@ def write_cohort_csv(cohort: Cohort, path: str | Path) -> None:
         )
 
 
-def _parse_int(value: str, row: int, column: str, binary: bool = False) -> int:
+def _parse(cell: str, row: int, column: str, kind: type, bound):
+    """One cell's value under its column's rule; a fault raises CohortSchemaError."""
     try:
-        parsed = int(value)
+        value = kind(cell)
     except ValueError:
-        raise CohortSchemaError(f"expected an integer, got {value!r}", row, column) from None
-    if binary and parsed not in (0, 1):
-        raise CohortSchemaError(f"expected 0 or 1, got {value!r}", row, column)
-    return parsed
-
-
-def _parse_float(
-    value: str, row: int, column: str, lo: float | None = None, hi: float | None = None
-) -> float:
-    try:
-        parsed = float(value)
-    except ValueError:
-        raise CohortSchemaError(f"expected a number, got {value!r}", row, column) from None
-    if parsed != parsed:  # NaN
+        noun = "an integer" if kind is int else "a number"
+        raise CohortSchemaError(f"expected {noun}, got {cell!r}", row, column) from None
+    if kind is int:
+        if bound and value not in _BINARY:
+            raise CohortSchemaError(f"expected 0 or 1, got {cell!r}", row, column)
+    elif value != value:  # NaN
         raise CohortSchemaError("value is NaN", row, column)
-    if (lo is not None and parsed < lo) or (hi is not None and parsed > hi):
-        raise CohortSchemaError(
-            f"value {parsed} outside [{lo}, {hi}]", row, column
-        )
-    if math.isinf(parsed):
-        raise CohortSchemaError(f"value {parsed} is not finite", row, column)
-    return parsed
+    elif bound is not None and not bound[0] <= value <= bound[1]:
+        raise CohortSchemaError(f"value {value} outside [{bound[0]}, {bound[1]}]", row, column)
+    elif math.isinf(value):
+        raise CohortSchemaError(f"value {value} is not finite", row, column)
+    return value
 
 
-def _in_range(values: list[float], lo: float, hi: float) -> bool:
-    return not any(map(math.isnan, values)) and lo <= min(values) and max(values) <= hi
+def _valid(values: list, kind: type, bound) -> bool:
+    """Whether every value of a parsed column keeps the column's rule."""
+    if kind is int:
+        return not bound or _BINARY.issuperset(values)
+    finite = all(map(math.isfinite, values))
+    return finite and (bound is None or bound[0] <= min(values) and max(values) <= bound[1])
 
 
 class _Layout:
-    """Where each column sits in a file's rows, and what the reader must check."""
+    """Where each column sits in a file's rows, and the rule it is read by."""
 
     def __init__(self, header: list[str], require_gold: bool):
         positions = {}
@@ -129,98 +137,64 @@ class _Layout:
         required = [c for c in COHORT_COLUMNS if require_gold or c not in _GOLD_COLUMNS]
         missing = [c for c in required if c not in positions]
         if missing:
-            raise CohortSchemaError(
-                "missing required column(s): " + ", ".join(missing), row=1
-            )
+            raise CohortSchemaError("missing required column(s): " + ", ".join(missing), row=1)
         self.width = len(header)
         self.require_gold = require_gold
         self.has_gold = all(c in positions for c in _GOLD_COLUMNS)
-        self.at_id, self.at_group, self.at_star, self.at_treated, self.at_outcome = (
-            positions[c] for c in ("patient_id", "group_a", "w_star", "treated", "outcome")
-        )
-        self.at_true, self.at_eps = (positions.get(c) for c in _GOLD_COLUMNS)
+        # (position, name, kind, bound) of each column read, in rule order.
+        rules = _RULES if self.has_gold else _RULES[len(_GOLD_COLUMNS) :]
+        self.columns = [(positions[name], name, kind, bound) for name, kind, bound in rules]
 
 
 def _parse_block(block: list[list[str]], layout: _Layout, first_row_of_id: dict[int, int]):
-    """The block's columns, or None when any check fails or a row is blank.
-
-    Nothing is recorded in ``first_row_of_id`` unless the block passes.
-    """
+    """The block's columns by name, or None when a rule fails or a row is blank."""
     if set(map(len, block)) != {layout.width}:
         return None
     cells = list(zip(*block))
     try:
-        ids = list(map(int, cells[layout.at_id]))
-        group_a = list(map(int, cells[layout.at_group]))
-        treated = list(map(int, cells[layout.at_treated]))
-        outcome = list(map(int, cells[layout.at_outcome]))
-        w_star = list(map(float, cells[layout.at_star]))
-        if layout.has_gold:
-            w_true = list(map(float, cells[layout.at_true]))
-            epsilon = list(map(float, cells[layout.at_eps]))
+        columns = {name: list(map(kind, cells[at])) for at, name, kind, _ in layout.columns}
     except ValueError:
         return None
-    if not (
-        _BINARY.issuperset(group_a)
-        and _BINARY.issuperset(treated)
-        and _BINARY.issuperset(outcome)
-        and _in_range(w_star, 0.0, 100.0)
-        and len(set(ids)) == len(ids)
-        and first_row_of_id.keys().isdisjoint(ids)
-    ):
-        return None
-    if layout.has_gold:
-        if not (_in_range(w_true, W_LOW, W_HIGH) and all(map(math.isfinite, epsilon))):
-            return None
-    else:
-        w_true = epsilon = [None] * len(block)
-    return ids, group_a, w_true, w_star, epsilon, treated, outcome
+    ids = columns["patient_id"]
+    valid = all(_valid(columns[name], kind, bound) for _, name, kind, bound in layout.columns)
+    if valid and len(set(ids)) == len(ids) and first_row_of_id.keys().isdisjoint(ids):
+        return columns
+    return None
 
 
 def _parse_rows(
     block: list[list[str]], start: int, layout: _Layout, first_row_of_id: dict[int, int]
 ):
-    """The block's columns, parsed row by row from file row ``start``.
+    """The block's columns by name, parsed row by row from file row ``start``.
 
     Blank rows are skipped.  Raises CohortSchemaError at the first fault.
     """
-    columns = tuple([] for _ in COHORT_COLUMNS)
-    ids, group_a, w_true, w_star, epsilon, treated, outcome = columns
-    for row_number, row in enumerate(block, start=start):
-        if not row or all(not cell.strip() for cell in row):
+    columns = {name: [] for _, name, _, _ in layout.columns}
+    rules = [(at, name, kind, bound, columns[name]) for at, name, kind, bound in layout.columns]
+    gold = layout.has_gold and (rules[0][0], rules[1][0])  # w_true's and epsilon's places
+    for row, cells in enumerate(block, start=start):
+        if not cells or all(not cell.strip() for cell in cells):
             continue
-        if len(row) != layout.width:
-            raise CohortSchemaError(
-                f"expected {layout.width} fields, found {len(row)}", row=row_number
-            )
-        true_value = eps_value = None
-        if layout.has_gold:
-            raw_true, raw_eps = row[layout.at_true].strip(), row[layout.at_eps].strip()
+        if len(cells) != layout.width:
+            raise CohortSchemaError(f"expected {layout.width} fields, found {len(cells)}", row)
+        todo = rules
+        if gold:
+            raw_true, raw_eps = cells[gold[0]].strip(), cells[gold[1]].strip()
             if layout.require_gold and (not raw_true or not raw_eps):
-                raise CohortSchemaError(
-                    "gold-standard fields required but blank",
-                    row_number,
-                    "w_true" if not raw_true else "epsilon",
-                )
-            if raw_true or raw_eps:
-                true_value = _parse_float(raw_true, row_number, "w_true", W_LOW, W_HIGH)
-                eps_value = _parse_float(raw_eps, row_number, "epsilon")
-        star_value = _parse_float(row[layout.at_star].strip(), row_number, "w_star", 0.0, 100.0)
-        patient_id = _parse_int(row[layout.at_id].strip(), row_number, "patient_id")
-        first_row = first_row_of_id.setdefault(patient_id, row_number)
-        if first_row != row_number:
-            raise CohortSchemaError(
-                f"duplicate patient_id {patient_id} (first at row {first_row})",
-                row_number,
-                "patient_id",
-            )
-        ids.append(patient_id)
-        group_a.append(_parse_int(row[layout.at_group].strip(), row_number, "group_a", True))
-        w_true.append(true_value)
-        w_star.append(star_value)
-        epsilon.append(eps_value)
-        treated.append(_parse_int(row[layout.at_treated].strip(), row_number, "treated", True))
-        outcome.append(_parse_int(row[layout.at_outcome].strip(), row_number, "outcome", True))
+                blank = "w_true" if not raw_true else "epsilon"
+                raise CohortSchemaError("gold-standard fields required but blank", row, blank)
+            if not (raw_true or raw_eps):  # a blank gold pair
+                columns["w_true"].append(None)
+                columns["epsilon"].append(None)
+                todo = rules[2:]
+        for at, name, kind, bound, column in todo:
+            value = _parse(cells[at].strip(), row, name, kind, bound)
+            if name == "patient_id":
+                first_row = first_row_of_id.setdefault(value, row)
+                if first_row != row:
+                    fault = f"duplicate patient_id {value} (first at row {first_row})"
+                    raise CohortSchemaError(fault, row, name)
+            column.append(value)
     return columns
 
 
@@ -235,12 +209,11 @@ def read_cohort_csv(path: str | Path, require_gold: bool = True) -> Cohort:
     """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CohortSchemaError("file is empty") from None
+        header = next(reader, None)
+        if header is None:
+            raise CohortSchemaError("file is empty")
         layout = _Layout(header, require_gold)
-        columns = tuple([] for _ in COHORT_COLUMNS)
+        columns = {name: [] for name in COHORT_COLUMNS}
         first_row_of_id: dict[int, int] = {}
         start = 2
         while block := list(islice(reader, _BLOCK)):
@@ -248,13 +221,16 @@ def read_cohort_csv(path: str | Path, require_gold: bool = True) -> Cohort:
             if parsed is None:
                 parsed = _parse_rows(block, start, layout, first_row_of_id)
             else:
-                first_row_of_id.update(zip(parsed[0], range(start, start + len(block))))
-            for column, values in zip(columns, parsed):
-                column.extend(values)
+                first_row_of_id.update(zip(parsed["patient_id"], range(start, start + len(block))))
+            for name, values in parsed.items():
+                columns[name].extend(values)
             start += len(block)
-    if not columns[0]:
+    n = len(columns["patient_id"])
+    if not n:
         raise CohortSchemaError("file contains no records")
-    return Cohort(*columns)
+    if not layout.has_gold:
+        columns.update((name, [None] * n) for name in _GOLD_COLUMNS)
+    return Cohort(**columns)
 
 
 def read_params(path: str | Path) -> DgpParams:

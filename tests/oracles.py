@@ -43,18 +43,25 @@ mp.mp.dps = 40
 
 
 def erf_series(x) -> mp.mpf:
-    """Maclaurin series for erf, summed to 40-digit convergence."""
+    """Maclaurin series for erf, summed to convergence at the working precision.
+
+    The alternating terms grow to about exp(x^2) before they fall, so the
+    sum carries that many guard digits (none below |x| = 1.5); it stops
+    at a term below 10^-(dps + 5).
+    """
     x = mp.mpf(x)
-    total = mp.mpf(0)
-    term = x
-    n = 0
-    while abs(term) > mp.mpf(10) ** (-45) * (abs(total) + 1):
-        total += term
-        n += 1
-        term = (
-            (-1) ** n * x ** (2 * n + 1) / (mp.factorial(n) * (2 * n + 1))
-        )
-    return 2 / mp.sqrt(mp.pi) * total
+    digits = mp.mp.dps
+    with mp.workdps(digits + int(0.44 * x * x)):
+        total = mp.mpf(0)
+        term = x
+        n = 0
+        while abs(term) > mp.mpf(10) ** (-(digits + 5)) * (abs(total) + 1):
+            total += term
+            n += 1
+            term = (
+                (-1) ** n * x ** (2 * n + 1) / (mp.factorial(n) * (2 * n + 1))
+            )
+        return 2 / mp.sqrt(mp.pi) * total
 
 
 def normal_cdf_oracle(x) -> float:
@@ -226,21 +233,28 @@ def fd_hessian(design_rows, outcomes, beta, step: float = 1e-5):
 def truncated_normal_inverse_oracle(
     u: float, mean: float, sd: float, lo: float = 70.0, hi: float = 100.0
 ) -> float:
-    """Bisection inversion of the truncated-normal CDF built on the erf series."""
+    """Bisection inversion of the truncated-normal CDF built on the erf series.
+
+    With the mean below ``lo`` the window's mass is a tail of about
+    exp(-z^2 / 2), z = (lo - mean) / sd, below 1: the CDF then carries
+    that many more digits.
+    """
 
     def cdf(x):
         return mp.mpf("0.5") * (1 + erf_series((mp.mpf(x) - mean) / (sd * mp.sqrt(2))))
 
-    c_lo, c_hi = cdf(lo), cdf(hi)
-    target = c_lo + mp.mpf(u) * (c_hi - c_lo)
-    a, b = mp.mpf(lo), mp.mpf(hi)
-    for _ in range(120):
-        midpoint = (a + b) / 2
-        if cdf(midpoint) < target:
-            a = midpoint
-        else:
-            b = midpoint
-    return float((a + b) / 2)
+    z = max(0.0, (lo - mean) / sd)
+    with mp.workdps(mp.mp.dps + int(0.22 * z * z)):
+        c_lo, c_hi = cdf(lo), cdf(hi)
+        target = c_lo + mp.mpf(u) * (c_hi - c_lo)
+        a, b = mp.mpf(lo), mp.mpf(hi)
+        for _ in range(120):
+            midpoint = (a + b) / 2
+            if cdf(midpoint) < target:
+                a = midpoint
+            else:
+                b = midpoint
+        return float((a + b) / 2)
 
 
 def two_level_logistic_oracle(k0: int, n0: int, k1: int, n1: int):

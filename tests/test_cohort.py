@@ -60,6 +60,15 @@ class TestTrueSaturation:
         column = _saturation_inverse_cdf(draws, DEFAULT_DGP)
         assert column == [saturation(u, DEFAULT_DGP) for u in draws]
 
+    @pytest.mark.parametrize("mean, u", ((40.0, 0.5), (50.0, 0.977), (65.0, 0.001)))
+    def test_mean_below_the_window_against_oracle(self, mean, u):
+        # Below the window the normal CDF at both edges rounds to 1.0; the
+        # draws must still follow the truncated law, whose mass sits near 70.
+        params = replace(DEFAULT_DGP, saturation_mean=mean)
+        assert saturation(u, params) == pytest.approx(
+            truncated_normal_inverse_oracle(u, mean, params.saturation_sd), abs=1e-6
+        )
+
     def test_extreme_draws_stay_in_bounds(self):
         low = saturation(1e-300, DEFAULT_DGP)
         high = saturation(1.0 - 1e-16, DEFAULT_DGP)
@@ -76,61 +85,61 @@ class TestMeasurementError:
             err_group_slope=0.2,
             err_pivot=95.0,
         )
-        (eps,) = measurement_errors((85.0,), (1,), True, (0.0,), params)
+        (eps,) = measurement_errors((85.0,), (1,), (0.0,), params)
         assert eps == pytest.approx(1.3 + 1.0 + 0.2 * 10.0, abs=1e-12)
 
     def test_group_zero_gets_baseline_only(self):
-        assert measurement_errors((82.0,), (0,), True, (0.0,), DEFAULT_DGP) == [
-            DEFAULT_DGP.err_base
-        ]
+        assert measurement_errors((82.0,), (0,), (0.0,), DEFAULT_DGP) == [DEFAULT_DGP.err_base]
 
     def test_toggle_off_removes_differential_terms(self):
-        assert measurement_errors((82.0,), (1,), False, (0.0,), DEFAULT_DGP) == [
-            DEFAULT_DGP.err_base
-        ]
+        # An off measurement-bias channel is its group terms set to 0.0.
+        params = replace(DEFAULT_DGP, err_group_shift=0.0, err_group_slope=0.0)
+        assert measurement_errors((82.0,), (1,), (0.0,), params) == [DEFAULT_DGP.err_base]
 
     def test_noise_scales_with_configured_sd(self):
-        (base,) = measurement_errors((90.0,), (0,), True, (0.0,), DEFAULT_DGP)
-        (noisy,) = measurement_errors((90.0,), (0,), True, (1.0,), DEFAULT_DGP)
+        (base,) = measurement_errors((90.0,), (0,), (0.0,), DEFAULT_DGP)
+        (noisy,) = measurement_errors((90.0,), (0,), (1.0,), DEFAULT_DGP)
         assert noisy - base == pytest.approx(DEFAULT_DGP.err_noise_sd, abs=1e-12)
 
     def test_differential_error_grows_as_saturation_falls(self):
         errors = measurement_errors(
-            (95.0, 90.0, 87.0, 82.0, 75.0), (1,) * 5, True, (0.0,) * 5, DEFAULT_DGP
+            (95.0, 90.0, 87.0, 82.0, 75.0), (1,) * 5, (0.0,) * 5, DEFAULT_DGP
         )
         assert errors == sorted(errors)
 
 
-def treated(w_star, group_a, systemic_bias_on, mode, u, params):
+def treated(w_star, group_a, mode, u, params):
     """The one-element treatment column of one patient, unpacked."""
-    (z,) = treatment_assignments((w_star,), (group_a,), systemic_bias_on, mode, (u,), params)
+    (z,) = treatment_assignments((w_star,), (group_a,), mode, (u,), params)
     return z
 
 
 class TestTreatmentAssignment:
     def test_deterministic_threshold(self):
-        assert treated(91.9, 0, False, "deterministic", 0.5, DEFAULT_DGP) == 1
-        assert treated(92.0, 0, False, "deterministic", 0.5, DEFAULT_DGP) == 0
+        assert treated(91.9, 0, "deterministic", 0.5, DEFAULT_DGP) == 1
+        assert treated(92.0, 0, "deterministic", 0.5, DEFAULT_DGP) == 0
 
     def test_stochastic_probability_at_threshold(self):
         params = replace(DEFAULT_DGP, treat_intercept=1.6, treat_slope=0.35)
         # at w_star == w_treat the probability is sigmoid(1.6) ~ 0.832018
-        assert treated(92.0, 0, False, "stochastic", 0.8320, params) == 1
-        assert treated(92.0, 0, False, "stochastic", 0.8321, params) == 0
+        assert treated(92.0, 0, "stochastic", 0.8320, params) == 1
+        assert treated(92.0, 0, "stochastic", 0.8321, params) == 0
 
     def test_stochastic_group_penalty(self):
         params = replace(
             DEFAULT_DGP, treat_intercept=1.6, treat_slope=0.35, treat_group_penalty=-0.75
         )
         # sigmoid(1.6 - 0.75) ~ 0.700567
-        assert treated(92.0, 1, True, "stochastic", 0.7005, params) == 1
-        assert treated(92.0, 1, True, "stochastic", 0.7006, params) == 0
-        # with systemic bias off the penalty is inert
-        assert treated(92.0, 1, False, "stochastic", 0.8320, params) == 1
+        assert treated(92.0, 1, "stochastic", 0.7005, params) == 1
+        assert treated(92.0, 1, "stochastic", 0.7006, params) == 0
+        # an off systemic-bias channel is a penalty of 0.0
+        unbiased = replace(params, treat_group_penalty=0.0)
+        assert treated(92.0, 1, "stochastic", 0.8320, unbiased) == 1
+        assert treated(92.0, 1, "stochastic", 0.8321, unbiased) == 0
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
-            treatment_assignments((90.0,), (0,), False, "bernoulli", (0.5,), DEFAULT_DGP)
+            treatment_assignments((90.0,), (0,), "bernoulli", (0.5,), DEFAULT_DGP)
 
 
 class TestOutcomeAssignment:

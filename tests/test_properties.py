@@ -5,6 +5,7 @@ import random
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -12,7 +13,9 @@ hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import strategies as st  # noqa: E402
 
+from oxequity import io  # noqa: E402
 from oxequity.cohort import (  # noqa: E402
+    COHORT_COLUMNS,
     TREATMENT_MODES,
     Cohort,
     ScenarioConfig,
@@ -30,7 +33,7 @@ from oxequity.reports import parse_report_json, report_to_json  # noqa: E402
 from oxequity.rng import Channel, CounterRng  # noqa: E402
 from oxequity.stats import hypotests  # noqa: E402
 
-from oracles import scenario_configs_oracle  # noqa: E402
+from oracles import gold_free, scenario_configs_oracle  # noqa: E402
 
 SEEDS = st.one_of(st.integers(0, 2**64 - 1), st.integers(2**64, 2**80))
 
@@ -148,9 +151,97 @@ def test_audit_invariant_under_row_order_and_ids(config, shuffle):
             assert a == b
 
 
-# --- any small cohort: every "ok" value is finite --------------------------------
+# --- the cohort file round trip ----------------------------------------------------
 
 BINARY = st.sampled_from((0, 1))
+# Lines the reader skips: empty, whitespace only, and fields all blank.
+BLANK_LINES = ("", "   ", " \t", ",,,,,,", " , ,\t, , , , ")
+
+
+def _decimals(lo, hi):
+    """Floats of [lo, hi], many with a 5th decimal, and negative zeros if 0 is in range."""
+    values = st.floats(lo, hi) | st.integers(round(lo * 1e5), round(hi * 1e5)).map(
+        lambda k: k / 1e5
+    )
+    return values | st.sampled_from((-0.0, -4e-5)) if lo <= 0.0 else values
+
+
+@st.composite
+def file_cohorts(draw):
+    """1-20 patients with unique ids, and gold for all, some or none of them."""
+    n = draw(st.integers(1, 20))
+
+    def column(values):
+        return draw(st.lists(values, min_size=n, max_size=n))
+
+    gold = column(st.booleans()) if draw(st.booleans()) else [draw(st.booleans())] * n
+    return Cohort(
+        patient_id=draw(st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n, unique=True)),
+        group_a=column(BINARY),
+        w_true=[v if g else None for v, g in zip(column(_decimals(70.0, 100.0)), gold)],
+        w_star=column(_decimals(0.0, 100.0)),
+        epsilon=[v if g else None for v, g in zip(column(_decimals(-20.0, 20.0)), gold)],
+        treated=column(BINARY),
+        outcome=column(BINARY),
+    )
+
+
+def _bits(columns):
+    """Each column's values by repr, which tells -0.0 from 0.0."""
+    return [list(map(repr, column)) for column in columns]
+
+
+# Gold-free, written without the gold columns, with a blank line.
+GOLD_FREE_TWO_ROWS = Cohort(
+    [3, 4], [1, 0], [None] * 2, [91.23456, -0.0], [None] * 2, [0, 1], [1, 0]
+)
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(
+    cohort=file_cohorts(),
+    drop_gold=st.booleans(),
+    blank_lines=st.lists(st.tuples(st.integers(0, 20), st.sampled_from(BLANK_LINES)), max_size=4),
+    padded=st.lists(st.booleans(), max_size=20),
+    block=st.integers(1, 6),
+)
+@hypothesis.example(
+    cohort=GOLD_FREE_TWO_ROWS, drop_gold=True, blank_lines=[(1, "")], padded=[], block=512
+)
+def test_cohort_file_round_trip(cohort, drop_gold, blank_lines, padded, block):
+    # A file without the gold columns reads as the gold-free cohort.
+    expected = gold_free(cohort) if drop_gold else cohort
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "cohort.csv"
+        write_cohort_csv(expected, path)
+        written = path.read_bytes()
+        rows = [line.split(",") for line in written.decode().splitlines()]
+        if drop_gold:
+            rows = [[cell for i, cell in enumerate(row) if i not in (2, 4)] for row in rows]
+        for i, pad in enumerate(padded[: len(rows) - 1], start=1):
+            if pad:
+                rows[i] = [f" {cell}\t" for cell in rows[i]]
+        lines = [",".join(row) for row in rows]
+        for position, line in sorted(blank_lines, reverse=True):
+            lines.insert(1 + position % len(rows), line)
+        path.write_text("\n".join(lines) + "\n")
+        # Small blocks mix the block and row parse paths within one file.
+        with mock.patch.object(io, "_BLOCK", block):
+            loaded = read_cohort_csv(path, require_gold=False)
+        assert _bits(getattr(loaded, c) for c in COHORT_COLUMNS) == _bits(
+            [v if v is None or isinstance(v, int) else float(f"{v:.4f}") for v in column]
+            for column in (getattr(expected, c) for c in COHORT_COLUMNS)
+        )
+        write_cohort_csv(loaded, path)
+        assert path.read_bytes() == written
+
+
+def test_every_column_has_one_rule():
+    assert sorted(name for name, _, _ in io._RULES) == sorted(COHORT_COLUMNS)
+
+
+# --- any small cohort: every "ok" value is finite --------------------------------
+
 
 
 @st.composite
