@@ -5,6 +5,10 @@ Subcommands: ``simulate`` (write a synthetic cohort CSV), ``audit``
 write the full report bundle), ``figure`` (accuracy-by-group box-plot
 data).  Exit codes: 0 success, 1 usage or schema error, 2 numerical
 failure.
+
+A grid run has one hypoxemia threshold, its DGP's ``w_hypox`` (set with
+``--params``): Table 1 and Table 2 select the same truly hypoxemic
+patients, so ``--w-hypox`` is an ``audit`` option only.
 """
 
 from __future__ import annotations
@@ -63,13 +67,15 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--params", type=Path, help="flat JSON parameter file")
 
 
-def _add_audit_args(parser: argparse.ArgumentParser) -> None:
+def _add_audit_args(parser: argparse.ArgumentParser, w_hypox: bool) -> None:
+    """The audit options; ``w_hypox`` adds ``--w-hypox``, which a grid lacks."""
     default = AuditConfig()
     parser.add_argument("--alpha", type=float, default=default.alpha)
     parser.add_argument("--power", type=float, default=default.power)
     parser.add_argument("--delta", type=float, default=default.delta)
     parser.add_argument("--flag-level", type=float, default=default.flag_level)
-    parser.add_argument("--w-hypox", type=float, default=default.w_hypox)
+    if w_hypox:
+        parser.add_argument("--w-hypox", type=float, default=default.w_hypox)
     parser.add_argument(
         "--bin-width",
         dest="wstar_bin_width",
@@ -81,7 +87,8 @@ def _add_audit_args(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="oxequity", description=__doc__)
+    # The first two paragraphs of the module docstring are the description.
+    parser = _Parser(prog="oxequity", description="\n\n".join(__doc__.split("\n\n")[:2]))
     sub = parser.add_subparsers(dest="command", required=True)
 
     simulate = sub.add_parser("simulate", help="write a synthetic cohort CSV")
@@ -99,11 +106,11 @@ def build_parser() -> _Parser:
         default=False,
         help="reject files lacking gold-standard columns",
     )
-    _add_audit_args(audit)
+    _add_audit_args(audit, w_hypox=True)
 
     grid = sub.add_parser("grid", help="run the four bias scenarios")
     _add_scenario_args(grid)
-    _add_audit_args(grid)
+    _add_audit_args(grid, w_hypox=False)
     grid.add_argument("--out", type=Path, required=True, help="output directory")
 
     figure = sub.add_parser("figure", help="accuracy-by-group box-plot data")
@@ -128,6 +135,12 @@ def _scenario_config(args) -> ScenarioConfig:
 
 def _audit_config(args) -> AuditConfig:
     return _config(AuditConfig, args)
+
+
+def _grid_configs(args) -> tuple[ScenarioConfig, AuditConfig]:
+    """The grid's configs, with one hypoxemia threshold: the DGP's (``--params``)."""
+    scenario = _scenario_config(args)
+    return scenario, _config(AuditConfig, args, w_hypox=scenario.dgp.w_hypox)
 
 
 def _emit(text: str, out: Path | None) -> None:
@@ -166,7 +179,7 @@ def _table1_markdown(result: GridResult) -> str:
 
 
 def _cmd_grid(args) -> int:
-    result = run_scenario_grid(_scenario_config(args), _audit_config(args))
+    result = run_scenario_grid(*_grid_configs(args))
     out_dir = args.out
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "table1.md").write_text(_table1_markdown(result))

@@ -15,6 +15,9 @@ seed can share the draws.  Each formula of the process has one site, a
 column map (``measurement_errors``, ``treatment_assignments``,
 ``outcome_risks``); a single patient is a one-element column.  The
 outcome risks serve both the outcome draws and the exact ``oracle_tau``.
+One more column map, ``_truly_hypoxemic``, is the one rule that selects
+the truly hypoxemic (``w_true < w_hypox``): ``oracle_tau``, Table 1 and
+the audit's stratum metrics all select through it.
 
 A cohort is one frozen ``Cohort`` of columns, the type every layer
 passes on: the generator and the CSV reader build it, and the writer,
@@ -27,8 +30,9 @@ both the field order of ``Cohort`` and the cohort CSV header.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, fields, replace
-from itertools import repeat
+from itertools import compress, repeat
 from operator import add, sub, truediv
 from typing import Iterable, Sequence
 
@@ -216,9 +220,12 @@ def _saturation_inverse_cdf(uniforms: Sequence[float], params: DgpParams) -> lis
     come from one ``normal_quantiles`` pass.  With the mean below the
     window the CDF at both edges can round to 1.0, so there the law is
     inverted through its upper tail: the scale is negated, which the
-    normal law's symmetry allows, and w still rises with u.  Pathological
-    tail draws that escape the window through floating point are clipped
-    back to the bounds.
+    normal law's symmetry allows, and w still rises with u.  With the
+    mean far above the window the CDF at the upper edge falls below the
+    normal float range (about 37.5 sd above 100, and to 0.0 from about
+    38.5 sd), so there the law is inverted in log space
+    (``_log_space_inverse``).  Pathological tail draws that escape the
+    window through floating point are clipped back to the bounds.
     """
     mean, sd = params.saturation_mean, params.saturation_sd
     if sd < 1e-12:
@@ -226,11 +233,65 @@ def _saturation_inverse_cdf(uniforms: Sequence[float], params: DgpParams) -> lis
     scale = -sd if mean < W_LOW else sd
     lo = normal_cdf((W_LOW - mean) / scale)
     hi = normal_cdf((W_HIGH - mean) / scale)
-    ps = [lo + u * (hi - lo) for u in uniforms]
-    # A NaN p is neither <= 0 nor >= 1, so normal_quantiles rejects it.
-    probit = iter(normal_quantiles([p for p in ps if not (p <= 0.0 or p >= 1.0)])).__next__
-    values = [W_LOW if p <= 0.0 else W_HIGH if p >= 1.0 else mean + scale * probit() for p in ps]
+    if mean > W_HIGH and hi < sys.float_info.min:
+        values = _log_space_inverse(uniforms, mean, sd)
+    else:
+        ps = [lo + u * (hi - lo) for u in uniforms]
+        # A NaN p is neither <= 0 nor >= 1, so normal_quantiles rejects it.
+        probit = iter(normal_quantiles([p for p in ps if not (p <= 0.0 or p >= 1.0)])).__next__
+        values = [
+            W_LOW if p <= 0.0 else W_HIGH if p >= 1.0 else mean + scale * probit() for p in ps
+        ]
     return [W_LOW if v < W_LOW else W_HIGH if v > W_HIGH else v for v in values]
+
+
+_LOG_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _log_normal_cdf(z: float) -> tuple[float, float]:
+    """log Phi(z) and its slope phi(z) / Phi(z), for z below about -30.
+
+    The slope is the continued fraction x + 1/(x + 2/(x + 3/(x + ...))),
+    x = -z, summed from its 12th level up; there it has converged to
+    double precision.  Then log Phi(z) = -x^2/2 - log sqrt(2 pi) - log slope.
+    """
+    x = -z
+    slope = x
+    for k in range(12, 0, -1):
+        slope = x + k / slope
+    return -0.5 * x * x - _LOG_SQRT_TWO_PI - math.log(slope), slope
+
+
+def _log_space_inverse(uniforms: Sequence[float], mean: float, sd: float) -> list[float]:
+    """The saturation law's inverse CDF for a mean far above the window.
+
+    In standard units z = (w - mean) / sd the window is [z_lo, z_hi], far
+    below 0.  Each z solves log Phi(z) = log Phi(z_hi) + log q, where
+    q = Phi(z) / Phi(z_hi) = u + (1 - u) Phi(z_lo) / Phi(z_hi) rises with u.
+    log Phi is concave, so its tangent lies above it: starting from the
+    tangent at z_hi, each Newton step lands below the root and rises
+    towards it, and w rises with u.
+    """
+    z_lo, z_hi = (W_LOW - mean) / sd, (W_HIGH - mean) / sd
+    log_hi, slope_hi = _log_normal_cdf(z_hi)
+    ratio = math.exp(_log_normal_cdf(z_lo)[0] - log_hi)
+    values = []
+    for u in uniforms:
+        q = u + (1.0 - u) * ratio
+        if q <= 0.0:
+            values.append(W_LOW)
+            continue
+        log_q = math.log(q)
+        target = log_hi + log_q
+        z = z_hi + log_q / slope_hi
+        for _ in range(50):
+            log_cdf, slope = _log_normal_cdf(z)
+            step = (target - log_cdf) / slope
+            z += step
+            if abs(step) <= 1e-15 * -z:
+                break
+        values.append(mean + sd * z)
+    return values
 
 
 # The hinges below write max(0.0, d) as `d if d > 0.0 else 0.0`, the
@@ -294,6 +355,11 @@ def outcome_risks(
             for w, z in zip(w_true, treated)
         ]
     )
+
+
+def _truly_hypoxemic(w_true: Sequence[float], w_hypox: float) -> list[bool]:
+    """Which patients are truly hypoxemic: ``w_true < w_hypox``, one flag per patient."""
+    return [w < w_hypox for w in w_true]
 
 
 def outcome_assignments(
@@ -406,8 +472,7 @@ def oracle_tau(params: DgpParams, cohort: Cohort) -> float:
     """
     if None in cohort.w_true:
         raise ValueError("oracle_tau requires true saturations for every patient")
-    w_hypox = params.w_hypox
-    stratum = [w for w in cohort.w_true if w < w_hypox]
+    stratum = list(compress(cohort.w_true, _truly_hypoxemic(cohort.w_true, params.w_hypox)))
     if not stratum:
         raise ValueError("oracle_tau needs a truly hypoxemic patient")
     n = len(stratum)

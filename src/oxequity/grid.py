@@ -13,6 +13,11 @@ group, the untreated share of truly hypoxemic patients plus adverse
 outcome rates when treatment is driven by the measured value versus the
 true value (reusing each patient's outcome draw for both variants).
 
+A grid run has one hypoxemia threshold, the DGP's ``w_hypox``: Table 1
+and the audit's stratum metrics select the same truly hypoxemic
+patients, through the one rule ``cohort._truly_hypoxemic``, and
+``run_scenario_grid`` rejects an audit config whose ``w_hypox`` differs.
+
 Common random numbers are what let the grid draw once: the patients'
 streams are hashed a single time (``draw_cohort``, five hashes per
 patient: no spare second saturation draw is hashed), and the four
@@ -28,6 +33,7 @@ from .cohort import (
     Cohort,
     CohortDraws,
     ScenarioConfig,
+    _truly_hypoxemic,
     derive_cohort,
     draw_cohort,
     outcome_assignments,
@@ -92,7 +98,7 @@ def _protocol_summary(draws: CohortDraws) -> Table1Summary:
     group_a, w_true, treated = cohort.group_a, cohort.w_true, cohort.treated
     treated_true = treatment_assignments(w_true, group_a, "deterministic", draws.u_treat, dgp)
     outcome_true = outcome_assignments(w_true, treated_true, draws.u_out, dgp)
-    hypoxemic = [w < dgp.w_hypox for w in w_true]
+    hypoxemic = _truly_hypoxemic(w_true, dgp.w_hypox)
     h0, n0, h1, n1 = _tally(hypoxemic, group_a)
     for a, size, n_hypoxemic in ((0, n0, h0), (1, n1, h1)):
         if not size:
@@ -126,7 +132,16 @@ def run_scenario_grid(base: ScenarioConfig, audit: AuditConfig) -> GridResult:
     are hashed once; the four scenario cohorts and the Table-1 cohort are
     all derived from those draws.  Scenario order in the result is fixed
     regardless of how the independent pieces are evaluated.
+
+    Raises:
+        ValueError: ``audit.w_hypox`` differs from ``base.dgp.w_hypox``, so
+            Table 2 would select other patients than Table 1.
     """
+    if audit.w_hypox != base.dgp.w_hypox:
+        raise ValueError(
+            f"audit w_hypox={audit.w_hypox!r} differs from the DGP's "
+            f"w_hypox={base.dgp.w_hypox!r}; a grid run has one hypoxemia threshold"
+        )
     draws = draw_cohort(base)
     cohorts = {
         label: derive_cohort(draws, measurement, systemic, base.treatment_mode)

@@ -43,7 +43,7 @@ from itertools import compress
 from operator import not_
 from typing import Sequence
 
-from .cohort import Cohort, _require_finite, wstar_bins
+from .cohort import Cohort, _require_finite, _truly_hypoxemic, wstar_bins
 from .stats import (
     TWO_SIDED,
     SingularDesignError,
@@ -235,8 +235,7 @@ def _chi_square(tally: tuple[int, int, int, int], margin: str) -> TestResult:
 
 def _hypoxemic(cohort: Cohort, config: AuditConfig) -> list[bool]:
     """Which patients are truly hypoxemic (w_true < w_hypox)."""
-    w_hypox = config.w_hypox
-    return [w < w_hypox for w in cohort.w_true]
+    return _truly_hypoxemic(cohort.w_true, config.w_hypox)
 
 
 def _require_gold(cohort: Cohort, metric: str) -> None:

@@ -69,7 +69,13 @@ def student_t_tail(statistic: float, df: float) -> float:
     if statistic == 0.0:
         return 0.5
     t2 = statistic * statistic
-    tail = 0.5 * regularized_beta(df / (df + t2), 0.5 * df, 0.5, t2 / (df + t2))
+    if t2 == math.inf:  # |t| > ~1.34e154: log x = log(df / (df + t^2)), t never squared
+        t = abs(statistic)
+        log_x = math.log(df) - 2.0 * math.log(t) - math.log1p(df / t / t)
+        x, complement = math.exp(log_x), -math.expm1(log_x)
+        tail = 0.5 * regularized_beta(x, 0.5 * df, 0.5, complement, log_x=log_x)
+    else:
+        tail = 0.5 * regularized_beta(df / (df + t2), 0.5 * df, 0.5, t2 / (df + t2))
     return tail if statistic > 0.0 else 1.0 - tail
 
 

@@ -6,7 +6,8 @@ CDF rides on the C library's ``erfc``; the regularized upper incomplete
 gamma and the incomplete beta use the classic series / continued-fraction
 split, iterated to relative machine tolerance.  The chi-square and t tails
 built on them match scipy to 1e-9 relative error for df from 1 to 1e6 and
-p down to 1e-300 (the t statistic's square must stay finite).
+p down to 1e-300; past |t| ~ 1.34e154, where t^2 overflows, the t tail
+hands the incomplete beta log x in place of x.
 """
 
 from __future__ import annotations
@@ -239,12 +240,16 @@ def _beta_continued_fraction(x: float, a: float, b: float) -> float:
     return h
 
 
-def regularized_beta(x: float, a: float, b: float, complement: float | None = None) -> float:
+def regularized_beta(
+    x: float, a: float, b: float, complement: float | None = None, log_x: float | None = None
+) -> float:
     """Regularized incomplete beta I_x(a, b).  From ``_STIRLING_MIN`` on, a given
-    ``complement`` is 1 - x without the rounding of an x near 1, and is used for it."""
+    ``complement`` is 1 - x without the rounding of an x near 1, and is used for it.
+    A given ``log_x`` is log x for an x that is subnormal or underflows to 0.0,
+    and is used for it."""
     if a <= 0.0 or b <= 0.0:
         raise ValueError(f"shape parameters must be positive, got a={a!r} b={b!r}")
-    if x <= 0.0:
+    if log_x is None and x <= 0.0:
         return 0.0
     if x >= 1.0:
         return 1.0
@@ -257,7 +262,7 @@ def regularized_beta(x: float, a: float, b: float, complement: float | None = No
         log_gammas += 1.0 / (12.0 * (big + small)) - 1.0 / (12.0 * big) - math.lgamma(small)
         if complement is not None:
             y, log_y = complement, math.log(complement)
-    log_front = log_gammas + a * math.log(x) + b * log_y
+    log_front = log_gammas + a * (math.log(x) if log_x is None else log_x) + b * log_y
     front = math.exp(log_front) if log_front > -745.0 else 0.0
     # Continued fraction converges fast on the side below the mean.
     if x < (a + 1.0) / (a + b + 2.0):

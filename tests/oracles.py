@@ -107,6 +107,17 @@ def adaptive_simpson(f, a: float, b: float, tol: float = 1e-12) -> float:
     return recurse(a, b, fa, fm, fb, whole, tol, 60)
 
 
+def student_t_tail_mpmath(t: float, df: float) -> mp.mpf:
+    """Upper tail of Student's t as mpmath's I_x(df/2, 1/2) / 2, x = df / (df + t^2).
+
+    Exact at 40 digits with no float range: t^2 never overflows here.
+    """
+    with mp.workdps(40):
+        t, df = mp.mpf(t), mp.mpf(df)
+        tail = mp.betainc(df / 2, mp.mpf("0.5"), 0, df / (df + t * t), regularized=True) / 2
+        return tail if t > 0 else 1 - tail
+
+
 def student_t_tail_oracle(t: float, df: float) -> float:
     """Upper tail of Student's t by adaptive integration of its density."""
     c = math.exp(
@@ -237,11 +248,22 @@ def truncated_normal_inverse_oracle(
 
     With the mean below ``lo`` the window's mass is a tail of about
     exp(-z^2 / 2), z = (lo - mean) / sd, below 1: the CDF then carries
-    that many more digits.
+    that many more digits.  With the mean above ``hi`` the CDF itself is
+    such a tail, about exp(-z^2 / 2) with z = (mean - hi) / sd.  The
+    series would then need some z^2 / 2 guard digits and, at z = 85,
+    about 10^4 terms per evaluation, so there the CDF is mpmath's erfc
+    of the tail, which loses no digits.
     """
 
-    def cdf(x):
-        return mp.mpf("0.5") * (1 + erf_series((mp.mpf(x) - mean) / (sd * mp.sqrt(2))))
+    if mean > hi:
+
+        def cdf(x):
+            return mp.erfc((mean - mp.mpf(x)) / (sd * mp.sqrt(2))) / 2
+
+    else:
+
+        def cdf(x):
+            return mp.mpf("0.5") * (1 + erf_series((mp.mpf(x) - mean) / (sd * mp.sqrt(2))))
 
     z = max(0.0, (lo - mean) / sd)
     with mp.workdps(mp.mp.dps + int(0.22 * z * z)):

@@ -5,8 +5,9 @@ import json
 
 import pytest
 
-from oxequity.cli import _audit_config, _scenario_config, build_parser, main
+from oxequity.cli import _audit_config, _grid_configs, build_parser, main
 from oxequity.cohort import DgpParams, ScenarioConfig
+from oxequity.grid import threshold_protocol_summary
 from oxequity.io import read_cohort_csv
 from oxequity.metrics import AuditConfig
 from oxequity.reports import parse_report_json
@@ -111,20 +112,36 @@ def test_w_treat_option_is_gone(tmp_path, capsys):
 
 def test_option_defaults_are_the_config_defaults():
     args = build_parser().parse_args(["grid", "--out", "bundle"])
-    assert _scenario_config(args) == ScenarioConfig()
+    assert _grid_configs(args) == (ScenarioConfig(), AuditConfig())
+    args = build_parser().parse_args(["audit", "--in", "c.csv"])
     assert _audit_config(args) == AuditConfig()
 
 
+AUDIT_ARGV = [
+    "--alpha", "0.1", "--power", "0.9", "--delta", "2.5", "--flag-level", "0.02",
+    "--target-prevalence", "0.25", "--bin-width", "0.5",
+]
+AUDIT = AuditConfig(
+    alpha=0.1,
+    power=0.9,
+    delta=2.5,
+    flag_level=0.02,
+    w_hypox=87.5,
+    target_prevalence=0.25,
+    wstar_bin_width=0.5,
+)
+
+
 def test_every_option_reaches_its_config_field(tmp_path):
+    # The grid's hypoxemia threshold is its DGP's, set in the params file.
     params = tmp_path / "p.json"
-    params.write_text('{"err_base": 0.5}\n')
+    params.write_text('{"err_base": 0.5, "w_hypox": 87.5}\n')
     args = build_parser().parse_args(
         [
             "grid", "--out", "bundle", "--params", str(params),
             "--n", "321", "--p-group1", "0.3", "--seed", "7",
             "--no-measurement-bias", "--no-systemic-bias", "--treatment-mode", "deterministic",
-            "--alpha", "0.1", "--power", "0.9", "--delta", "2.5", "--flag-level", "0.02",
-            "--w-hypox", "87.5", "--target-prevalence", "0.25", "--bin-width", "0.5",
+            *AUDIT_ARGV,
         ]
     )
     scenario = ScenarioConfig(
@@ -134,23 +151,51 @@ def test_every_option_reaches_its_config_field(tmp_path):
         measurement_bias_on=False,
         systemic_bias_on=False,
         treatment_mode="deterministic",
-        dgp=DgpParams(err_base=0.5),
+        dgp=DgpParams(err_base=0.5, w_hypox=87.5),
     )
-    audit = AuditConfig(
-        alpha=0.1,
-        power=0.9,
-        delta=2.5,
-        flag_level=0.02,
-        w_hypox=87.5,
-        target_prevalence=0.25,
-        wstar_bin_width=0.5,
-    )
-    assert _scenario_config(args) == scenario
-    assert _audit_config(args) == audit
+    assert _grid_configs(args) == (scenario, AUDIT)
     # The argv sets every field, so a field that gains an option must be added here.
-    for config, default in ((scenario, ScenarioConfig()), (audit, AuditConfig())):
+    for config, default in ((scenario, ScenarioConfig()), (AUDIT, AuditConfig())):
         for field in dataclasses.fields(config):
             assert getattr(config, field.name) != getattr(default, field.name), field.name
+
+
+def test_every_audit_option_reaches_its_config_field():
+    args = build_parser().parse_args(["audit", "--in", "c.csv", "--w-hypox", "87.5", *AUDIT_ARGV])
+    assert _audit_config(args) == AUDIT
+
+
+def test_grid_has_no_w_hypox_option(tmp_path, capsys):
+    out = tmp_path / "bundle"
+    assert run("grid", "--n", "200", "--w-hypox", "86", "--out", str(out)) == 1
+    assert "unrecognized arguments: --w-hypox 86" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_grid_tables_select_the_same_hypoxemic_patients(tmp_path):
+    # One threshold per grid run, the DGP's: with the deterministic rule the
+    # "both" scenario is Table 1's cohort, so Table 1's untreated share of
+    # the truly hypoxemic is 1 minus Table 2's hypoxemic treatment rate.
+    params = tmp_path / "p.json"
+    params.write_text('{"w_hypox": 86.0}\n')
+    argv = ("grid", "--n", "2500", "--seed", "3", "--treatment-mode", "deterministic")
+    assert run(*argv, "--params", str(params), "--out", str(tmp_path / "at86")) == 0
+    assert run(*argv, "--out", str(tmp_path / "at88")) == 0
+    table1 = threshold_protocol_summary(
+        ScenarioConfig(n_total=2500, seed=3, dgp=DgpParams(w_hypox=86.0))
+    )
+    table1_md = (tmp_path / "at86" / "table1.md").read_text()
+    at86, at88 = (
+        json.loads((tmp_path / name / "table2.json").read_text())["reports"][0]
+        for name in ("at86", "at88")
+    )
+    (disparity,) = (m for m in at86["metrics"] if m["metric_name"] == "treatment_disparity")
+    for a in (0, 1):
+        untreated = table1.untreated_hypoxemic[a]
+        assert f"| A={a} | {untreated:.4f} |" in table1_md
+        assert untreated == pytest.approx(1.0 - disparity["group_values"][str(a)], abs=1e-12)
+        key = f"hypoxemia_rate_group{a}"
+        assert at86["cohort_summary"][key] != at88["cohort_summary"][key]
 
 
 def test_grid_rejects_nan_delta_before_writing(tmp_path, capsys):

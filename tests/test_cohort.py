@@ -69,6 +69,20 @@ class TestTrueSaturation:
             truncated_normal_inverse_oracle(u, mean, params.saturation_sd), abs=1e-6
         )
 
+    @pytest.mark.parametrize("mean", (190.0, 195.0, 200.0, 300.0))
+    def test_mean_above_the_window_against_oracle(self, mean):
+        # From about 37.5 sd above the window the normal CDF at its upper
+        # edge is subnormal (at 190), then 0.0 at both edges; the draws must
+        # still follow the truncated law, whose mass sits just below 100.
+        params = replace(DEFAULT_DGP, saturation_mean=mean)
+        us = (0.001, 0.5, 0.977)
+        draws = _saturation_inverse_cdf(us, params)
+        for u, w in zip(us, draws):
+            assert w == pytest.approx(
+                truncated_normal_inverse_oracle(u, mean, params.saturation_sd), abs=1e-6
+            )
+        assert draws[0] < draws[1] < draws[2]
+
     def test_extreme_draws_stay_in_bounds(self):
         low = saturation(1e-300, DEFAULT_DGP)
         high = saturation(1.0 - 1e-16, DEFAULT_DGP)

@@ -51,6 +51,11 @@ class TestScenarioGrid:
     def test_report_labels_ordered(self, grid_result):
         assert [rep.scenario_label for rep in grid_result.reports] == list(SCENARIO_LABELS)
 
+    def test_audit_threshold_must_be_the_dgp_threshold(self):
+        # Table 1 selects by the DGP's w_hypox; Table 2 may not select by another.
+        with pytest.raises(ValueError, match=r"w_hypox=88\.0.*w_hypox=86\.0"):
+            run_scenario_grid(ScenarioConfig(dgp=DgpParams(w_hypox=86.0)), AuditConfig())
+
     def test_none_scenario_unflagged(self, grid_result):
         none_report = grid_result.reports[3]
         assert not any(m.flagged for m in none_report.metrics)

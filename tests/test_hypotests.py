@@ -18,7 +18,12 @@ from oxequity.stats.hypotests import (
 )
 from oxequity.stats.special import normal_cdf
 
-from oracles import chi_square_tail_oracle, cmh_statistic_oracle, student_t_tail_oracle
+from oracles import (
+    chi_square_tail_oracle,
+    cmh_statistic_oracle,
+    student_t_tail_mpmath,
+    student_t_tail_oracle,
+)
 
 # frozen from the adaptive-integration oracles
 T_TAIL_4_2449 = 0.0352605884618  # P(T_4 > 2.449)
@@ -31,6 +36,11 @@ CHI2_2X2_P = 0.00982327450752
 # Upper-tail probabilities of the scipy check, 0.999 down to 1e-300.
 TAIL_PS = (0.999, 0.9, 0.5, 0.1, 1e-2, 1e-5, 1e-10, 1e-20, 1e-50, 1e-100)
 TAIL_PS += (1e-150, 1e-200, 1e-250, 1e-300)
+
+# t statistics whose square overflows (|t| > ~1.34e154).
+HUGE_TS = (1.4e154, 1e155, 1e160, 1e200, 1e250, 1e300, 1.7e308)
+# Rounding on the subnormal grid: two of its steps.
+SUBNORMAL_ABS = 2.0 * math.ulp(0.0)
 
 
 def _upper_quantile(dist, p, df):
@@ -81,10 +91,26 @@ class TestDistributionTails:
         for p in TAIL_PS:
             x = _upper_quantile(dist, p, df)
             if x * x == math.inf:
-                # t at df = 1 below p ~ 2e-155: student_t_tail squares the
-                # statistic, so it returns 0.0 here, and so does scipy's sf.
-                continue
-            assert tail(x, df) == pytest.approx(dist.sf(x, df), rel=1e-9, abs=0.0), p
+                # t at df = 1 below p ~ 2e-155: scipy's sf squares the
+                # statistic and returns 0.0 here, so mpmath is the reference.
+                expected = float(student_t_tail_mpmath(x, df))
+            else:
+                expected = dist.sf(x, df)
+            assert tail(x, df) == pytest.approx(expected, rel=1e-9, abs=0.0), p
+
+    @pytest.mark.parametrize("df", (1.0, 2.0, 10.0))
+    def test_student_t_tail_where_t_squared_overflows(self, df):
+        for t in HUGE_TS:
+            expected = float(student_t_tail_mpmath(t, df))
+            tail = student_t_tail(t, df)
+            if expected == 0.0:  # the true tail underflows
+                assert tail == 0.0, t
+            else:
+                assert tail == pytest.approx(expected, rel=1e-9, abs=SUBNORMAL_ABS), t
+                if df == 1.0:  # Cauchy: atan(1 / t) / pi
+                    closed = math.atan(1.0 / t) / math.pi
+                    assert tail == pytest.approx(closed, rel=1e-9, abs=SUBNORMAL_ABS), t
+            assert student_t_tail(-t, df) == 1.0 - tail
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError):
