@@ -9,6 +9,12 @@ failure.
 A grid run has one hypoxemia threshold, its DGP's ``w_hypox`` (set with
 ``--params``): Table 1 and Table 2 select the same truly hypoxemic
 patients, so ``--w-hypox`` is an ``audit`` option only.
+
+A bias channel is switched off by zeroing its DGP group terms with
+``--params``: ``{"err_group_shift": 0, "err_group_slope": 0}`` for the
+measurement channel, ``{"treat_group_penalty": 0}`` for the systemic
+one.  ``grid`` writes the cohort of each combination of the two
+(``cohort_<scenario>.csv``).
 """
 
 from __future__ import annotations
@@ -47,20 +53,6 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--p-group1", type=float, default=default.p_group1, help="P(group 1)")
     parser.add_argument("--seed", type=int, default=default.seed, help="generator seed")
-    parser.add_argument(
-        "--measurement-bias",
-        dest="measurement_bias_on",
-        action=argparse.BooleanOptionalAction,
-        default=default.measurement_bias_on,
-        help="toggle the differential measurement-error channel",
-    )
-    parser.add_argument(
-        "--systemic-bias",
-        dest="systemic_bias_on",
-        action=argparse.BooleanOptionalAction,
-        default=default.systemic_bias_on,
-        help="toggle the systemic treatment-bias channel",
-    )
     parser.add_argument(
         "--treatment-mode", choices=TREATMENT_MODES, default=default.treatment_mode
     )

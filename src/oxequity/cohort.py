@@ -1,17 +1,18 @@
-"""Synthetic inpatient cohort generator with toggleable bias channels.
+"""Synthetic inpatient cohort generator with two switchable bias channels.
 
 The data-generating process follows a simple causal ordering: true
 arterial saturation W drives both the pulse-oximeter reading
 W* = W + eps and, through treatment, the adverse outcome Y.  Group
 membership A influences W* only through the measurement-error channel
-and influences treatment only through the systemic-bias channel; both
-channels can be switched off independently without perturbing any
-random draw (common random numbers).
+(``err_group_shift``, ``err_group_slope``) and influences treatment only
+through the systemic-bias channel (``treat_group_penalty``).  A channel
+is off when its ``DgpParams`` group terms are 0.0; either can be switched
+off without perturbing any random draw (common random numbers).
 
 Generation runs in two stages: ``draw_cohort`` hashes every patient's
-streams once, as whole columns, and ``derive_cohort`` applies the
-toggles and treatment rule to those draws, so scenarios that share a
-seed can share the draws.  Each formula of the process has one site, a
+streams once, as whole columns, and ``derive_cohort`` applies the DGP
+and treatment rule to those draws, so scenarios that share a seed can
+share the draws.  Each formula of the process has one site, a
 column map (``measurement_errors``, ``treatment_assignments``,
 ``outcome_risks``); a single patient is a one-element column.  The
 outcome risks serve both the outcome draws and the exact ``oracle_tau``.
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from itertools import compress, repeat
 from operator import add, sub, truediv
 from typing import Iterable, Sequence
@@ -87,18 +88,21 @@ class DgpParams:
 
     Measurement error (percentage points):
         eps = err_base
-            + [bias on and A=1] * (err_group_shift
-                                   + err_group_slope * max(0, err_pivot - W))
+            + [A=1] * (err_group_shift + err_group_slope * max(0, err_pivot - W))
             + err_noise_sd * N(0, 1)
 
     Treatment (logit scale, stochastic mode):
         P(Z=1) = logistic(treat_intercept + treat_slope * (w_treat - W*)
-                          + [systemic bias on] * treat_group_penalty * A)
+                          + treat_group_penalty * A)
     Deterministic mode treats exactly when W* < w_treat.
 
     Outcome (logit scale):
         P(Y=1) = logistic(out_intercept + out_severity * max(0, w_hypox - W)
                           - out_benefit * Z)
+
+    The group terms carry the two bias channels: the measurement channel
+    is off when ``err_group_shift`` and ``err_group_slope`` are 0.0, the
+    systemic channel when ``treat_group_penalty`` is 0.0.
 
     The defaults are calibrated so that, at n_total=2500 and
     p_group1=0.2, the simulated cohorts land on the documented
@@ -146,16 +150,16 @@ DEFAULT_DGP = DgpParams()
 
 @dataclass(frozen=True, slots=True)
 class ScenarioConfig:
-    """One simulation scenario: sample design plus the two bias toggles.
+    """One simulation scenario: sample design, treatment rule and DGP.
 
-    Like ``DgpParams``, it is checked at construction.
+    Which bias channels are on is a property of ``dgp``: a channel is off
+    when its group terms are 0.0.  Like ``DgpParams``, it is checked at
+    construction.
     """
 
     n_total: int = 2500
     p_group1: float = 0.2
     seed: int = 1
-    measurement_bias_on: bool = True
-    systemic_bias_on: bool = True
     treatment_mode: str = "stochastic"
     dgp: DgpParams = field(default_factory=DgpParams)
 
@@ -221,11 +225,13 @@ def _saturation_inverse_cdf(uniforms: Sequence[float], params: DgpParams) -> lis
     window the CDF at both edges can round to 1.0, so there the law is
     inverted through its upper tail: the scale is negated, which the
     normal law's symmetry allows, and w still rises with u.  With the
-    mean far above the window the CDF at the upper edge falls below the
-    normal float range (about 37.5 sd above 100, and to 0.0 from about
-    38.5 sd), so there the law is inverted in log space
-    (``_log_space_inverse``).  Pathological tail draws that escape the
-    window through floating point are clipped back to the bounds.
+    mean far outside the window the tail at its near edge falls below the
+    normal float range (about 37.5 sd out, and to 0.0 from about 38.5 sd),
+    so there the law is inverted in log space (``_log_space_inverse``);
+    below the window that runs on the reflected law of -w, over the
+    reflected window and with u reflected to 1 - u.  Pathological tail
+    draws that escape the window through floating point are clipped back
+    to the bounds.
     """
     mean, sd = params.saturation_mean, params.saturation_sd
     if sd < 1e-12:
@@ -234,7 +240,10 @@ def _saturation_inverse_cdf(uniforms: Sequence[float], params: DgpParams) -> lis
     lo = normal_cdf((W_LOW - mean) / scale)
     hi = normal_cdf((W_HIGH - mean) / scale)
     if mean > W_HIGH and hi < sys.float_info.min:
-        values = _log_space_inverse(uniforms, mean, sd)
+        values = _log_space_inverse(uniforms, mean, sd, W_LOW, W_HIGH)
+    elif mean < W_LOW and lo < sys.float_info.min:
+        reflected = [1.0 - u for u in uniforms]
+        values = [-v for v in _log_space_inverse(reflected, -mean, sd, -W_HIGH, -W_LOW)]
     else:
         ps = [lo + u * (hi - lo) for u in uniforms]
         # A NaN p is neither <= 0 nor >= 1, so normal_quantiles rejects it.
@@ -262,24 +271,26 @@ def _log_normal_cdf(z: float) -> tuple[float, float]:
     return -0.5 * x * x - _LOG_SQRT_TWO_PI - math.log(slope), slope
 
 
-def _log_space_inverse(uniforms: Sequence[float], mean: float, sd: float) -> list[float]:
-    """The saturation law's inverse CDF for a mean far above the window.
+def _log_space_inverse(
+    uniforms: Sequence[float], mean: float, sd: float, low: float, high: float
+) -> list[float]:
+    """The inverse CDF of N(mean, sd) truncated to a window [low, high] far below the mean.
 
     In standard units z = (w - mean) / sd the window is [z_lo, z_hi], far
     below 0.  Each z solves log Phi(z) = log Phi(z_hi) + log q, where
     q = Phi(z) / Phi(z_hi) = u + (1 - u) Phi(z_lo) / Phi(z_hi) rises with u.
     log Phi is concave, so its tangent lies above it: starting from the
     tangent at z_hi, each Newton step lands below the root and rises
-    towards it, and w rises with u.
+    towards it, and w rises with u.  A q that rounds to 0 gives ``low``.
     """
-    z_lo, z_hi = (W_LOW - mean) / sd, (W_HIGH - mean) / sd
+    z_lo, z_hi = (low - mean) / sd, (high - mean) / sd
     log_hi, slope_hi = _log_normal_cdf(z_hi)
     ratio = math.exp(_log_normal_cdf(z_lo)[0] - log_hi)
     values = []
     for u in uniforms:
         q = u + (1.0 - u) * ratio
         if q <= 0.0:
-            values.append(W_LOW)
+            values.append(low)
             continue
         log_q = math.log(q)
         target = log_hi + log_q
@@ -374,13 +385,15 @@ def outcome_assignments(
 
 @dataclass(frozen=True, slots=True)
 class CohortDraws:
-    """The toggle-independent columns of one cohort, indexed by patient id.
+    """The random columns of one cohort, indexed by patient id, and its DGP.
 
     Every random quantity a cohort consumes is here: group membership,
     true saturation, the standard-normal oximeter noise and the treatment
-    and outcome uniforms.  The bias toggles and the treatment rule act
-    only through deterministic shifts of these, so one set of draws
-    serves every scenario that shares the seed, size and parameters.
+    and outcome uniforms.  The DGP's error, treatment and outcome terms
+    and the treatment rule act only through deterministic shifts of
+    these, so one set of draws serves every scenario that shares the
+    seed, size, group share and saturation law: a scenario with a channel
+    switched off derives from ``replace(draws, dgp=...)``.
     """
 
     dgp: DgpParams
@@ -394,8 +407,8 @@ class CohortDraws:
 def draw_cohort(config: ScenarioConfig) -> CohortDraws:
     """Draw every patient's streams as columns, in one batched pass.
 
-    Draws are keyed by (seed, patient_id, channel), so the toggles and
-    treatment mode of ``config`` play no part here.  One
+    Draws are keyed by (seed, patient_id, channel), so the group terms
+    and treatment mode of ``config`` play no part here.  One
     ``CounterRng.uniform_columns`` call yields five uniforms per patient
     (group, saturation, noise, treatment, outcome), bit-identical to
     ``CounterRng.uniform``; the group, saturation and noise columns are
@@ -415,13 +428,8 @@ def draw_cohort(config: ScenarioConfig) -> CohortDraws:
     )
 
 
-def derive_cohort(
-    draws: CohortDraws,
-    measurement_bias_on: bool,
-    systemic_bias_on: bool,
-    treatment_mode: str,
-) -> Cohort:
-    """Build one scenario's cohort from shared draws; no random stream is read.
+def derive_cohort(draws: CohortDraws, treatment_mode: str) -> Cohort:
+    """Build the cohort of ``draws.dgp`` from shared draws; no random stream is read.
 
     Every step maps whole columns.  An off bias channel is its group terms
     set to 0.0, which adds +0.0 to each group-1 error or logit and so
@@ -429,10 +437,6 @@ def derive_cohort(
     the draws' group and true-saturation columns.
     """
     dgp = draws.dgp
-    if not measurement_bias_on:
-        dgp = replace(dgp, err_group_shift=0.0, err_group_slope=0.0)
-    if not systemic_bias_on:
-        dgp = replace(dgp, treat_group_penalty=0.0)
     group_a, w_true = draws.group_a, draws.w_true
     epsilon = measurement_errors(w_true, group_a, draws.noise, dgp)
     # The raw reading r = w + e, clipped to min(max(r, 0.0), 100.0) by the
@@ -451,15 +455,10 @@ def generate_cohort(config: ScenarioConfig) -> Cohort:
 
     Each patient's draws come from counter-based streams keyed by
     (seed, patient_id, channel), so regeneration is bit-identical and
-    flipping either bias toggle leaves every channel's underlying
-    uniforms untouched.
+    zeroing either channel's group terms leaves every channel's
+    underlying uniforms untouched.
     """
-    return derive_cohort(
-        draw_cohort(config),
-        config.measurement_bias_on,
-        config.systemic_bias_on,
-        config.treatment_mode,
-    )
+    return derive_cohort(draw_cohort(config), config.treatment_mode)
 
 
 def oracle_tau(params: DgpParams, cohort: Cohort) -> float:

@@ -1,17 +1,20 @@
 """Four-scenario grid execution and the threshold-protocol summary.
 
-The grid runs the same sample design under every combination of the two
-bias toggles, ordered both / measurement_only / systemic_only / none.
-Because all four scenarios share one seed and counter-based streams,
-the true-saturation column is identical across the grid and the
-measurement columns are identical within each toggle pair, so metric
-differences across columns reflect the toggled mechanisms alone.
+The grid runs the same sample design with each combination of the two
+bias channels switched on or off, ordered both / measurement_only /
+systemic_only / none.  A channel is off when its DGP group terms are 0.0,
+so each scenario is the base DGP with the terms of ``_ZEROED`` set to
+0.0.  Because all four scenarios share one seed and counter-based
+streams, the true-saturation column is identical across the grid and the
+measurement columns are identical within each pair that shares the
+measurement terms, so metric differences across columns reflect the
+switched mechanisms alone.
 
-The separate threshold-protocol summary reruns the both-biases
-parameters under the deterministic treatment rule and reports, per
-group, the untreated share of truly hypoxemic patients plus adverse
-outcome rates when treatment is driven by the measured value versus the
-true value (reusing each patient's outcome draw for both variants).
+The separate threshold-protocol summary (Table 1) reruns the base DGP
+under the deterministic treatment rule and reports, per group, the
+untreated share of truly hypoxemic patients plus adverse outcome rates
+when treatment is driven by the measured value versus the true value
+(reusing each patient's outcome draw for both variants).
 
 A grid run has one hypoxemia threshold, the DGP's ``w_hypox``: Table 1
 and the audit's stratum metrics select the same truly hypoxemic
@@ -27,7 +30,7 @@ deterministic shifts (``derive_cohort``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .cohort import (
     Cohort,
@@ -49,14 +52,14 @@ __all__ = [
     "threshold_protocol_summary",
 ]
 
-# (measurement, systemic) bias toggles of each scenario, in report order.
-_TOGGLES = {
-    "both": (True, True),
-    "measurement_only": (True, False),
-    "systemic_only": (False, True),
-    "none": (False, False),
+# The DGP group terms each scenario sets to 0.0, in report order.
+_ZEROED = {
+    "both": {},
+    "measurement_only": {"treat_group_penalty": 0.0},
+    "systemic_only": {"err_group_shift": 0.0, "err_group_slope": 0.0},
+    "none": {"err_group_shift": 0.0, "err_group_slope": 0.0, "treat_group_penalty": 0.0},
 }
-SCENARIO_LABELS = tuple(_TOGGLES)
+SCENARIO_LABELS = tuple(_ZEROED)
 
 
 @dataclass(slots=True)
@@ -80,20 +83,19 @@ class GridResult:
     cohorts: dict[str, Cohort]
 
 
-def _protocol_summary(draws: CohortDraws) -> Table1Summary:
-    """Table 1 from shared draws: the deterministic cohort with both biases on.
+def threshold_protocol_summary(draws: CohortDraws) -> Table1Summary:
+    """Table 1: the deterministic threshold protocol under ``draws.dgp``.
 
+    The measured-value variant is the deterministic cohort of the draws.
     The true-value variant recomputes treatment as 1(W < w_treat), the
     deterministic rule applied to the true saturations, and replays each
     patient's outcome uniform from ``draws``, so the two outcome columns
     differ only through the treatment input.
+
+    Raises:
+        ValueError: a group is empty or has no truly hypoxemic patient.
     """
-    cohort = derive_cohort(
-        draws,
-        measurement_bias_on=True,
-        systemic_bias_on=True,
-        treatment_mode="deterministic",
-    )
+    cohort = derive_cohort(draws, "deterministic")
     dgp = draws.dgp
     group_a, w_true, treated = cohort.group_a, cohort.w_true, cohort.treated
     treated_true = treatment_assignments(w_true, group_a, "deterministic", draws.u_treat, dgp)
@@ -115,23 +117,15 @@ def _protocol_summary(draws: CohortDraws) -> Table1Summary:
     )
 
 
-def threshold_protocol_summary(config: ScenarioConfig) -> Table1Summary:
-    """Run the deterministic threshold protocol with measurement bias on.
-
-    Only the seed, size, group share and DGP of ``config`` are used; its
-    toggles and treatment mode are overridden by the protocol.
-    """
-    return _protocol_summary(draw_cohort(config))
-
-
 def run_scenario_grid(base: ScenarioConfig, audit: AuditConfig) -> GridResult:
     """Generate and audit all four scenarios, plus the protocol summary.
 
-    The scenarios share every setting of ``base`` but its two bias
-    toggles, which each scenario sets for itself.  The patients' streams
-    are hashed once; the four scenario cohorts and the Table-1 cohort are
-    all derived from those draws.  Scenario order in the result is fixed
-    regardless of how the independent pieces are evaluated.
+    Each scenario is ``base`` with its channels' DGP group terms set to
+    0.0; a term that ``base`` already sets to 0.0 stays 0.0, and Table 1
+    runs ``base.dgp`` itself.  The patients' streams are hashed once; the
+    four scenario cohorts and the Table-1 cohort are all derived from
+    those draws.  Scenario order in the result is fixed regardless of
+    how the independent pieces are evaluated.
 
     Raises:
         ValueError: ``audit.w_hypox`` differs from ``base.dgp.w_hypox``, so
@@ -144,12 +138,14 @@ def run_scenario_grid(base: ScenarioConfig, audit: AuditConfig) -> GridResult:
         )
     draws = draw_cohort(base)
     cohorts = {
-        label: derive_cohort(draws, measurement, systemic, base.treatment_mode)
-        for label, (measurement, systemic) in _TOGGLES.items()
+        label: derive_cohort(
+            replace(draws, dgp=replace(draws.dgp, **zeroed)), base.treatment_mode
+        )
+        for label, zeroed in _ZEROED.items()
     }
     reports = [
         run_full_audit(cohorts[label], audit, scenario_label=label)
         for label in SCENARIO_LABELS
     ]
-    table1 = _protocol_summary(draws)
+    table1 = threshold_protocol_summary(draws)
     return GridResult(reports=reports, table1=table1, cohorts=cohorts)

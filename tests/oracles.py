@@ -52,15 +52,17 @@ def erf_series(x) -> mp.mpf:
     x = mp.mpf(x)
     digits = mp.mp.dps
     with mp.workdps(digits + int(0.44 * x * x)):
+        # Term n is power / (2n + 1), power = (-1)^n x^(2n+1) / n!, and each
+        # power is the last one times -x^2 / n.
         total = mp.mpf(0)
-        term = x
+        power = term = x
+        square = x * x
         n = 0
         while abs(term) > mp.mpf(10) ** (-(digits + 5)) * (abs(total) + 1):
             total += term
             n += 1
-            term = (
-                (-1) ** n * x ** (2 * n + 1) / (mp.factorial(n) * (2 * n + 1))
-            )
+            power = -power * square / n
+            term = power / (2 * n + 1)
         return 2 / mp.sqrt(mp.pi) * total
 
 
@@ -244,15 +246,15 @@ def fd_hessian(design_rows, outcomes, beta, step: float = 1e-5):
 def truncated_normal_inverse_oracle(
     u: float, mean: float, sd: float, lo: float = 70.0, hi: float = 100.0
 ) -> float:
-    """Bisection inversion of the truncated-normal CDF built on the erf series.
+    """Bisection inversion of the truncated-normal CDF.
 
-    With the mean below ``lo`` the window's mass is a tail of about
-    exp(-z^2 / 2), z = (lo - mean) / sd, below 1: the CDF then carries
-    that many more digits.  With the mean above ``hi`` the CDF itself is
-    such a tail, about exp(-z^2 / 2) with z = (mean - hi) / sd.  The
-    series would then need some z^2 / 2 guard digits and, at z = 85,
-    about 10^4 terms per evaluation, so there the CDF is mpmath's erfc
-    of the tail, which loses no digits.
+    With the mean inside the window the CDF is built on the erf series.
+    With the mean outside it the window's mass is a tail of about
+    exp(-z^2 / 2), z the distance in sd to the near edge: the series would
+    need some z^2 / 2 guard digits and, at z = 85, about 10^4 terms per
+    evaluation.  So there the bisection runs on mpmath's erfc of that
+    tail, which loses no digits: the CDF itself above the window, the
+    survival function, negated so that it rises with x, below it.
     """
 
     if mean > hi:
@@ -260,23 +262,26 @@ def truncated_normal_inverse_oracle(
         def cdf(x):
             return mp.erfc((mean - mp.mpf(x)) / (sd * mp.sqrt(2))) / 2
 
+    elif mean < lo:
+
+        def cdf(x):
+            return -mp.erfc((mp.mpf(x) - mean) / (sd * mp.sqrt(2))) / 2
+
     else:
 
         def cdf(x):
             return mp.mpf("0.5") * (1 + erf_series((mp.mpf(x) - mean) / (sd * mp.sqrt(2))))
 
-    z = max(0.0, (lo - mean) / sd)
-    with mp.workdps(mp.mp.dps + int(0.22 * z * z)):
-        c_lo, c_hi = cdf(lo), cdf(hi)
-        target = c_lo + mp.mpf(u) * (c_hi - c_lo)
-        a, b = mp.mpf(lo), mp.mpf(hi)
-        for _ in range(120):
-            midpoint = (a + b) / 2
-            if cdf(midpoint) < target:
-                a = midpoint
-            else:
-                b = midpoint
-        return float((a + b) / 2)
+    c_lo, c_hi = cdf(lo), cdf(hi)
+    target = c_lo + mp.mpf(u) * (c_hi - c_lo)
+    a, b = mp.mpf(lo), mp.mpf(hi)
+    for _ in range(120):
+        midpoint = (a + b) / 2
+        if cdf(midpoint) < target:
+            a = midpoint
+        else:
+            b = midpoint
+    return float((a + b) / 2)
 
 
 def two_level_logistic_oracle(k0: int, n0: int, k1: int, n1: int):
@@ -479,21 +484,20 @@ def _sigmoid_oracle(x: float) -> float:
     return z / (1.0 + z)
 
 
-def _measurement_error_oracle(w_true, group_a, measurement_bias_on, noise_draw, params):
+def _measurement_error_oracle(w_true, group_a, noise_draw, params):
     eps = params.err_base + params.err_noise_sd * noise_draw
-    if measurement_bias_on and group_a == 1:
+    if group_a == 1:
         eps += params.err_group_shift + params.err_group_slope * max(
             0.0, params.err_pivot - w_true
         )
     return eps
 
 
-def _treatment_assignment_oracle(w_star, group_a, systemic_bias_on, mode, uniform_draw, params):
+def _treatment_assignment_oracle(w_star, group_a, mode, uniform_draw, params):
     if mode == "deterministic":
         return 1 if w_star < params.w_treat else 0
     logit = params.treat_intercept + params.treat_slope * (params.w_treat - w_star)
-    if systemic_bias_on:
-        logit += params.treat_group_penalty * group_a
+    logit += params.treat_group_penalty * group_a
     return 1 if uniform_draw < _sigmoid_oracle(logit) else 0
 
 
@@ -530,14 +534,11 @@ def generate_cohort_oracle(config) -> list[Record]:
             else:
                 w_true = min(max(mean + sd * normal_quantile(p), W_LOW), W_HIGH)
         noise = normal_quantile(rng.uniform(i, Channel.NOISE))
-        epsilon = _measurement_error_oracle(
-            w_true, group_a, config.measurement_bias_on, noise, dgp
-        )
+        epsilon = _measurement_error_oracle(w_true, group_a, noise, dgp)
         w_star = min(max(w_true + epsilon, 0.0), 100.0)
         treated = _treatment_assignment_oracle(
             w_star,
             group_a,
-            config.systemic_bias_on,
             config.treatment_mode,
             rng.uniform(i, Channel.TREAT),
             dgp,
@@ -560,32 +561,33 @@ def generate_cohort_oracle(config) -> list[Record]:
 
 
 def scenario_configs_oracle(base):
-    """The four grid scenarios of ``base``, by label, from this file's own table."""
-    toggles = (
-        ("both", True, True),
-        ("measurement_only", True, False),
-        ("systemic_only", False, True),
-        ("none", False, False),
+    """The four grid scenarios of ``base``, by label, from this file's own table.
+
+    A scenario switches a bias channel off by setting its DGP group terms
+    to 0.0: the measurement channel's shift and slope, the systemic
+    channel's treatment penalty.
+    """
+    zeroed = (
+        ("both", ()),
+        ("measurement_only", ("treat_group_penalty",)),
+        ("systemic_only", ("err_group_shift", "err_group_slope")),
+        ("none", ("err_group_shift", "err_group_slope", "treat_group_penalty")),
     )
     return {
-        label: replace(base, measurement_bias_on=measurement, systemic_bias_on=systemic)
-        for label, measurement, systemic in toggles
+        label: replace(base, dgp=replace(base.dgp, **dict.fromkeys(terms, 0.0)))
+        for label, terms in zeroed
     }
 
 
 def threshold_protocol_oracle(config) -> Table1Summary:
     """Table 1 from a fresh deterministic cohort, re-hashing the outcome uniforms.
 
-    The measured-driven column is what the deterministic, both-biases
-    cohort carries; the true-driven column treats by 1(W < w_treat) and
-    replays each patient's outcome uniform straight from the counter RNG.
+    The measured-driven column is what the deterministic cohort of
+    ``config.dgp`` carries; the true-driven column treats by
+    1(W < w_treat) and replays each patient's outcome uniform straight
+    from the counter RNG.
     """
-    cfg = replace(
-        config,
-        treatment_mode="deterministic",
-        measurement_bias_on=True,
-        systemic_bias_on=True,
-    )
+    cfg = replace(config, treatment_mode="deterministic")
     cohort = generate_cohort_oracle(cfg)
     rng = CounterRng(cfg.seed)
     dgp = cfg.dgp

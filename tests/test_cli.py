@@ -6,7 +6,7 @@ import json
 import pytest
 
 from oxequity.cli import _audit_config, _grid_configs, build_parser, main
-from oxequity.cohort import DgpParams, ScenarioConfig
+from oxequity.cohort import DgpParams, ScenarioConfig, draw_cohort
 from oxequity.grid import threshold_protocol_summary
 from oxequity.io import read_cohort_csv
 from oxequity.metrics import AuditConfig
@@ -27,11 +27,14 @@ def test_simulate_writes_deterministic_csv(tmp_path):
 
 
 def test_simulate_toggle_changes_measurements(tmp_path):
+    # The measurement channel is off when its group terms are zero.
+    params = tmp_path / "p.json"
+    params.write_text('{"err_group_shift": 0, "err_group_slope": 0}\n')
     on = tmp_path / "on.csv"
     off = tmp_path / "off.csv"
     run("simulate", "--n", "200", "--seed", "9", "--out", str(on))
     run(
-        "simulate", "--n", "200", "--seed", "9", "--no-measurement-bias",
+        "simulate", "--n", "200", "--seed", "9", "--params", str(params),
         "--out", str(off),
     )
     assert on.read_bytes() != off.read_bytes()
@@ -140,7 +143,7 @@ def test_every_option_reaches_its_config_field(tmp_path):
         [
             "grid", "--out", "bundle", "--params", str(params),
             "--n", "321", "--p-group1", "0.3", "--seed", "7",
-            "--no-measurement-bias", "--no-systemic-bias", "--treatment-mode", "deterministic",
+            "--treatment-mode", "deterministic",
             *AUDIT_ARGV,
         ]
     )
@@ -148,8 +151,6 @@ def test_every_option_reaches_its_config_field(tmp_path):
         n_total=321,
         p_group1=0.3,
         seed=7,
-        measurement_bias_on=False,
-        systemic_bias_on=False,
         treatment_mode="deterministic",
         dgp=DgpParams(err_base=0.5, w_hypox=87.5),
     )
@@ -172,6 +173,32 @@ def test_grid_has_no_w_hypox_option(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ("simulate", "grid"))
+@pytest.mark.parametrize("option", ("--no-measurement-bias", "--systemic-bias"))
+def test_bias_channels_have_no_toggle_options(tmp_path, capsys, command, option):
+    # A channel is switched off by zeroing its group terms with --params.
+    out = tmp_path / "out"
+    assert run(command, "--n", "200", option, "--out", str(out)) == 1
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_zeroed_params_simulate_the_grid_scenarios(tmp_path):
+    # Each grid cohort but "both" is the cohort of its zeroed group terms.
+    assert run("grid", "--n", "500", "--seed", "3", "--out", str(tmp_path / "g")) == 0
+    for label, zeroed in (
+        ("measurement_only", '{"treat_group_penalty": 0}'),
+        ("systemic_only", '{"err_group_shift": 0, "err_group_slope": 0}'),
+        ("none", '{"err_group_shift": 0, "err_group_slope": 0, "treat_group_penalty": 0}'),
+    ):
+        params = tmp_path / f"{label}.json"
+        params.write_text(zeroed + "\n")
+        out = tmp_path / f"{label}.csv"
+        argv = ("simulate", "--n", "500", "--seed", "3", "--params", str(params))
+        assert run(*argv, "--out", str(out)) == 0
+        assert out.read_bytes() == (tmp_path / "g" / f"cohort_{label}.csv").read_bytes()
+
+
 def test_grid_tables_select_the_same_hypoxemic_patients(tmp_path):
     # One threshold per grid run, the DGP's: with the deterministic rule the
     # "both" scenario is Table 1's cohort, so Table 1's untreated share of
@@ -182,7 +209,7 @@ def test_grid_tables_select_the_same_hypoxemic_patients(tmp_path):
     assert run(*argv, "--params", str(params), "--out", str(tmp_path / "at86")) == 0
     assert run(*argv, "--out", str(tmp_path / "at88")) == 0
     table1 = threshold_protocol_summary(
-        ScenarioConfig(n_total=2500, seed=3, dgp=DgpParams(w_hypox=86.0))
+        draw_cohort(ScenarioConfig(n_total=2500, seed=3, dgp=DgpParams(w_hypox=86.0)))
     )
     table1_md = (tmp_path / "at86" / "table1.md").read_text()
     at86, at88 = (
@@ -332,11 +359,12 @@ def test_audit_json_of_a_quasi_separated_cohort(tmp_path, capsys):
 
 def test_params_file_flows_through(tmp_path):
     params = tmp_path / "p.json"
-    params.write_text('{"err_base": 0.0, "err_noise_sd": 0.5}\n')
+    params.write_text(
+        '{"err_base": 0.0, "err_noise_sd": 0.5, "err_group_shift": 0, "err_group_slope": 0}\n'
+    )
     out = tmp_path / "c.csv"
     assert run(
-        "simulate", "--n", "300", "--seed", "3", "--params", str(params),
-        "--no-measurement-bias", "--out", str(out),
+        "simulate", "--n", "300", "--seed", "3", "--params", str(params), "--out", str(out)
     ) == 0
     cohort = read_cohort_csv(out)
     eps = cohort.epsilon

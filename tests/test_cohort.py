@@ -60,10 +60,20 @@ class TestTrueSaturation:
         column = _saturation_inverse_cdf(draws, DEFAULT_DGP)
         assert column == [saturation(u, DEFAULT_DGP) for u in draws]
 
-    @pytest.mark.parametrize("mean, u", ((40.0, 0.5), (50.0, 0.977), (65.0, 0.001)))
+    @pytest.mark.parametrize(
+        "mean, u",
+        (
+            (40.0, 0.5),
+            (50.0, 0.977),
+            (65.0, 0.001),
+            *((mean, u) for mean in (-100.0, -300.0) for u in (0.001, 0.5, 0.977)),
+        ),
+    )
     def test_mean_below_the_window_against_oracle(self, mean, u):
-        # Below the window the normal CDF at both edges rounds to 1.0; the
-        # draws must still follow the truncated law, whose mass sits near 70.
+        # Below the window the normal CDF at both edges rounds to 1.0, and
+        # from about 37.5 sd below it the reflected tail at 70 underflows;
+        # the draws must still follow the truncated law, whose mass sits
+        # near 70.
         params = replace(DEFAULT_DGP, saturation_mean=mean)
         assert saturation(u, params) == pytest.approx(
             truncated_normal_inverse_oracle(u, mean, params.saturation_sd), abs=1e-6
@@ -180,8 +190,10 @@ class TestGenerateCohort:
         assert generate_cohort(config) == generate_cohort(config)
 
     def test_systemic_toggle_preserves_measurement_columns(self):
-        on = generate_cohort(ScenarioConfig(n_total=600, seed=9, systemic_bias_on=True))
-        off = generate_cohort(ScenarioConfig(n_total=600, seed=9, systemic_bias_on=False))
+        # the systemic channel is off when its treatment penalty is 0.0
+        on = generate_cohort(ScenarioConfig(n_total=600, seed=9))
+        unpenalised = replace(DEFAULT_DGP, treat_group_penalty=0.0)
+        off = generate_cohort(ScenarioConfig(n_total=600, seed=9, dgp=unpenalised))
         for a, b in zip(records_of(on), records_of(off)):
             assert a.w_true == b.w_true
             assert a.epsilon == b.epsilon
@@ -190,12 +202,12 @@ class TestGenerateCohort:
 
     def test_measurement_toggle_preserves_draws(self):
         # with treatment independent of the reading and outcome flat in
-        # severity, flipping the measurement channel must not change the
-        # treated and outcome columns: they consume the same uniforms
+        # severity, zeroing the measurement channel's group terms must not
+        # change the treated and outcome columns: they consume the same uniforms
         dgp = replace(DEFAULT_DGP, treat_slope=0.0, out_severity=0.0)
-        base = ScenarioConfig(n_total=600, seed=13, dgp=dgp)
-        on = generate_cohort(base)
-        off = generate_cohort(replace(base, measurement_bias_on=False))
+        on = generate_cohort(ScenarioConfig(n_total=600, seed=13, dgp=dgp))
+        unbiased = replace(dgp, err_group_shift=0.0, err_group_slope=0.0)
+        off = generate_cohort(ScenarioConfig(n_total=600, seed=13, dgp=unbiased))
         assert on.treated == off.treated
         assert on.outcome == off.outcome
         assert any(a != b for a, b in zip(on.w_star, off.w_star))

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from oxequity.cohort import DEFAULT_DGP, DgpParams, ScenarioConfig, generate_cohort
+from oxequity.cohort import DEFAULT_DGP, DgpParams, ScenarioConfig, draw_cohort, generate_cohort
 from oxequity.figure import figure_summary, figure_summary_csv
 from oxequity.grid import SCENARIO_LABELS, run_scenario_grid, threshold_protocol_summary
 from oxequity.metrics import AuditConfig
@@ -77,14 +77,14 @@ class TestThresholdProtocol:
         # the true value makes the groups exchangeable; check across seeds
         gaps = []
         for seed in range(1, 9):
-            t = threshold_protocol_summary(ScenarioConfig(seed=seed))
+            t = threshold_protocol_summary(draw_cohort(ScenarioConfig(seed=seed)))
             gaps.append(t.outcome_true_driven[1] - t.outcome_true_driven[0])
         mean_gap = sum(gaps) / len(gaps)
         assert abs(mean_gap) < 0.01
 
     def test_deterministic_mode_forced(self):
         stochastic_base = ScenarioConfig(seed=5, treatment_mode="stochastic")
-        summary = threshold_protocol_summary(stochastic_base)
+        summary = threshold_protocol_summary(draw_cohort(stochastic_base))
         cohort = generate_cohort(
             replace(stochastic_base, treatment_mode="deterministic")
         )
@@ -95,23 +95,25 @@ class TestThresholdProtocol:
     def test_empty_group_rejected(self):
         # two patients at a 0.1% group-1 share: both land in group 0
         with pytest.raises(ValueError) as info:
-            threshold_protocol_summary(ScenarioConfig(n_total=2, p_group1=0.001, seed=1))
+            threshold_protocol_summary(
+                draw_cohort(ScenarioConfig(n_total=2, p_group1=0.001, seed=1))
+            )
         assert str(info.value) == "group 1 is empty; cannot summarize the protocol"
 
     def test_group_without_hypoxemia_rejected(self):
         # every true saturation is 99, above the hypoxemia threshold
         dgp = DgpParams(saturation_mean=99.0, saturation_sd=0.0)
         with pytest.raises(ValueError) as info:
-            threshold_protocol_summary(ScenarioConfig(n_total=50, dgp=dgp))
+            threshold_protocol_summary(draw_cohort(ScenarioConfig(n_total=50, dgp=dgp)))
         assert str(info.value) == "group 0 has no hypoxemic patients"
 
 
 class TestFigureSummary:
     def test_identity_measurement_keeps_medians_in_bin(self):
-        dgp = replace(DEFAULT_DGP, err_base=0.0, err_noise_sd=1e-9)
-        cohort = generate_cohort(
-            ScenarioConfig(seed=11, dgp=dgp, measurement_bias_on=False)
+        dgp = replace(
+            DEFAULT_DGP, err_base=0.0, err_noise_sd=1e-9, err_group_shift=0.0, err_group_slope=0.0
         )
+        cohort = generate_cohort(ScenarioConfig(seed=11, dgp=dgp))
         summary = figure_summary(cohort, bin_width=1.0)
         for b in summary.bins:
             assert b.bin_center - 0.5 - 1e-6 <= b.median <= b.bin_center + 0.5 + 1e-6

@@ -30,7 +30,7 @@ from oxequity.metrics import (
 )
 from oxequity.reports import report_to_json
 
-from oracles import Record, cohort_of, gold_free, records_of
+from oracles import Record, cohort_of, gold_free, records_of, scenario_configs_oracle
 
 I_STAR_DEFAULT = 7.84887973435  # (z_{0.975} + z_{0.80})^2 at delta = 1
 
@@ -60,13 +60,6 @@ def record(
 @pytest.fixture(scope="module")
 def both_cohort():
     return generate_cohort(ScenarioConfig(seed=1))
-
-
-@pytest.fixture(scope="module")
-def none_cohort():
-    return generate_cohort(
-        ScenarioConfig(seed=1, measurement_bias_on=False, systemic_bias_on=False)
-    )
 
 
 @pytest.fixture(scope="module")
@@ -193,7 +186,7 @@ class TestInformationBias:
         flags = 0
         for seed in range(1, 11):
             cohort = generate_cohort(
-                ScenarioConfig(seed=seed, measurement_bias_on=False)
+                scenario_configs_oracle(ScenarioConfig(seed=seed))["systemic_only"]
             )
             if information_bias_test(cohort, audit_config).flagged:
                 flags += 1
@@ -390,9 +383,7 @@ class TestSystemicBias:
     def test_null_when_treatment_ignores_group(self, audit_config):
         flags = 0
         for seed in range(1, 11):
-            cohort = generate_cohort(
-                ScenarioConfig(seed=seed, systemic_bias_on=False, measurement_bias_on=False)
-            )
+            cohort = generate_cohort(scenario_configs_oracle(ScenarioConfig(seed=seed))["none"])
             logistic, cmh = systemic_bias_tests(cohort, audit_config)
             flags += logistic.flagged + cmh.flagged
         assert flags <= 1
@@ -402,7 +393,9 @@ class TestSystemicBias:
         # on it removes every group association even with biased readings
         betas = []
         for seed in range(1, 9):
-            cohort = generate_cohort(ScenarioConfig(seed=seed, systemic_bias_on=False))
+            cohort = generate_cohort(
+                scenario_configs_oracle(ScenarioConfig(seed=seed))["measurement_only"]
+            )
             logistic, _ = systemic_bias_tests(cohort, audit_config)
             betas.append(logistic.contrast)
         assert max(abs(b) for b in betas) < 0.45
@@ -456,10 +449,10 @@ class TestSystemicBias:
 
 class TestGroupAuc:
     def test_identity_measurement_gives_equal_areas(self, audit_config):
-        dgp = replace(DEFAULT_DGP, err_base=0.0, err_noise_sd=1e-9)
-        cohort = generate_cohort(
-            ScenarioConfig(seed=6, dgp=dgp, measurement_bias_on=False)
+        dgp = replace(
+            DEFAULT_DGP, err_base=0.0, err_noise_sd=1e-9, err_group_shift=0.0, err_group_slope=0.0
         )
+        cohort = generate_cohort(ScenarioConfig(seed=6, dgp=dgp))
         result = group_auc_comparison(cohort, audit_config)
         assert abs(result.contrast) < 0.01
         assert not result.flagged
@@ -517,19 +510,13 @@ class TestRunFullAudit:
         assert report.cohort_summary["hypoxemia_rate_group0"] is None
 
     def test_flag_coherence(self, audit_config):
-        for seed, measurement, systemic in (
-            (1, True, True),
-            (2, True, False),
-            (3, False, True),
-            (4, False, False),
+        for seed, label in (
+            (1, "both"),
+            (2, "measurement_only"),
+            (3, "systemic_only"),
+            (4, "none"),
         ):
-            cohort = generate_cohort(
-                ScenarioConfig(
-                    seed=seed,
-                    measurement_bias_on=measurement,
-                    systemic_bias_on=systemic,
-                )
-            )
+            cohort = generate_cohort(scenario_configs_oracle(ScenarioConfig(seed=seed))[label])
             report = run_full_audit(cohort, audit_config)
             by_name = {m.metric_name: m for m in report.metrics}
             for m in report.metrics:

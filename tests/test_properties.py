@@ -64,7 +64,8 @@ def test_scenarios_of_a_seed_share_their_draws(seed, n, mode):
     both = cohorts["both"]
     for cohort in cohorts.values():
         assert (cohort.w_true, cohort.group_a) == (both.w_true, both.group_a)
-    # Within a measurement-toggle pair, only the systemic toggle differs.
+    # Within a pair that shares the measurement terms, only the treatment
+    # penalty differs.
     for first, second in (("both", "measurement_only"), ("systemic_only", "none")):
         assert cohorts[first].w_star == cohorts[second].w_star
         assert cohorts[first].epsilon == cohorts[second].epsilon
@@ -77,8 +78,7 @@ COHORTS = st.builds(
     ScenarioConfig,
     n_total=st.integers(2, 400),
     seed=st.integers(0, 2**64 - 1),
-    measurement_bias_on=st.booleans(),
-    systemic_bias_on=st.booleans(),
+    dgp=st.sampled_from([c.dgp for c in scenario_configs_oracle(ScenarioConfig()).values()]),
 )
 
 

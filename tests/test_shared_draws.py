@@ -73,9 +73,10 @@ def test_grid_cohorts_equal_generation_from_scratch(seed, mode, dgp):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_threshold_protocol_matches_rehashing_oracle(seed):
-    # a stochastic, bias-off base: the protocol overrides all three
-    config = ScenarioConfig(seed=seed, measurement_bias_on=False, systemic_bias_on=False)
-    assert threshold_protocol_summary(config) == threshold_protocol_oracle(config)
+    # a stochastic base with both channels off: the protocol overrides the
+    # treatment mode and keeps the DGP
+    config = scenario_configs_oracle(ScenarioConfig(seed=seed))["none"]
+    assert threshold_protocol_summary(draw_cohort(config)) == threshold_protocol_oracle(config)
 
 
 def test_derive_reads_no_stream(monkeypatch):
@@ -86,8 +87,9 @@ def test_derive_reads_no_stream(monkeypatch):
 
     monkeypatch.setattr(CounterRng, "uniform", forbidden)
     monkeypatch.setattr(CounterRng, "uniform_columns", forbidden)
+    unpenalised = replace(draws, dgp=replace(draws.dgp, treat_group_penalty=0.0))
     for mode in TREATMENT_MODES:
-        assert len(derive_cohort(draws, True, False, mode)) == 200
+        assert len(derive_cohort(unpenalised, mode)) == 200
 
 
 def test_five_draws_per_patient(monkeypatch):
