@@ -15,6 +15,9 @@ A bias channel is switched off by zeroing its DGP group terms with
 measurement channel, ``{"treat_group_penalty": 0}`` for the systemic
 one.  ``grid`` writes the cohort of each combination of the two
 (``cohort_<scenario>.csv``).
+
+This module parses options and routes files; every table it writes
+(Table 1, Table 2, the figure CSV) is rendered by ``reports``.
 """
 
 from __future__ import annotations
@@ -25,11 +28,11 @@ from dataclasses import fields
 from pathlib import Path
 
 from .cohort import DEFAULT_DGP, TREATMENT_MODES, W_HIGH, W_LOW, ScenarioConfig, generate_cohort
-from .figure import figure_summary, figure_summary_csv
-from .grid import SCENARIO_LABELS, GridResult, run_scenario_grid
+from .figure import figure_summary
+from .grid import SCENARIO_LABELS, run_scenario_grid
 from .io import read_cohort_csv, read_params, write_cohort_csv
 from .metrics import AuditConfig, run_full_audit
-from .reports import REPORT_FORMATS, format_value, render_report, write_report
+from .reports import REPORT_FORMATS, figure_to_csv, render_report, table1_to_markdown, write_report
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -155,26 +158,11 @@ def _cmd_audit(args) -> int:
     return EXIT_OK
 
 
-def _table1_markdown(result: GridResult) -> str:
-    t = result.table1
-    lines = [
-        "| Group | Untreated hypoxemia | Outcome (measured-driven) | Outcome (true-driven) |",
-        "| --- | --- | --- | --- |",
-    ]
-    for a in (0, 1):
-        lines.append(
-            f"| A={a} | {format_value(t.untreated_hypoxemic[a])} "
-            f"| {format_value(t.outcome_measured_driven[a])} "
-            f"| {format_value(t.outcome_true_driven[a])} |"
-        )
-    return "\n".join(lines) + "\n"
-
-
 def _cmd_grid(args) -> int:
     result = run_scenario_grid(*_grid_configs(args))
     out_dir = args.out
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "table1.md").write_text(_table1_markdown(result))
+    (out_dir / "table1.md").write_text(table1_to_markdown(result.table1))
     for fmt, name in (("markdown", "table2.md"), ("csv", "table2.csv"), ("json", "table2.json")):
         write_report(result.reports, fmt, out_dir / name)
     for label in SCENARIO_LABELS:
@@ -185,7 +173,7 @@ def _cmd_grid(args) -> int:
 def _cmd_figure(args) -> int:
     cohort = read_cohort_csv(args.input, require_gold=True)
     summary = figure_summary(cohort, bin_width=args.bin_width, value_range=tuple(args.range))
-    _emit(figure_summary_csv(summary), args.out)
+    _emit(figure_to_csv(summary), args.out)
     return EXIT_OK
 
 

@@ -3,8 +3,9 @@
 Produces the data behind an accuracy-by-group figure: for each
 measured-saturation bin and group, a five-number summary of the true
 saturations.  The bins are those of the audit's CMH test
-(``cohort.wstar_bins``).  No plotting here; the CSV is ready for any
-plotting front end.
+(``cohort.wstar_bins``).  This module only computes: no plotting, and
+``reports.figure_to_csv`` renders the summary as CSV for any plotting
+front end.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Sequence
 
 from .cohort import W_HIGH, W_LOW, Cohort, wstar_bins
 
-__all__ = ["FigureBin", "FigureSummary", "figure_summary", "figure_summary_csv"]
+__all__ = ["FigureBin", "FigureSummary", "figure_summary"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,12 +97,3 @@ def figure_summary(
         )
     return FigureSummary(bins=bins, out_of_range=len(cohort) - len(keys))
 
-
-def figure_summary_csv(summary: FigureSummary) -> str:
-    lines = ["bin_center,group_a,count,min,q1,median,q3,max"]
-    for b in summary.bins:
-        lines.append(
-            f"{b.bin_center:.4f},{b.group_a},{b.count},"
-            f"{b.minimum:.4f},{b.q1:.4f},{b.median:.4f},{b.q3:.4f},{b.maximum:.4f}"
-        )
-    return "\n".join(lines) + "\n"

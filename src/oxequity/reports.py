@@ -1,12 +1,13 @@
-"""Report emission: markdown, CSV, and round-trippable JSON.
+"""Report emission: every text table, and round-trippable JSON.
 
-Numeric formatting conventions apply everywhere: values with 4 decimal
-places, p-values in scientific notation with two significant digits, and
-p-values below 1e-15 rendered as the string ``<1e-15`` (double precision
-cannot resolve smaller tails reliably).  Free text such as a scenario
-label is escaped for its format: ``|`` as ``\\|`` and each line break
-(``\\r\\n``, ``\\r`` or ``\\n``) as ``<br>`` in markdown cells, and CSV
-fields quoted as RFC 4180 asks.
+Table 2, Table 1 and the figure data are lists of rows of text that
+``markdown_table`` or ``csv_table`` write.  Both escape every cell, so a
+label may hold any text.  Markdown escapes ``\\`` as ``\\\\`` and then ``|``
+as ``\\|`` (CommonMark reads a backslash before ASCII punctuation as one
+escape, so no pipe of the text ends its cell), and writes each line
+break as ``<br>``; CSV quotes a field as RFC 4180 asks.  Values have 4
+decimals, p-values two significant digits, and below 1e-15 they read
+``<1e-15`` (double precision cannot resolve smaller tails reliably).
 
 The JSON keys are the field names of ``EquityReport``, ``MetricResult``
 and ``TestResult``, in both directions: ``report_to_json`` writes
@@ -28,6 +29,8 @@ from pathlib import Path
 from types import UnionType
 from typing import Sequence, get_args, get_origin, get_type_hints
 
+from .figure import FigureSummary
+from .grid import Table1Summary
 from .metrics import METRIC_ORDER, EquityReport, MetricResult
 from .stats.hypotests import TestResult
 
@@ -35,13 +38,17 @@ __all__ = [
     "SCHEMA_VERSION",
     "P_FLOOR",
     "REPORT_FORMATS",
+    "csv_table",
+    "figure_to_csv",
     "format_p_value",
     "format_value",
+    "markdown_table",
     "parse_report_json",
     "render_report",
     "report_to_csv",
     "report_to_json",
     "report_to_markdown",
+    "table1_to_markdown",
     "write_report",
 ]
 
@@ -77,9 +84,11 @@ def _cell(metric: MetricResult) -> str:
 
 
 def _markdown_cell(text: str) -> str:
-    # A table row is one line, so each line break becomes <br>.
+    # Backslashes first: a bare one before a pipe would give \\|, an escaped
+    # backslash and then a delimiter.  A row is one line: breaks are <br>.
     return (
-        text.replace("|", "\\|")
+        text.replace("\\", "\\\\")
+        .replace("|", "\\|")
         .replace("\r\n", "<br>")
         .replace("\r", "<br>")
         .replace("\n", "<br>")
@@ -94,57 +103,66 @@ def _csv_field(text: str) -> str:
     return text
 
 
+def markdown_table(rows: Sequence[Sequence[str]]) -> str:
+    """A GFM table of ``rows``, the first of them the header; every cell escaped."""
+    header, *body = rows
+    lines = (header, ["---"] * len(header), *body)
+    return "".join("| " + " | ".join(map(_markdown_cell, row)) + " |\n" for row in lines)
+
+
+def csv_table(rows: Sequence[Sequence[str]]) -> str:
+    """One CSV line per row, each field quoted as RFC 4180 asks."""
+    return "".join(",".join(map(_csv_field, row)) + "\n" for row in rows)
+
+
 def report_to_markdown(reports: Sequence[EquityReport]) -> str:
     """Metric-by-scenario markdown table; flagged cells carry **[FLAG]**."""
     if not reports:
         raise ValueError("need at least one report")
     # By position: two reports may share a label.
     by_name = [{m.metric_name: m for m in rep.metrics} for rep in reports]
-    header = " | ".join(_markdown_cell(rep.scenario_label) for rep in reports)
-    lines = ["| Metric | Interpretation | " + header + " |"]
-    lines.append("|" + " --- |" * (2 + len(reports)))
+    rows = [["Metric", "Interpretation", *(rep.scenario_label for rep in reports)]]
     for name in METRIC_ORDER:
-        interpretation = ""
-        cells = []
-        for metrics in by_name:
-            metric = metrics.get(name)
-            if metric is None:
-                cells.append("-")
-                continue
-            interpretation = _markdown_cell(metric.interpretation)
-            cells.append(_markdown_cell(_cell(metric)))
-        lines.append(
-            "| " + name + " | " + interpretation + " | " + " | ".join(cells) + " |"
-        )
-    return "\n".join(lines) + "\n"
+        found = [metrics.get(name) for metrics in by_name]
+        interpretation = next((m.interpretation for m in reversed(found) if m is not None), "")
+        rows.append([name, interpretation, *("-" if m is None else _cell(m) for m in found)])
+    return markdown_table(rows)
 
 
 def report_to_csv(reports: Sequence[EquityReport]) -> str:
     """One row per (metric, scenario) with the flat summary columns."""
     if not reports:
         raise ValueError("need at least one report")
-    lines = [
-        "metric,scenario,group0_value,group1_value,contrast,statistic,df,p_value,flagged"
-    ]
+    header = "metric,scenario,group0_value,group1_value,contrast,statistic,df,p_value,flagged"
+    rows = [header.split(",")]
     for rep in reports:
+        label = rep.scenario_label
         for metric in rep.metrics:
             test = metric.test
-            lines.append(
-                ",".join(
-                    [
-                        metric.metric_name,
-                        _csv_field(rep.scenario_label),
-                        format_value(metric.group_values.get(0)),
-                        format_value(metric.group_values.get(1)),
-                        format_value(metric.contrast),
-                        format_value(test.statistic) if test else "",
-                        format_value(test.df) if test and test.df is not None else "",
-                        format_p_value(test.p_value) if test else "",
-                        "true" if metric.flagged else "false",
-                    ]
-                )
-            )
-    return "\n".join(lines) + "\n"
+            values = [metric.group_values.get(0), metric.group_values.get(1), metric.contrast]
+            values += [test.statistic, test.df] if test else [None, None]
+            p_value = format_p_value(test.p_value) if test else ""
+            flagged = "true" if metric.flagged else "false"
+            rows.append([metric.metric_name, label, *map(format_value, values), p_value, flagged])
+    return csv_table(rows)
+
+
+def table1_to_markdown(table1: Table1Summary) -> str:
+    """Table 1, the threshold protocol: one row per group."""
+    rates = (table1.untreated_hypoxemic, table1.outcome_measured_driven, table1.outcome_true_driven)
+    rows = [["Group", "Untreated hypoxemia", "Outcome (measured-driven)", "Outcome (true-driven)"]]
+    rows += ([f"A={a}", *(format_value(rate[a]) for rate in rates)] for a in (0, 1))
+    return markdown_table(rows)
+
+
+def figure_to_csv(summary: FigureSummary) -> str:
+    """The accuracy-by-group figure data: one row per (bin, group)."""
+    rows = [["bin_center", "group_a", "count", "min", "q1", "median", "q3", "max"]]
+    for b in summary.bins:
+        values = (b.bin_center, b.minimum, b.q1, b.median, b.q3, b.maximum)
+        center, *quantiles = map(format_value, values)
+        rows.append([center, str(b.group_a), str(b.count), *quantiles])
+    return csv_table(rows)
 
 
 def report_to_json(reports: Sequence[EquityReport]) -> str:

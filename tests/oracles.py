@@ -1,12 +1,14 @@
 """Independent oracle implementations used to pin expected test values.
 
 These deliberately avoid the package's own numerics: the normal CDF is a
-high-precision Maclaurin erf series evaluated with mpmath, quantiles
-come from bisection on it, tail probabilities from adaptive Simpson
-integration of the densities, the AUC oracles integrate the
-empirical ROC curve with the trapezoid rule and sum exact midranks (the
-loop the package ran before it bisected, kept to pin its bits), and the
-CMH statistic is summed in exact rationals.  The SplitMix64 finalizer
+high-precision Maclaurin erf series evaluated with mpmath (its lower
+tail is mpmath's erfc), quantiles come from bisection on the series,
+tail probabilities from adaptive Simpson integration of the densities,
+the AUC oracles integrate the empirical ROC curve with the trapezoid
+rule and sum exact midranks (the loop the package ran before it
+bisected, kept to pin its bits), and the CMH statistic is summed in
+exact rationals.  ``gfm_cells`` reads a markdown table row back as
+CommonMark reads backslashes.  The SplitMix64 finalizer
 and its inverse are written out here to build stream keys whose draw is
 a chosen word.  The cohort and Table-1 oracles are the exception: they
 reuse the package's counter RNG and pin how draws are shared and how
@@ -23,6 +25,7 @@ the kernel's arithmetic and summation order bit for bit.
 from __future__ import annotations
 
 import math
+import string
 from dataclasses import make_dataclass, replace
 from fractions import Fraction
 
@@ -67,7 +70,11 @@ def erf_series(x) -> mp.mpf:
 
 
 def normal_cdf_oracle(x) -> float:
+    """Phi(x) as 0.5 (1 + erf), but below 0 as mpmath's 0.5 erfc(-x / sqrt 2):
+    at 40 digits, 1 + erf loses a small tail's digits (below 1e-40, all)."""
     x = mp.mpf(x)
+    if x < 0:
+        return float(mp.erfc(-x / mp.sqrt(2)) / 2)
     return float(mp.mpf("0.5") * (1 + erf_series(x / mp.sqrt(2))))
 
 
@@ -733,3 +740,23 @@ def fit_logistic_irls_oracle(design_rows, outcomes, max_iter=50) -> LogisticFit:
         max_abs_score=max_abs_score,
         covariance=covariance,
     )
+
+
+def gfm_cells(row: str) -> list[str]:
+    """The cells of one GFM table row, stripped and unescaped.
+
+    A backslash before ASCII punctuation is one escape, so it and the
+    character after it are that character in its cell; every other ``|``
+    is a delimiter.  The row's outer pipes are dropped.
+    """
+    cells = [""]
+    chars = iter(row)
+    for c in chars:
+        if c == "\\":
+            after = next(chars, "")
+            cells[-1] += after if after and after in string.punctuation else c + after
+        elif c == "|":
+            cells.append("")
+        else:
+            cells[-1] += c
+    return [cell.strip() for cell in cells[1:-1]]

@@ -1,13 +1,15 @@
 """Scenario grid invariants, protocol summary, and figure data."""
 
+import hashlib
 from dataclasses import replace
 
 import pytest
 
 from oxequity.cohort import DEFAULT_DGP, DgpParams, ScenarioConfig, draw_cohort, generate_cohort
-from oxequity.figure import figure_summary, figure_summary_csv
+from oxequity.figure import figure_summary
 from oxequity.grid import SCENARIO_LABELS, run_scenario_grid, threshold_protocol_summary
 from oxequity.metrics import AuditConfig
+from oxequity.reports import figure_to_csv
 
 from oracles import cohort_of, gold_free, scenario_configs_oracle
 
@@ -156,8 +158,11 @@ class TestFigureSummary:
     def test_csv_shape(self):
         cohort = generate_cohort(ScenarioConfig(seed=16, n_total=500))
         summary = figure_summary(cohort)
-        text = figure_summary_csv(summary)
+        text = figure_to_csv(summary)
         lines = text.strip().splitlines()
         assert lines[0] == "bin_center,group_a,count,min,q1,median,q3,max"
         assert len(lines) == 1 + len(summary.bins)
         assert all(len(line.split(",")) == 8 for line in lines[1:])
+        # The bytes, as the figure command writes them.
+        digest = "b3b243c203ca30e57d8a9f5c0d77a5d1c518a661e4dfc27e95730b77f31cdaa5"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -1,9 +1,12 @@
 """Property checks over generated inputs (hypothesis, derandomized in conftest)."""
 
+import csv
 import math
 import random
+import re
 import tempfile
 from dataclasses import replace
+from io import StringIO
 from pathlib import Path
 from unittest import mock
 
@@ -29,11 +32,16 @@ from oxequity.metrics import (  # noqa: E402
     MetricResult,
     run_full_audit,
 )
-from oxequity.reports import parse_report_json, report_to_json  # noqa: E402
+from oxequity.reports import (  # noqa: E402
+    parse_report_json,
+    report_to_csv,
+    report_to_json,
+    report_to_markdown,
+)
 from oxequity.rng import Channel, CounterRng  # noqa: E402
 from oxequity.stats import hypotests  # noqa: E402
 
-from oracles import gold_free, scenario_configs_oracle  # noqa: E402
+from oracles import gfm_cells, gold_free, scenario_configs_oracle  # noqa: E402
 
 SEEDS = st.one_of(st.integers(0, 2**64 - 1), st.integers(2**64, 2**80))
 
@@ -287,7 +295,7 @@ def test_every_ok_value_of_any_small_cohort_is_finite(cohort, width):
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 # Free text, with the characters that CSV and markdown escape drawn often.
-TEXT = st.text(st.characters() | st.sampled_from('|,"\r\n'))
+TEXT = st.text(st.characters() | st.sampled_from('\\|,"\r\n'))
 TESTS = st.builds(
     hypotests.TestResult,
     statistic=FINITE,
@@ -322,3 +330,29 @@ def test_report_json_round_trip_is_exact(reports):
     parsed = parse_report_json(text)
     assert parsed == reports
     assert report_to_json(parsed) == text
+
+
+# --- the text tables --------------------------------------------------------------
+
+# Labels without a NUL, which the CSV reader rejects before CPython 3.11.
+LABELS = st.text(st.characters(exclude_characters="\x00") | st.sampled_from('\\|,"\r\n'))
+
+
+@hypothesis.settings(max_examples=50, deadline=None)
+@hypothesis.given(labelled=st.lists(st.tuples(REPORTS, LABELS), min_size=1, max_size=3))
+@hypothesis.example(labelled=[(EquityReport("x", [], {}), "a \\| b")])
+def test_text_tables_keep_their_shape_for_any_label(labelled):
+    reports = [replace(report, scenario_label=label) for report, label in labelled]
+    labels = [label for _, label in labelled]
+
+    rows = list(csv.reader(StringIO(report_to_csv(reports), newline="")))
+    assert all(len(row) == 9 for row in rows)
+    assert [row[1] for row in rows[1:]] == [r.scenario_label for r in reports for _ in r.metrics]
+
+    # Every line splits, by CommonMark's backslash escapes, into the header's
+    # cells, and the header reads each label back, line breaks as <br>.
+    lines = report_to_markdown(reports).split("\n")
+    assert lines.pop() == ""
+    header = [re.sub(r"\r\n?|\n", "<br>", label).strip() for label in labels]
+    assert gfm_cells(lines[0]) == ["Metric", "Interpretation", *header]
+    assert all(len(gfm_cells(line)) == 2 + len(reports) for line in lines)

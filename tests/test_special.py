@@ -45,6 +45,12 @@ def test_cdf_absolute_accuracy():
         assert normal_cdf(x) == pytest.approx(normal_cdf_oracle(x), abs=1e-10)
 
 
+def test_cdf_relative_accuracy():
+    # Down to x = -37, where the tail is 5.7e-300, near the float range's end.
+    for x in [-37.0 + 0.25 * i for i in range(181)]:
+        assert normal_cdf(x) == pytest.approx(normal_cdf_oracle(x), rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.5])
 def test_quantile_rejects_out_of_domain(p):
     with pytest.raises(ValueError):
