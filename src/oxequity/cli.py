@@ -142,7 +142,7 @@ def _emit(text: str, out: Path | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        out.write_text(text)
+        out.write_text(text, encoding="utf-8")
 
 
 def _cmd_simulate(args) -> int:
@@ -162,7 +162,7 @@ def _cmd_grid(args) -> int:
     result = run_scenario_grid(*_grid_configs(args))
     out_dir = args.out
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "table1.md").write_text(table1_to_markdown(result.table1))
+    _emit(table1_to_markdown(result.table1), out_dir / "table1.md")
     for fmt, name in (("markdown", "table2.md"), ("csv", "table2.csv"), ("json", "table2.json")):
         write_report(result.reports, fmt, out_dir / name)
     for label in SCENARIO_LABELS:

@@ -8,6 +8,9 @@ membership A influences W* only through the measurement-error channel
 through the systemic-bias channel (``treat_group_penalty``).  A channel
 is off when its ``DgpParams`` group terms are 0.0; either can be switched
 off without perturbing any random draw (common random numbers).
+True saturation is normal, truncated to the window [70, 100], with its
+mean at most 37 sd outside the window, so that one probit inversion
+draws it (``_saturation_inverse_cdf``).
 
 Generation runs in two stages: ``draw_cohort`` hashes every patient's
 streams once, as whole columns, and ``derive_cohort`` applies the DGP
@@ -31,7 +34,6 @@ both the field order of ``Cohort`` and the cohort CSV header.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field, fields
 from itertools import compress, repeat
 from operator import add, sub, truediv
@@ -72,6 +74,10 @@ _COHORT_CHANNELS = (
     Channel.TREAT,
     Channel.OUTCOME,
 )
+# How many saturation_sd the saturation mean may lie outside the window:
+# the inverse CDF needs Phi at the near edge as a normal float, Phi(-37) =
+# 5.7e-300, and Phi falls below the smallest one (2.2e-308) at 37.52 sd.
+_MAX_SD_OUTSIDE = 37.0
 
 
 def _require_finite(config) -> None:
@@ -110,7 +116,8 @@ class DgpParams:
     hypoxemia and ventilation rates).
 
     Construction raises ValueError on an invalid field, so a ``DgpParams``
-    that exists is valid.
+    that exists is valid.  ``saturation_mean`` may lie outside [W_LOW,
+    W_HIGH] by at most ``_MAX_SD_OUTSIDE`` sd (with sd 0, not at all).
     """
 
     saturation_mean: float = 88.3
@@ -143,6 +150,12 @@ class DgpParams:
         if self.saturation_sd < 0.0:
             raise ValueError(f"saturation_sd must be >= 0, got {self.saturation_sd!r}")
         _require_finite(self)
+        reach = _MAX_SD_OUTSIDE * self.saturation_sd
+        if not W_LOW - reach <= self.saturation_mean <= W_HIGH + reach:
+            raise ValueError(
+                f"saturation_mean={self.saturation_mean!r} lies more than {_MAX_SD_OUTSIDE:g} "
+                f"saturation_sd outside [{W_LOW}, {W_HIGH}]"
+            )
 
 
 DEFAULT_DGP = DgpParams()
@@ -224,14 +237,11 @@ def _saturation_inverse_cdf(uniforms: Sequence[float], params: DgpParams) -> lis
     come from one ``normal_quantiles`` pass.  With the mean below the
     window the CDF at both edges can round to 1.0, so there the law is
     inverted through its upper tail: the scale is negated, which the
-    normal law's symmetry allows, and w still rises with u.  With the
-    mean far outside the window the tail at its near edge falls below the
-    normal float range (about 37.5 sd out, and to 0.0 from about 38.5 sd),
-    so there the law is inverted in log space (``_log_space_inverse``);
-    below the window that runs on the reflected law of -w, over the
-    reflected window and with u reflected to 1 - u.  Pathological tail
-    draws that escape the window through floating point are clipped back
-    to the bounds.
+    normal law's symmetry allows, and w still rises with u.  ``DgpParams``
+    keeps the mean within ``_MAX_SD_OUTSIDE`` sd of the window, so the
+    CDF at the near edge is a normal float.  Pathological tail draws that
+    escape the window through floating point are clipped back to the
+    bounds.
     """
     mean, sd = params.saturation_mean, params.saturation_sd
     if sd < 1e-12:
@@ -239,70 +249,11 @@ def _saturation_inverse_cdf(uniforms: Sequence[float], params: DgpParams) -> lis
     scale = -sd if mean < W_LOW else sd
     lo = normal_cdf((W_LOW - mean) / scale)
     hi = normal_cdf((W_HIGH - mean) / scale)
-    if mean > W_HIGH and hi < sys.float_info.min:
-        values = _log_space_inverse(uniforms, mean, sd, W_LOW, W_HIGH)
-    elif mean < W_LOW and lo < sys.float_info.min:
-        reflected = [1.0 - u for u in uniforms]
-        values = [-v for v in _log_space_inverse(reflected, -mean, sd, -W_HIGH, -W_LOW)]
-    else:
-        ps = [lo + u * (hi - lo) for u in uniforms]
-        # A NaN p is neither <= 0 nor >= 1, so normal_quantiles rejects it.
-        probit = iter(normal_quantiles([p for p in ps if not (p <= 0.0 or p >= 1.0)])).__next__
-        values = [
-            W_LOW if p <= 0.0 else W_HIGH if p >= 1.0 else mean + scale * probit() for p in ps
-        ]
+    ps = [lo + u * (hi - lo) for u in uniforms]
+    # A NaN p is neither <= 0 nor >= 1, so normal_quantiles rejects it.
+    probit = iter(normal_quantiles([p for p in ps if not (p <= 0.0 or p >= 1.0)])).__next__
+    values = [W_LOW if p <= 0.0 else W_HIGH if p >= 1.0 else mean + scale * probit() for p in ps]
     return [W_LOW if v < W_LOW else W_HIGH if v > W_HIGH else v for v in values]
-
-
-_LOG_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
-
-def _log_normal_cdf(z: float) -> tuple[float, float]:
-    """log Phi(z) and its slope phi(z) / Phi(z), for z below about -30.
-
-    The slope is the continued fraction x + 1/(x + 2/(x + 3/(x + ...))),
-    x = -z, summed from its 12th level up; there it has converged to
-    double precision.  Then log Phi(z) = -x^2/2 - log sqrt(2 pi) - log slope.
-    """
-    x = -z
-    slope = x
-    for k in range(12, 0, -1):
-        slope = x + k / slope
-    return -0.5 * x * x - _LOG_SQRT_TWO_PI - math.log(slope), slope
-
-
-def _log_space_inverse(
-    uniforms: Sequence[float], mean: float, sd: float, low: float, high: float
-) -> list[float]:
-    """The inverse CDF of N(mean, sd) truncated to a window [low, high] far below the mean.
-
-    In standard units z = (w - mean) / sd the window is [z_lo, z_hi], far
-    below 0.  Each z solves log Phi(z) = log Phi(z_hi) + log q, where
-    q = Phi(z) / Phi(z_hi) = u + (1 - u) Phi(z_lo) / Phi(z_hi) rises with u.
-    log Phi is concave, so its tangent lies above it: starting from the
-    tangent at z_hi, each Newton step lands below the root and rises
-    towards it, and w rises with u.  A q that rounds to 0 gives ``low``.
-    """
-    z_lo, z_hi = (low - mean) / sd, (high - mean) / sd
-    log_hi, slope_hi = _log_normal_cdf(z_hi)
-    ratio = math.exp(_log_normal_cdf(z_lo)[0] - log_hi)
-    values = []
-    for u in uniforms:
-        q = u + (1.0 - u) * ratio
-        if q <= 0.0:
-            values.append(low)
-            continue
-        log_q = math.log(q)
-        target = log_hi + log_q
-        z = z_hi + log_q / slope_hi
-        for _ in range(50):
-            log_cdf, slope = _log_normal_cdf(z)
-            step = (target - log_cdf) / slope
-            z += step
-            if abs(step) <= 1e-15 * -z:
-                break
-        values.append(mean + sd * z)
-    return values
 
 
 # The hinges below write max(0.0, d) as `d if d > 0.0 else 0.0`, the

@@ -66,12 +66,13 @@ SCENARIO_LABELS = tuple(_ZEROED)
 class Table1Summary:
     """Deterministic-protocol rates per group.
 
-    ``untreated_hypoxemic`` conditions on true hypoxemia; the outcome
-    rates are cohort-wide, under measured-value-driven and
-    true-value-driven treatment respectively.
+    ``untreated_hypoxemic`` conditions on true hypoxemia, and is None for
+    a group with no truly hypoxemic patient; the outcome rates are
+    cohort-wide, under measured-value-driven and true-value-driven
+    treatment respectively.
     """
 
-    untreated_hypoxemic: dict[int, float]
+    untreated_hypoxemic: dict[int, float | None]
     outcome_measured_driven: dict[int, float]
     outcome_true_driven: dict[int, float]
 
@@ -93,7 +94,7 @@ def threshold_protocol_summary(draws: CohortDraws) -> Table1Summary:
     differ only through the treatment input.
 
     Raises:
-        ValueError: a group is empty or has no truly hypoxemic patient.
+        ValueError: a group is empty.
     """
     cohort = derive_cohort(draws, "deterministic")
     dgp = draws.dgp
@@ -102,16 +103,14 @@ def threshold_protocol_summary(draws: CohortDraws) -> Table1Summary:
     outcome_true = outcome_assignments(w_true, treated_true, draws.u_out, dgp)
     hypoxemic = _truly_hypoxemic(w_true, dgp.w_hypox)
     h0, n0, h1, n1 = _tally(hypoxemic, group_a)
-    for a, size, n_hypoxemic in ((0, n0, h0), (1, n1, h1)):
+    for a, size in ((0, n0), (1, n1)):
         if not size:
             raise ValueError(f"group {a} is empty; cannot summarize the protocol")
-        if not n_hypoxemic:
-            raise ValueError(f"group {a} has no hypoxemic patients")
     u0, _, u1, _ = _tally([h and not z for h, z in zip(hypoxemic, treated)], group_a)
     m0, _, m1, _ = _tally(cohort.outcome, group_a)
     t0, _, t1, _ = _tally(outcome_true, group_a)
     return Table1Summary(
-        untreated_hypoxemic={0: u0 / h0, 1: u1 / h1},
+        untreated_hypoxemic={0: u0 / h0 if h0 else None, 1: u1 / h1 if h1 else None},
         outcome_measured_driven={0: m0 / n0, 1: m1 / n1},
         outcome_true_driven={0: t0 / n0, 1: t1 / n1},
     )

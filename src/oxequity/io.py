@@ -6,6 +6,8 @@ gold-standard columns (w_true, epsilon) are accepted when the caller
 does not require them; so are rows whose two gold fields are both blank.
 The cohort's ``w_true`` and ``epsilon`` columns then hold None for those
 patients, and the audit skips the metrics that need the gold standard.
+Cohort and parameter files are read as UTF-8, a leading byte-order mark
+(which spreadsheet exports write) accepted, and written as UTF-8.
 
 ``_RULES`` states each column's rule (type and bound) once, and the
 reader's two paths both read it.  The file is parsed in blocks of
@@ -80,7 +82,7 @@ def write_cohort_csv(cohort: Cohort, path: str | Path) -> None:
     """Write a cohort in the standard schema, gold fields blank when absent."""
     # No field can hold a comma, quote or line break, so no field needs
     # quoting, and each row is one template streamed to the file.
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write(",".join(COHORT_COLUMNS) + "\n")
         handle.writelines(
             map(
@@ -207,7 +209,7 @@ def read_cohort_csv(path: str | Path, require_gold: bool = True) -> Cohort:
     non-binary indicator columns.  When a file has several faults, the
     first row's is reported.
     """
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None:
@@ -235,7 +237,7 @@ def read_cohort_csv(path: str | Path, require_gold: bool = True) -> Cohort:
 
 def read_params(path: str | Path) -> DgpParams:
     """Read a flat key/value parameter document; unknown keys are rejected."""
-    with open(path) as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         try:
             payload = json.load(handle)
         except json.JSONDecodeError as exc:

@@ -266,4 +266,4 @@ def write_report(
     reports: Sequence[EquityReport], format: str, path: str | Path
 ) -> None:
     """Serialize reports to the given path in one of ``REPORT_FORMATS``."""
-    Path(path).write_text(render_report(reports, format))
+    Path(path).write_text(render_report(reports, format), encoding="utf-8")

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import sub
 from typing import Sequence
 
 from .special import normal_cdf, regularized_beta, regularized_gamma_q
@@ -84,7 +86,7 @@ def _mean(values: Sequence[float]) -> float:
 
 
 def _sample_variance(values: Sequence[float], mean: float) -> float:
-    return math.fsum((v - mean) ** 2 for v in values) / (len(values) - 1)
+    return math.fsum(map(pow, map(sub, values, repeat(mean)), repeat(2))) / (len(values) - 1)
 
 
 def welch_t_one_sided(

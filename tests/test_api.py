@@ -127,6 +127,21 @@ def test_span_targets_exist():
             assert callable(getattr(module, name, None)), f"oxequity.{layer}.{name}"
 
 
+def test_every_file_call_names_its_encoding():
+    # Without encoding= a file is read and written in the locale's encoding.
+    unnamed = []
+    for path in sorted((ROOT / "src" / "oxequity").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", getattr(node.func, "attr", None))
+                in ("open", "read_text", "write_text")
+                and not any(k.arg == "encoding" for k in node.keywords)
+            ):
+                unnamed.append(f"{path.name}:{node.lineno}")
+    assert not unnamed
+
+
 def test_irls_kernel_uses_no_sum_or_fsum():
     found = []
     for node in ast.walk(ast.parse(LOGISTIC_FILE.read_text())):

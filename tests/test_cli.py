@@ -399,3 +399,44 @@ def test_audit_survives_a_huge_finite_error(tmp_path, capsys):
     assert statuses["representativeness"].startswith("untestable: ")
     assert statuses["information_bias"].startswith("untestable: ")
     assert statuses["treatment_gap"] == "ok"
+
+
+def test_simulate_rejects_a_saturation_mean_far_outside_the_window(tmp_path, capsys):
+    params = tmp_path / "p.json"
+    params.write_text('{"saturation_mean": 200}\n')
+    out = tmp_path / "c.csv"
+    assert run("simulate", "--n", "50", "--params", str(params), "--out", str(out)) == 1
+    assert "error: saturation_mean=200.0 lies more than 37" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_grid_writes_table1_when_a_group_has_no_hypoxemic_patient(tmp_path):
+    # At mean 96 group 0 of this cohort has no truly hypoxemic patient:
+    # its untreated share is an empty cell, and the rest of the bundle is
+    # written.
+    params = tmp_path / "p.json"
+    params.write_text('{"saturation_mean": 96}\n')
+    out = tmp_path / "bundle"
+    argv = ("grid", "--n", "2500", "--seed", "1", "--params", str(params))
+    assert run(*argv, "--out", str(out)) == 0
+    rows = (out / "table1.md").read_text().splitlines()
+    assert rows[2].startswith("| A=0 |  | ")
+    assert len(parse_report_json((out / "table2.json").read_text())) == 4
+
+
+def test_audit_and_simulate_accept_a_byte_order_mark(tmp_path, capsys):
+    # Spreadsheet exports begin a UTF-8 file with a byte-order mark.
+    assert run("grid", "--n", "300", "--seed", "3", "--out", str(tmp_path / "g")) == 0
+    cohort = tmp_path / "g" / "cohort_both.csv"
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + cohort.read_bytes())
+    assert run("audit", "--in", str(cohort), "--format", "json") == 0
+    plain = capsys.readouterr().out
+    assert run("audit", "--in", str(marked), "--format", "json") == 0
+    assert capsys.readouterr().out == plain
+    params = tmp_path / "p.json"
+    params.write_bytes(b'\xef\xbb\xbf{"treat_group_penalty": 0}\n')
+    out = tmp_path / "c.csv"
+    argv = ("simulate", "--n", "300", "--seed", "3", "--params", str(params))
+    assert run(*argv, "--out", str(out)) == 0
+    assert out.read_bytes() == (tmp_path / "g" / "cohort_measurement_only.csv").read_bytes()

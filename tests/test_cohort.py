@@ -7,6 +7,8 @@ import pytest
 
 from oxequity.cohort import (
     DEFAULT_DGP,
+    W_HIGH,
+    W_LOW,
     DgpParams,
     ScenarioConfig,
     _saturation_inverse_cdf,
@@ -70,10 +72,14 @@ class TestTrueSaturation:
         ),
     )
     def test_mean_below_the_window_against_oracle(self, mean, u):
-        # Below the window the normal CDF at both edges rounds to 1.0, and
-        # from about 37.5 sd below it the reflected tail at 70 underflows;
-        # the draws must still follow the truncated law, whose mass sits
-        # near 70.
+        # Below the window the normal CDF at both edges rounds to 1.0; the
+        # draws must still follow the truncated law, whose mass sits near
+        # 70.  A mean more than 37 sd below (-100, -300) is rejected: the
+        # tail at 70 would underflow.
+        if mean < W_LOW - 37 * DEFAULT_DGP.saturation_sd:
+            with pytest.raises(ValueError, match="saturation_mean"):
+                replace(DEFAULT_DGP, saturation_mean=mean)
+            return
         params = replace(DEFAULT_DGP, saturation_mean=mean)
         assert saturation(u, params) == pytest.approx(
             truncated_normal_inverse_oracle(u, mean, params.saturation_sd), abs=1e-6
@@ -81,17 +87,30 @@ class TestTrueSaturation:
 
     @pytest.mark.parametrize("mean", (190.0, 195.0, 200.0, 300.0))
     def test_mean_above_the_window_against_oracle(self, mean):
-        # From about 37.5 sd above the window the normal CDF at its upper
-        # edge is subnormal (at 190), then 0.0 at both edges; the draws must
-        # still follow the truncated law, whose mass sits just below 100.
-        params = replace(DEFAULT_DGP, saturation_mean=mean)
+        # Each mean lies more than 37 sd above the window, where the normal
+        # CDF at its upper edge would be subnormal or 0.0: it is rejected.
+        assert mean > W_HIGH + 37 * DEFAULT_DGP.saturation_sd
+        with pytest.raises(ValueError, match="saturation_mean"):
+            replace(DEFAULT_DGP, saturation_mean=mean)
+
+    @pytest.mark.parametrize("sd", (0.5, 2.35, 6.0))
+    @pytest.mark.parametrize("side", ("below", "above"))
+    def test_mean_37_sd_outside_the_window_against_oracle(self, side, sd):
+        mean = W_LOW - 37.0 * sd if side == "below" else W_HIGH + 37.0 * sd
+        params = replace(DEFAULT_DGP, saturation_mean=mean, saturation_sd=sd)
         us = (0.001, 0.5, 0.977)
         draws = _saturation_inverse_cdf(us, params)
         for u, w in zip(us, draws):
-            assert w == pytest.approx(
-                truncated_normal_inverse_oracle(u, mean, params.saturation_sd), abs=1e-6
-            )
+            assert w == pytest.approx(truncated_normal_inverse_oracle(u, mean, sd), abs=1e-6)
         assert draws[0] < draws[1] < draws[2]
+        farther = W_LOW - 37.001 * sd if side == "below" else W_HIGH + 37.001 * sd
+        with pytest.raises(ValueError, match="saturation_mean"):
+            replace(params, saturation_mean=farther)
+
+    @pytest.mark.parametrize("mean", (69.5, 100.5))
+    def test_degenerate_sd_mean_must_lie_in_the_window(self, mean):
+        with pytest.raises(ValueError, match=f"saturation_mean={mean!r} lies more than 37"):
+            replace(DEFAULT_DGP, saturation_mean=mean, saturation_sd=0.0)
 
     def test_extreme_draws_stay_in_bounds(self):
         low = saturation(1e-300, DEFAULT_DGP)

@@ -9,7 +9,7 @@ from oxequity.cohort import DEFAULT_DGP, DgpParams, ScenarioConfig, draw_cohort,
 from oxequity.figure import figure_summary
 from oxequity.grid import SCENARIO_LABELS, run_scenario_grid, threshold_protocol_summary
 from oxequity.metrics import AuditConfig
-from oxequity.reports import figure_to_csv
+from oxequity.reports import figure_to_csv, table1_to_markdown
 
 from oracles import cohort_of, gold_free, scenario_configs_oracle
 
@@ -102,12 +102,15 @@ class TestThresholdProtocol:
             )
         assert str(info.value) == "group 1 is empty; cannot summarize the protocol"
 
-    def test_group_without_hypoxemia_rejected(self):
-        # every true saturation is 99, above the hypoxemia threshold
+    def test_group_without_hypoxemia_has_no_untreated_share(self):
+        # every true saturation is 99, above the hypoxemia threshold: the
+        # untreated share has no patients to count, the outcome rates do
         dgp = DgpParams(saturation_mean=99.0, saturation_sd=0.0)
-        with pytest.raises(ValueError) as info:
-            threshold_protocol_summary(draw_cohort(ScenarioConfig(n_total=50, dgp=dgp)))
-        assert str(info.value) == "group 0 has no hypoxemic patients"
+        summary = threshold_protocol_summary(draw_cohort(ScenarioConfig(n_total=50, dgp=dgp)))
+        assert summary.untreated_hypoxemic == {0: None, 1: None}
+        for rate in (summary.outcome_measured_driven, summary.outcome_true_driven):
+            assert all(0.0 <= rate[a] <= 1.0 for a in (0, 1))
+        assert table1_to_markdown(summary).splitlines()[2].startswith("| A=0 |  |")
 
 
 class TestFigureSummary:
