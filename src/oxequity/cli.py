@@ -30,7 +30,7 @@ from pathlib import Path
 from .cohort import DEFAULT_DGP, TREATMENT_MODES, W_HIGH, W_LOW, ScenarioConfig, generate_cohort
 from .figure import figure_summary
 from .grid import SCENARIO_LABELS, run_scenario_grid
-from .io import read_cohort_csv, read_params, write_cohort_csv
+from .io import read_cohort_csv, read_params, write_cohort_csv, write_output
 from .metrics import AuditConfig, run_full_audit
 from .reports import REPORT_FORMATS, figure_to_csv, render_report, table1_to_markdown, write_report
 
@@ -128,21 +128,10 @@ def _scenario_config(args) -> ScenarioConfig:
     )
 
 
-def _audit_config(args) -> AuditConfig:
-    return _config(AuditConfig, args)
-
-
 def _grid_configs(args) -> tuple[ScenarioConfig, AuditConfig]:
     """The grid's configs, with one hypoxemia threshold: the DGP's (``--params``)."""
     scenario = _scenario_config(args)
     return scenario, _config(AuditConfig, args, w_hypox=scenario.dgp.w_hypox)
-
-
-def _emit(text: str, out: Path | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        out.write_text(text, encoding="utf-8")
 
 
 def _cmd_simulate(args) -> int:
@@ -153,8 +142,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_audit(args) -> int:
     cohort = read_cohort_csv(args.input, require_gold=args.require_gold)
-    report = run_full_audit(cohort, _audit_config(args), scenario_label=args.label)
-    _emit(render_report([report], args.format), args.out)
+    report = run_full_audit(cohort, _config(AuditConfig, args), scenario_label=args.label)
+    write_output(render_report([report], args.format), args.out)
     return EXIT_OK
 
 
@@ -162,7 +151,7 @@ def _cmd_grid(args) -> int:
     result = run_scenario_grid(*_grid_configs(args))
     out_dir = args.out
     out_dir.mkdir(parents=True, exist_ok=True)
-    _emit(table1_to_markdown(result.table1), out_dir / "table1.md")
+    write_output(table1_to_markdown(result.table1), out_dir / "table1.md")
     for fmt, name in (("markdown", "table2.md"), ("csv", "table2.csv"), ("json", "table2.json")):
         write_report(result.reports, fmt, out_dir / name)
     for label in SCENARIO_LABELS:
@@ -173,7 +162,7 @@ def _cmd_grid(args) -> int:
 def _cmd_figure(args) -> int:
     cohort = read_cohort_csv(args.input, require_gold=True)
     summary = figure_summary(cohort, bin_width=args.bin_width, value_range=tuple(args.range))
-    _emit(figure_to_csv(summary), args.out)
+    write_output(figure_to_csv(summary), args.out)
     return EXIT_OK
 
 

@@ -1,4 +1,4 @@
-"""Cohort CSV serialization, and the reader of flat parameter files.
+"""Cohort CSV serialization, the reader of parameter files, and the output writer.
 
 The cohort schema is the header ``COHORT_COLUMNS`` (the ``Cohort`` columns
 in field order) with floats written to 4 decimal places.  Files lacking the
@@ -7,7 +7,9 @@ does not require them; so are rows whose two gold fields are both blank.
 The cohort's ``w_true`` and ``epsilon`` columns then hold None for those
 patients, and the audit skips the metrics that need the gold standard.
 Cohort and parameter files are read as UTF-8, a leading byte-order mark
-(which spreadsheet exports write) accepted, and written as UTF-8.
+(which spreadsheet exports write) accepted.  Every output is written as
+UTF-8 with its ``\\n`` line ends untranslated, whatever the locale or
+platform: only this module opens files or writes stdout.
 
 ``_RULES`` states each column's rule (type and bound) once, and the
 reader's two paths both read it.  The file is parsed in blocks of
@@ -23,6 +25,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from dataclasses import fields as dataclass_fields
 from itertools import islice
 from pathlib import Path
@@ -35,6 +38,7 @@ __all__ = [
     "read_cohort_csv",
     "read_params",
     "write_cohort_csv",
+    "write_output",
 ]
 
 # Each column's rule, in the order a row's faults are reported, the gold
@@ -98,6 +102,17 @@ def write_cohort_csv(cohort: Cohort, path: str | Path) -> None:
                 ),
             )
         )
+
+
+def write_output(text: str, path: str | Path | None) -> None:
+    """Write ``text`` as UTF-8 bytes, newlines untranslated, to ``path`` or (None) stdout."""
+    if path is not None:
+        Path(path).write_bytes(text.encode("utf-8"))
+    elif hasattr(sys.stdout, "buffer"):
+        sys.stdout.flush()  # what was written as text goes first
+        sys.stdout.buffer.write(text.encode("utf-8"))
+    else:  # a text-only stream, such as io.StringIO, holds str and has no encoding
+        sys.stdout.write(text)
 
 
 def _parse(cell: str, row: int, column: str, kind: type, bound):

@@ -233,11 +233,6 @@ def _chi_square(tally: tuple[int, int, int, int], margin: str) -> TestResult:
         raise UntestableMetricError(f"degenerate {margin}: {exc}") from None
 
 
-def _hypoxemic(cohort: Cohort, config: AuditConfig) -> list[bool]:
-    """Which patients are truly hypoxemic (w_true < w_hypox)."""
-    return _truly_hypoxemic(cohort.w_true, config.w_hypox)
-
-
 def _require_gold(cohort: Cohort, metric: str) -> None:
     if not cohort.gold:
         raise _NoGoldStandard(
@@ -384,7 +379,7 @@ def _hypoxemic_stratum(
     """The hypoxemic selection and the group of each hypoxemic patient."""
     _require_gold(cohort, metric)
     _group_sizes(cohort)
-    hypoxemic = _hypoxemic(cohort, config)
+    hypoxemic = _truly_hypoxemic(cohort.w_true, config.w_hypox)
     groups = list(compress(cohort.group_a, hypoxemic))
     if 0 not in groups or 1 not in groups:
         raise UntestableMetricError(
@@ -602,7 +597,7 @@ def group_auc_comparison(cohort: Cohort, config: AuditConfig) -> MetricResult:
     """
     _require_gold(cohort, GROUP_AUC)
     _group_sizes(cohort)
-    labels = list(map(int, _hypoxemic(cohort, config)))
+    labels = list(map(int, _truly_hypoxemic(cohort.w_true, config.w_hypox)))
     scores = [100.0 - w for w in cohort.w_star]
     aucs = {}
     ses = {}
@@ -676,7 +671,7 @@ def run_full_audit(
     ]
     summary: dict[str, float | int | None] = {"n_group0": n0, "n_group1": n1}
     if cohort.gold:
-        h0, _, h1, _ = _tally(_hypoxemic(cohort, config), cohort.group_a)
+        h0, _, h1, _ = _tally(_truly_hypoxemic(cohort.w_true, config.w_hypox), cohort.group_a)
     summary["hypoxemia_rate_group0"] = h0 / n0 if cohort.gold else None
     summary["hypoxemia_rate_group1"] = h1 / n1 if cohort.gold else None
     return EquityReport(scenario_label, metrics, summary)

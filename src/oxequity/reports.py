@@ -31,6 +31,7 @@ from typing import Sequence, get_args, get_origin, get_type_hints
 
 from .figure import FigureSummary
 from .grid import Table1Summary
+from .io import write_output
 from .metrics import METRIC_ORDER, EquityReport, MetricResult
 from .stats.hypotests import TestResult
 
@@ -266,4 +267,4 @@ def write_report(
     reports: Sequence[EquityReport], format: str, path: str | Path
 ) -> None:
     """Serialize reports to the given path in one of ``REPORT_FORMATS``."""
-    Path(path).write_text(render_report(reports, format), encoding="utf-8")
+    write_output(render_report(reports, format), path)

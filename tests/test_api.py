@@ -12,7 +12,8 @@ The IRLS kernel must add floats left to right; a source check keeps
 builtin ``sum`` (compensated since CPython 3.12) and ``math.fsum`` out of
 it, which a bit-identity test on an older interpreter could not see.
 Another source check finds imports that nothing uses, and a third finds
-``Cohort`` columns that nothing reads.
+``Cohort`` columns that nothing reads.  A fourth keeps every file call and
+every write to standard output in ``io``, so one writer decides the bytes.
 """
 
 import ast
@@ -33,7 +34,8 @@ from oracles import gold_free
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS_FILE = ROOT / "bench" / "spans.py"
-LOGISTIC_FILE = ROOT / "src" / "oxequity" / "stats" / "logistic.py"
+PACKAGE = ROOT / "src" / "oxequity"
+LOGISTIC_FILE = PACKAGE / "stats" / "logistic.py"
 
 
 def _module_names():
@@ -140,6 +142,24 @@ def test_every_file_call_names_its_encoding():
             ):
                 unnamed.append(f"{path.name}:{node.lineno}")
     assert not unnamed
+
+
+def test_only_io_opens_files_or_writes_stdout():
+    # So one writer decides the output's bytes; cli reports errors on stderr.
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path == PACKAGE / "io.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                to_stdout = name == "print" and not any(k.arg == "file" for k in node.keywords)
+                if to_stdout or name in ("open", "read_text", "write_text", "write_bytes"):
+                    found.append(f"{path.name}:{node.lineno} {name}")
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "sys":
+                if node.attr == "stdout" or node.attr == "stderr" and path.name != "cli.py":
+                    found.append(f"{path.name}:{node.lineno} sys.{node.attr}")
+    assert not found
 
 
 def test_irls_kernel_uses_no_sum_or_fsum():

@@ -2,10 +2,14 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from oxequity.cli import _audit_config, _grid_configs, build_parser, main
+from oxequity.cli import _config, _grid_configs, build_parser, main
 from oxequity.cohort import DgpParams, ScenarioConfig, draw_cohort
 from oxequity.grid import threshold_protocol_summary
 from oxequity.io import read_cohort_csv
@@ -117,7 +121,7 @@ def test_option_defaults_are_the_config_defaults():
     args = build_parser().parse_args(["grid", "--out", "bundle"])
     assert _grid_configs(args) == (ScenarioConfig(), AuditConfig())
     args = build_parser().parse_args(["audit", "--in", "c.csv"])
-    assert _audit_config(args) == AuditConfig()
+    assert _config(AuditConfig, args) == AuditConfig()
 
 
 AUDIT_ARGV = [
@@ -163,7 +167,7 @@ def test_every_option_reaches_its_config_field(tmp_path):
 
 def test_every_audit_option_reaches_its_config_field():
     args = build_parser().parse_args(["audit", "--in", "c.csv", "--w-hypox", "87.5", *AUDIT_ARGV])
-    assert _audit_config(args) == AUDIT
+    assert _config(AuditConfig, args) == AUDIT
 
 
 def test_grid_has_no_w_hypox_option(tmp_path, capsys):
@@ -440,3 +444,41 @@ def test_audit_and_simulate_accept_a_byte_order_mark(tmp_path, capsys):
     argv = ("simulate", "--n", "300", "--seed", "3", "--params", str(params))
     assert run(*argv, "--out", str(out)) == 0
     assert out.read_bytes() == (tmp_path / "g" / "cohort_measurement_only.csv").read_bytes()
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _latin1_cli(*argv) -> bytes:
+    """What ``python -m oxequity.cli`` writes to stdout when that stream is latin-1."""
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONIOENCODING": "latin-1", "PYTHONPATH": path}
+    command = (sys.executable, "-m", "oxequity.cli", *argv)
+    return subprocess.run(command, env=env, capture_output=True, check=True).stdout
+
+
+@pytest.fixture(scope="module")
+def small_cohort(tmp_path_factory):
+    cohort = tmp_path_factory.mktemp("cohort") / "c.csv"
+    assert main(["simulate", "--n", "200", "--seed", "3", "--out", str(cohort)]) == 0
+    return cohort
+
+
+@pytest.mark.parametrize("label", ("ward → 3", "café"))
+@pytest.mark.parametrize("fmt", ("markdown", "csv", "json"))
+def test_audit_stdout_is_the_out_file_whatever_the_stream_encoding(
+    tmp_path, small_cohort, fmt, label
+):
+    out = tmp_path / "report"
+    argv = ("audit", "--in", str(small_cohort), "--format", fmt, "--label", label)
+    assert _latin1_cli(*argv, "--out", str(out)) == b""
+    written = out.read_bytes()
+    if fmt != "json":  # JSON escapes non-ASCII text
+        assert label.encode("utf-8") in written
+    assert _latin1_cli(*argv) == written
+
+
+def test_figure_stdout_is_the_out_file_whatever_the_stream_encoding(tmp_path, small_cohort):
+    out = tmp_path / "figure.csv"
+    assert _latin1_cli("figure", "--in", str(small_cohort), "--out", str(out)) == b""
+    assert _latin1_cli("figure", "--in", str(small_cohort)) == out.read_bytes()

@@ -1,6 +1,8 @@
-"""Cohort CSV schema, validation diagnostics, and parameter files."""
+"""Cohort CSV schema, validation diagnostics, parameter files, and the output writer."""
 
+import io
 import json
+import sys
 from dataclasses import asdict, replace
 
 import pytest
@@ -12,6 +14,7 @@ from oxequity.io import (
     read_cohort_csv,
     read_params,
     write_cohort_csv,
+    write_output,
 )
 
 from oracles import cohort_of, records_of
@@ -202,3 +205,22 @@ def test_params_must_be_numeric_object(tmp_path):
     path.write_text("[1, 2, 3]\n")
     with pytest.raises(CohortSchemaError):
         read_params(path)
+
+
+def test_write_output_writes_utf8_bytes_untranslated(tmp_path, monkeypatch):
+    text = "a\nb\r\nward → 3, café\n"
+    path = tmp_path / "out.txt"
+    write_output(text, path)
+    assert path.read_bytes() == text.encode("utf-8")
+    # A latin-1 stdout that writes each "\n" as "\r\n": what was written to
+    # it as text goes first, and the output keeps neither its encoding nor
+    # its newlines.
+    with io.TextIOWrapper(io.BytesIO(), encoding="latin-1", newline="\r\n") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        stdout.write("before\n")
+        write_output(text, None)
+        assert stdout.buffer.getvalue() == b"before\r\n" + text.encode("utf-8")
+    # A text-only stdout, as contextlib.redirect_stdout(io.StringIO()) sets it.
+    monkeypatch.setattr(sys, "stdout", io.StringIO())
+    write_output(text, None)
+    assert sys.stdout.getvalue() == text
