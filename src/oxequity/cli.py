@@ -155,7 +155,7 @@ def _cmd_grid(args) -> int:
     for fmt, name in (("markdown", "table2.md"), ("csv", "table2.csv"), ("json", "table2.json")):
         write_report(result.reports, fmt, out_dir / name)
     for label in SCENARIO_LABELS:
-        write_cohort_csv(result.cohorts[label], out_dir / f"cohort_{label}.csv")
+        write_output(result.cohort_csv[label], out_dir / f"cohort_{label}.csv")
     return EXIT_OK
 
 

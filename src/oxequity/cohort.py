@@ -200,7 +200,9 @@ class Cohort:
     ``group_a``, ``treated`` and ``outcome`` hold only 0 and 1.  A
     generated ``w_star`` is ``w_true + epsilon`` clipped to the display
     range [0, 100].  The columns are read, never written: cohorts derived
-    from shared draws share their true-saturation and group columns.
+    from shared draws in one process share their true-saturation and group
+    columns.  A cohort passed from another process (as the grid's workers
+    pass theirs) holds copies of them, equal in value.
     """
 
     patient_id: list[int]

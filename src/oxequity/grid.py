@@ -26,10 +26,29 @@ streams are hashed a single time (``draw_cohort``, five hashes per
 patient: no spare second saturation draw is hashed), and the four
 scenario cohorts and the Table-1 cohort are derived from those draws by
 deterministic shifts (``derive_cohort``).
+
+The four scenarios are spread over worker processes: one per usable CPU
+(the CPUs this process may run on), at most four, the caller being one of
+them.  After the draws are made, the caller forks a child for each
+contiguous share of ``SCENARIO_LABELS`` but the first, which it runs
+itself; each worker derives, audits and renders its scenarios, and the
+caller collects them in label order, then computes Table 1.  No output
+bit can depend on the spread: every scenario is a pure function of the
+one set of draws, which each child inherits whole, and a child hands
+back its results pickled, which restores every float exactly.  Nothing
+configures it: ``taskset`` or any CPU affinity limits the workers, and
+the caller runs all four itself when one CPU is usable, where there is
+no ``os.fork``, and while another thread runs.  A child that fails has
+its share rerun by the caller, so an error is the one a serial run
+raises; a result exists only once every scenario has succeeded, so the
+``grid`` command writes no file of a failed grid.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import threading
 from dataclasses import dataclass, replace
 
 from .cohort import (
@@ -42,6 +61,7 @@ from .cohort import (
     outcome_assignments,
     treatment_assignments,
 )
+from .io import cohort_csv_text
 from .metrics import AuditConfig, EquityReport, _tally, run_full_audit
 
 __all__ = [
@@ -79,9 +99,16 @@ class Table1Summary:
 
 @dataclass(slots=True)
 class GridResult:
+    """The four scenarios' reports and cohorts, with Table 1.
+
+    ``cohort_csv`` holds each scenario's cohort as the text
+    ``io.write_cohort_csv`` writes for it.
+    """
+
     reports: list[EquityReport]
     table1: Table1Summary
     cohorts: dict[str, Cohort]
+    cohort_csv: dict[str, str]
 
 
 def threshold_protocol_summary(draws: CohortDraws) -> Table1Summary:
@@ -116,6 +143,96 @@ def threshold_protocol_summary(draws: CohortDraws) -> Table1Summary:
     )
 
 
+def _worker_count() -> int:
+    """Processes for the grid: one per usable CPU, at most one per scenario.
+
+    One where ``os.fork`` is missing, and while another thread runs, since
+    a forked child can deadlock on a lock that thread held.
+    """
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        usable = len(os.sched_getaffinity(0))
+    else:
+        usable = os.cpu_count() or 1
+    return min(len(SCENARIO_LABELS), usable)
+
+
+def _fork(work, share):
+    """A child process that pickles ``work(share)`` into a pipe: (pid, read end).
+
+    None when the system has no process to spare.  The child leaves only
+    through ``os._exit``, 0 on success and 1 on any exception, so it runs
+    none of the caller's cleanup and flushes none of its streams.
+    """
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_end)
+            data = memoryview(pickle.dumps(work(share), pickle.HIGHEST_PROTOCOL))
+            while data:
+                data = data[os.write(write_end, data) :]
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    return pid, read_end
+
+
+def _join(child: tuple[int, int] | None) -> bytes | None:
+    """Read a child's pipe to its end and reap it: its pickle, or None if it failed."""
+    if child is None:
+        return None
+    pid, read_end = child
+    try:
+        chunks = []
+        while chunk := os.read(read_end, 1 << 20):
+            chunks.append(chunk)
+    finally:
+        os.close(read_end)
+        _, status = os.waitpid(pid, 0)
+    return b"".join(chunks) if status == 0 else None
+
+
+def _join_all(children: list) -> list[bytes | None]:
+    """``_join`` each child in turn; every one is joined even when one raises."""
+    if not children:
+        return []
+    try:
+        first = _join(children[0])
+    finally:
+        rest = _join_all(children[1:])
+    return [first, *rest]
+
+
+def _spread(work, labels: tuple[str, ...], workers: int) -> list:
+    """``work`` of each label in order, over contiguous shares, the caller's first.
+
+    Every child is read to its end and reaped before this returns or
+    raises.  A failed child's share is rerun here, so its exception is
+    the serial one; so is a share no child could be started for.
+    """
+    bounds = [len(labels) * k // workers for k in range(workers + 1)]
+    shares = [labels[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    children = []
+    try:
+        for share in shares[1:]:
+            children.append(_fork(work, share))
+        results = work(shares[0])
+    finally:
+        payloads = _join_all(children)
+    for share, payload in zip(shares[1:], payloads):
+        results += work(share) if payload is None else pickle.loads(payload)
+    return results
+
+
 def run_scenario_grid(base: ScenarioConfig, audit: AuditConfig) -> GridResult:
     """Generate and audit all four scenarios, plus the protocol summary.
 
@@ -123,8 +240,9 @@ def run_scenario_grid(base: ScenarioConfig, audit: AuditConfig) -> GridResult:
     0.0; a term that ``base`` already sets to 0.0 stays 0.0, and Table 1
     runs ``base.dgp`` itself.  The patients' streams are hashed once; the
     four scenario cohorts and the Table-1 cohort are all derived from
-    those draws.  Scenario order in the result is fixed regardless of
-    how the independent pieces are evaluated.
+    those draws.  Each scenario is derived, audited and rendered in turn,
+    in label order, spread over worker processes (see the module
+    docstring); the result is the same for any number of workers.
 
     Raises:
         ValueError: ``audit.w_hypox`` differs from ``base.dgp.w_hypox``, so
@@ -136,15 +254,20 @@ def run_scenario_grid(base: ScenarioConfig, audit: AuditConfig) -> GridResult:
             f"w_hypox={base.dgp.w_hypox!r}; a grid run has one hypoxemia threshold"
         )
     draws = draw_cohort(base)
-    cohorts = {
-        label: derive_cohort(
-            replace(draws, dgp=replace(draws.dgp, **zeroed)), base.treatment_mode
-        )
-        for label, zeroed in _ZEROED.items()
-    }
-    reports = [
-        run_full_audit(cohorts[label], audit, scenario_label=label)
-        for label in SCENARIO_LABELS
-    ]
-    table1 = threshold_protocol_summary(draws)
-    return GridResult(reports=reports, table1=table1, cohorts=cohorts)
+
+    def scenarios(labels):
+        done = []
+        for label in labels:
+            dgp = replace(draws.dgp, **_ZEROED[label])
+            cohort = derive_cohort(replace(draws, dgp=dgp), base.treatment_mode)
+            report = run_full_audit(cohort, audit, scenario_label=label)
+            done.append((cohort, report, cohort_csv_text(cohort)))
+        return done
+
+    cohorts, reports, texts = zip(*_spread(scenarios, SCENARIO_LABELS, _worker_count()))
+    return GridResult(
+        reports=list(reports),
+        table1=threshold_protocol_summary(draws),
+        cohorts=dict(zip(SCENARIO_LABELS, cohorts)),
+        cohort_csv=dict(zip(SCENARIO_LABELS, texts)),
+    )

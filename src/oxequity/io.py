@@ -35,6 +35,7 @@ from .cohort import _BINARY, COHORT_COLUMNS, W_HIGH, W_LOW, Cohort, DgpParams
 __all__ = [
     "COHORT_COLUMNS",
     "CohortSchemaError",
+    "cohort_csv_text",
     "read_cohort_csv",
     "read_params",
     "write_cohort_csv",
@@ -82,26 +83,37 @@ def _format_gold(values: list[float | None]):
     return map(_format_float, values)
 
 
-def write_cohort_csv(cohort: Cohort, path: str | Path) -> None:
-    """Write a cohort in the standard schema, gold fields blank when absent."""
+def _cohort_csv_lines(cohort: Cohort):
+    """The cohort CSV's header and rows in the standard schema, one ``\\n``-ended line each."""
     # No field can hold a comma, quote or line break, so no field needs
-    # quoting, and each row is one template streamed to the file.
+    # quoting, and each row is one template.
+    yield ",".join(COHORT_COLUMNS) + "\n"
+    yield from map(
+        "%s,%s,%s,%.4f,%s,%s,%s\n".__mod__,
+        zip(
+            cohort.patient_id,
+            cohort.group_a,
+            _format_gold(cohort.w_true),
+            cohort.w_star,
+            _format_gold(cohort.epsilon),
+            cohort.treated,
+            cohort.outcome,
+        ),
+    )
+
+
+def cohort_csv_text(cohort: Cohort) -> str:
+    """The text ``write_cohort_csv`` writes for ``cohort``."""
+    return "".join(_cohort_csv_lines(cohort))
+
+
+def write_cohort_csv(cohort: Cohort, path: str | Path) -> None:
+    """Write a cohort in the standard schema, gold fields blank when absent.
+
+    The rows are streamed, so memory does not grow with the cohort's text.
+    """
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.write(",".join(COHORT_COLUMNS) + "\n")
-        handle.writelines(
-            map(
-                "%s,%s,%s,%.4f,%s,%s,%s\n".__mod__,
-                zip(
-                    cohort.patient_id,
-                    cohort.group_a,
-                    _format_gold(cohort.w_true),
-                    cohort.w_star,
-                    _format_gold(cohort.epsilon),
-                    cohort.treated,
-                    cohort.outcome,
-                ),
-            )
-        )
+        handle.writelines(_cohort_csv_lines(cohort))
 
 
 def write_output(text: str, path: str | Path | None) -> None:

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from oxequity import grid
 from oxequity.cli import _config, _grid_configs, build_parser, main
 from oxequity.cohort import DgpParams, ScenarioConfig, draw_cohort
 from oxequity.grid import threshold_protocol_summary
@@ -278,6 +279,39 @@ def test_grid_is_byte_deterministic(tmp_path):
     run("grid", "--n", "600", "--seed", "8", "--out", str(out2))
     for name in ("table1.md", "table2.json", "cohort_both.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_grid_bundle_is_the_same_for_any_worker_count(tmp_path, monkeypatch):
+    bundles = []
+    for workers in (1, 2, 4):
+        monkeypatch.setattr(grid, "_worker_count", lambda: workers)
+        out = tmp_path / f"w{workers}"
+        assert run("grid", "--n", "600", "--seed", "3", "--out", str(out)) == 0
+        bundles.append({path.name: path.read_bytes() for path in out.iterdir()})
+    assert len(bundles[0]) == 8
+    assert bundles[1] == bundles[0] and bundles[2] == bundles[0]
+
+
+@pytest.mark.parametrize("failing", ("none", "both"))  # a child's share, the caller's
+def test_grid_failure_in_any_worker_is_the_serial_failure(tmp_path, monkeypatch, capsys, failing):
+    audit = grid.run_full_audit
+
+    def audit_failing_for_one_label(cohort, config, scenario_label):
+        if scenario_label == failing:
+            raise ArithmeticError(f"audit of {scenario_label} failed")
+        return audit(cohort, config, scenario_label=scenario_label)
+
+    monkeypatch.setattr(grid, "run_full_audit", audit_failing_for_one_label)
+    for workers in (1, 2):
+        monkeypatch.setattr(grid, "_worker_count", lambda: workers)
+        out = tmp_path / f"w{workers}"
+        assert run("grid", "--n", "300", "--seed", "3", "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"numerical failure: audit of {failing} failed\n"
+        assert captured.out == ""
+        assert not out.exists()
+        with pytest.raises(ChildProcessError):  # no child is left
+            os.waitpid(-1, os.WNOHANG)
 
 
 def test_figure_outputs_csv(tmp_path, capsys):

@@ -1,13 +1,18 @@
 """Scenario grid invariants, protocol summary, and figure data."""
 
+import errno
 import hashlib
+import os
+import threading
 from dataclasses import replace
 
 import pytest
 
+from oxequity import grid
 from oxequity.cohort import DEFAULT_DGP, DgpParams, ScenarioConfig, draw_cohort, generate_cohort
 from oxequity.figure import figure_summary
 from oxequity.grid import SCENARIO_LABELS, run_scenario_grid, threshold_protocol_summary
+from oxequity.io import write_cohort_csv
 from oxequity.metrics import AuditConfig
 from oxequity.reports import figure_to_csv, table1_to_markdown
 
@@ -61,6 +66,83 @@ class TestScenarioGrid:
     def test_none_scenario_unflagged(self, grid_result):
         none_report = grid_result.reports[3]
         assert not any(m.flagged for m in none_report.metrics)
+
+
+def _counted_forks(monkeypatch) -> list[int]:
+    """Make ``os.fork`` record each call in the returned list."""
+    forks, fork = [], os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+class TestWorkers:
+    @pytest.fixture(scope="class")
+    def serial(self):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(grid, "_worker_count", lambda: 1)
+            return run_scenario_grid(ScenarioConfig(seed=3), AuditConfig())
+
+    @pytest.mark.parametrize("workers", (1, 2, 4))
+    def test_any_worker_count_gives_the_serial_result(self, monkeypatch, serial, workers):
+        monkeypatch.setattr(grid, "_worker_count", lambda: workers)
+        forks = _counted_forks(monkeypatch)
+        assert run_scenario_grid(ScenarioConfig(seed=3), AuditConfig()) == serial
+        assert len(forks) == workers - 1
+        with pytest.raises(ChildProcessError):  # every child was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_shares_no_child_can_start_for_run_in_the_caller(self, monkeypatch, serial):
+        def failing_fork():
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(grid, "_worker_count", lambda: 4)
+        monkeypatch.setattr(os, "fork", failing_fork)
+        assert run_scenario_grid(ScenarioConfig(seed=3), AuditConfig()) == serial
+
+    def test_an_interrupted_join_still_reaps_every_child(self, monkeypatch):
+        class Interrupt(BaseException):
+            pass
+
+        def interrupted_read(fd, size):
+            raise Interrupt
+
+        monkeypatch.setattr(grid, "_worker_count", lambda: 4)
+        monkeypatch.setattr(os, "read", interrupted_read)
+        with pytest.raises(Interrupt):
+            run_scenario_grid(ScenarioConfig(n_total=300, seed=3), AuditConfig())
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_rendered_cohort_csv_is_the_written_file(self, tmp_path, serial):
+        for label in SCENARIO_LABELS:
+            path = tmp_path / f"{label}.csv"
+            write_cohort_csv(serial.cohorts[label], path)
+            assert path.read_bytes() == serial.cohort_csv[label].encode("utf-8")
+
+    def test_worker_count_is_the_usable_cpus_up_to_four(self, monkeypatch):
+        if not hasattr(os, "sched_getaffinity"):
+            pytest.skip("no CPU affinity on this platform")
+        for cpus, workers in ((1, 1), (2, 2), (4, 4), (64, 4)):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+            assert grid._worker_count() == workers
+        # A forked child could deadlock on a lock another thread holds.
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert grid._worker_count() == 1
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert grid._worker_count() == 4
+        monkeypatch.delattr(os, "fork")
+        assert grid._worker_count() == 1
 
 
 class TestThresholdProtocol:
