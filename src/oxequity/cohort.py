@@ -200,9 +200,7 @@ class Cohort:
     ``group_a``, ``treated`` and ``outcome`` hold only 0 and 1.  A
     generated ``w_star`` is ``w_true + epsilon`` clipped to the display
     range [0, 100].  The columns are read, never written: cohorts derived
-    from shared draws in one process share their true-saturation and group
-    columns.  A cohort passed from another process (as the grid's workers
-    pass theirs) holds copies of them, equal in value.
+    from shared draws share their true-saturation and group columns.
     """
 
     patient_id: list[int]
@@ -417,8 +415,9 @@ def generate_cohort(config: ScenarioConfig) -> Cohort:
 def oracle_tau(params: DgpParams, cohort: Cohort) -> float:
     """Ground-truth treatment effect E[Y(0) - Y(1)] among the truly hypoxemic.
 
-    The exact mean, over the patients with ``w_true < params.w_hypox``,
-    of the untreated minus the treated outcome risk.  That is the stratum
+    The mean, over the patients with ``w_true < params.w_hypox``, of the
+    untreated minus the treated outcome risk, within one ulp of the exact
+    mean on any interpreter (``math.fsum``).  That is the stratum
     whose outcome contrast ``metrics.estimate_tau`` measures, so this is
     the value that estimator targets.
     """
@@ -430,7 +429,7 @@ def oracle_tau(params: DgpParams, cohort: Cohort) -> float:
     n = len(stratum)
     untreated = outcome_risks(stratum, [0] * n, params)
     treated = outcome_risks(stratum, [1] * n, params)
-    return sum(map(sub, untreated, treated)) / n
+    return math.fsum(map(sub, untreated, treated)) / n
 
 
 def wstar_bins(w_star: Iterable[float], width: float) -> list[int]:

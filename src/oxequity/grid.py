@@ -28,31 +28,30 @@ scenario cohorts and the Table-1 cohort are derived from those draws by
 deterministic shifts (``derive_cohort``).
 
 The four scenarios are spread over worker processes: one per usable CPU
-(the CPUs this process may run on), at most four, the caller being one of
-them.  After the draws are made, the caller forks a child for each
+(the CPUs this process may run on), at most four, the caller being one
+of them.  After the draws are made, the caller forks a child for each
 contiguous share of ``SCENARIO_LABELS`` but the first, which it runs
-itself; each worker derives, audits and renders its scenarios, and the
-caller collects them in label order, then computes Table 1.  No output
-bit can depend on the spread: every scenario is a pure function of the
-one set of draws, which each child inherits whole, and a child hands
-back its results pickled, which restores every float exactly.  Nothing
-configures it: ``taskset`` or any CPU affinity limits the workers, and
-the caller runs all four itself when one CPU is usable, where there is
-no ``os.fork``, and while another thread runs.  A child that fails has
-its share rerun by the caller, so an error is the one a serial run
-raises; a result exists only once every scenario has succeeded, so the
-``grid`` command writes no file of a failed grid.
+itself; each worker derives, audits and renders its scenarios, and hands
+back only what the bundle is written from, the report and the cohort CSV
+text of each, pickled, which restores every float exactly.  The caller
+collects them in label order, then computes Table 1.  No output bit can
+depend on the spread: every scenario is a pure function of the one set
+of draws, which each child inherits whole.  Nothing configures it:
+``taskset`` or any CPU affinity limits the workers, and the caller runs
+all four itself when one CPU is usable, where there is no ``os.fork``,
+and while another thread runs.  A child that fails has its share rerun
+by the caller, so an error is the one a serial run raises; a result
+exists only once every scenario has succeeded, so the ``grid`` command
+writes no file of a failed grid.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 import threading
 from dataclasses import dataclass, replace
 
 from .cohort import (
-    Cohort,
     CohortDraws,
     ScenarioConfig,
     _truly_hypoxemic,
@@ -99,15 +98,14 @@ class Table1Summary:
 
 @dataclass(slots=True)
 class GridResult:
-    """The four scenarios' reports and cohorts, with Table 1.
+    """The grid's bundle: the four scenarios' reports and cohorts, with Table 1.
 
-    ``cohort_csv`` holds each scenario's cohort as the text
+    ``cohort_csv`` holds each scenario's cohort, by label, only as the text
     ``io.write_cohort_csv`` writes for it.
     """
 
     reports: list[EquityReport]
     table1: Table1Summary
-    cohorts: dict[str, Cohort]
     cohort_csv: dict[str, str]
 
 
@@ -175,6 +173,7 @@ def _fork(work, share):
     if pid == 0:
         status = 1
         try:
+            import pickle
             os.close(read_end)
             data = memoryview(pickle.dumps(work(share), pickle.HIGHEST_PROTOCOL))
             while data:
@@ -219,6 +218,7 @@ def _spread(work, labels: tuple[str, ...], workers: int) -> list:
     raises.  A failed child's share is rerun here, so its exception is
     the serial one; so is a share no child could be started for.
     """
+    import pickle  # here, so that ``import oxequity`` does not load it
     bounds = [len(labels) * k // workers for k in range(workers + 1)]
     shares = [labels[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     children = []
@@ -261,13 +261,12 @@ def run_scenario_grid(base: ScenarioConfig, audit: AuditConfig) -> GridResult:
             dgp = replace(draws.dgp, **_ZEROED[label])
             cohort = derive_cohort(replace(draws, dgp=dgp), base.treatment_mode)
             report = run_full_audit(cohort, audit, scenario_label=label)
-            done.append((cohort, report, cohort_csv_text(cohort)))
+            done.append((report, cohort_csv_text(cohort)))
         return done
 
-    cohorts, reports, texts = zip(*_spread(scenarios, SCENARIO_LABELS, _worker_count()))
+    reports, texts = zip(*_spread(scenarios, SCENARIO_LABELS, _worker_count()))
     return GridResult(
         reports=list(reports),
         table1=threshold_protocol_summary(draws),
-        cohorts=dict(zip(SCENARIO_LABELS, cohorts)),
         cohort_csv=dict(zip(SCENARIO_LABELS, texts)),
     )

@@ -24,6 +24,7 @@ the kernel's arithmetic and summation order bit for bit.
 
 from __future__ import annotations
 
+import csv
 import math
 import string
 from dataclasses import make_dataclass, replace
@@ -476,6 +477,12 @@ def cohort_of(records) -> Cohort:
     """The cohort of hand-made records, in their order."""
     rows = list(records)
     return Cohort(*([getattr(r, c) for r in rows] for c in COHORT_COLUMNS))
+
+
+def csv_columns(text: str) -> dict[str, tuple[str, ...]]:
+    """The columns of a cohort CSV's text by header name, as the fields' strings."""
+    header, *rows = csv.reader(text.splitlines())
+    return dict(zip(header, zip(*rows)))
 
 
 def gold_free(cohort: Cohort) -> Cohort:

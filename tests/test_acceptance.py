@@ -16,7 +16,7 @@ from oxequity.cohort import (
     generate_cohort,
 )
 from oxequity.grid import SCENARIO_LABELS, run_scenario_grid
-from oxequity.io import write_cohort_csv
+from oxequity.io import cohort_csv_text, write_cohort_csv
 from oxequity.metrics import (
     METRIC_ORDER,
     AuditConfig,
@@ -34,9 +34,11 @@ from oxequity.stats.special import normal_quantile, sigmoids
 
 from oracles import (
     binomial_reject_count_oracle,
+    csv_columns,
     fd_hessian,
     gold_free,
     normal_quantile_oracle,
+    scenario_configs_oracle,
     trapezoid_roc_auc,
     two_level_joint_coverage_oracle,
     two_level_logistic_oracle,
@@ -422,13 +424,18 @@ def test_criterion_7_determinism_and_common_random_numbers(tmp_path):
     identical_reports = report_a == report_b
 
     result = run_scenario_grid(config, AuditConfig())
-    cohorts = result.cohorts
+    scenarios = {label: generate_cohort(c) for label, c in scenario_configs_oracle(config).items()}
+    grid_regenerates = result.reports == [
+        run_full_audit(cohort, AuditConfig(), scenario_label=label)
+        for label, cohort in scenarios.items()
+    ] and result.cohort_csv == {label: cohort_csv_text(c) for label, c in scenarios.items()}
+    columns = {label: csv_columns(text) for label, text in result.cohort_csv.items()}
     w_true_shared = all(
-        cohorts[label].w_true == cohorts["both"].w_true for label in SCENARIO_LABELS
+        columns[label]["w_true"] == columns["both"]["w_true"] for label in SCENARIO_LABELS
     )
     eps_pairs_shared = (
-        cohorts["both"].epsilon == cohorts["measurement_only"].epsilon
-        and cohorts["systemic_only"].epsilon == cohorts["none"].epsilon
+        columns["both"]["epsilon"] == columns["measurement_only"]["epsilon"]
+        and columns["systemic_only"]["epsilon"] == columns["none"]["epsilon"]
     )
 
     _report(
@@ -438,10 +445,12 @@ def test_criterion_7_determinism_and_common_random_numbers(tmp_path):
         identical_records
         and identical_bytes
         and identical_reports
+        and grid_regenerates
         and w_true_shared
         and eps_pairs_shared,
         f"records={identical_records} bytes={identical_bytes} "
-        f"reports={identical_reports} w_true={w_true_shared} eps={eps_pairs_shared}",
+        f"reports={identical_reports} grid={grid_regenerates} "
+        f"w_true={w_true_shared} eps={eps_pairs_shared}",
     )
 
 

@@ -14,12 +14,17 @@ it, which a bit-identity test on an older interpreter could not see.
 Another source check finds imports that nothing uses, and a third finds
 ``Cohort`` columns that nothing reads.  A fourth keeps every file call and
 every write to standard output in ``io``, so one writer decides the bytes.
+
+Importing the CLI loads no ``pickle``: only a grid spread over worker
+processes pickles, so a process that never runs one does not pay for it.
 """
 
 import ast
 import dataclasses
 import importlib
+import os
 import pkgutil
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -71,6 +76,16 @@ def _imported_names(tree: ast.Module):
             yield from (a.asname or a.name.partition(".")[0] for a in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             yield from (a.asname or a.name for a in node.names)
+
+
+def test_importing_the_cli_loads_no_pickle():
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
+    command = (sys.executable, "-c", "import oxequity.cli, sys; print('pickle' in sys.modules)")
+    run = subprocess.run(
+        command, env={**os.environ, "PYTHONPATH": path}, capture_output=True, check=True, text=True
+    )
+    assert run.stdout == "False\n"
 
 
 @pytest.mark.parametrize("module_name", _module_names())

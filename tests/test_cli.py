@@ -11,7 +11,7 @@ import pytest
 
 from oxequity import grid
 from oxequity.cli import _config, _grid_configs, build_parser, main
-from oxequity.cohort import DgpParams, ScenarioConfig, draw_cohort
+from oxequity.cohort import TREATMENT_MODES, DgpParams, ScenarioConfig, draw_cohort
 from oxequity.grid import threshold_protocol_summary
 from oxequity.io import read_cohort_csv
 from oxequity.metrics import AuditConfig
@@ -281,12 +281,14 @@ def test_grid_is_byte_deterministic(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_grid_bundle_is_the_same_for_any_worker_count(tmp_path, monkeypatch):
+@pytest.mark.parametrize("mode", TREATMENT_MODES)
+def test_grid_bundle_is_the_same_for_any_worker_count(tmp_path, monkeypatch, mode):
     bundles = []
     for workers in (1, 2, 4):
         monkeypatch.setattr(grid, "_worker_count", lambda: workers)
         out = tmp_path / f"w{workers}"
-        assert run("grid", "--n", "600", "--seed", "3", "--out", str(out)) == 0
+        argv = ("grid", "--n", "600", "--seed", "3", "--treatment-mode", mode)
+        assert run(*argv, "--out", str(out)) == 0
         bundles.append({path.name: path.read_bytes() for path in out.iterdir()})
     assert len(bundles[0]) == 8
     assert bundles[1] == bundles[0] and bundles[2] == bundles[0]

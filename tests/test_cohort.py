@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import fields, replace
+from fractions import Fraction
 
 import pytest
 
@@ -16,6 +17,7 @@ from oxequity.cohort import (
     measurement_errors,
     oracle_tau,
     outcome_assignments,
+    outcome_risks,
     treatment_assignments,
 )
 from oxequity.metrics import AuditConfig
@@ -319,6 +321,18 @@ class TestOracleTau:
         tau = oracle_tau(p, cohort)
         assert tau == pytest.approx(math.fsum(diffs) / len(diffs), rel=1e-12)
         assert tau == pytest.approx(0.03139, abs=5e-6)
+
+    @pytest.mark.parametrize("seed", range(1, 21))
+    def test_within_one_ulp_of_the_exact_mean(self, seed):
+        # Builtin sum is compensated only from CPython 3.12 on.
+        p = DEFAULT_DGP
+        cohort = generate_cohort(ScenarioConfig(seed=seed))
+        stratum = [w for w in cohort.w_true if w < p.w_hypox]
+        untreated = outcome_risks(stratum, [0] * len(stratum), p)
+        treated = outcome_risks(stratum, [1] * len(stratum), p)
+        diffs = [u - t for u, t in zip(untreated, treated)]
+        exact = float(sum(map(Fraction, diffs)) / len(diffs))
+        assert abs(oracle_tau(p, cohort) - exact) <= math.ulp(exact)
 
     def test_default_effect_in_documented_band(self):
         cohort = generate_cohort(ScenarioConfig(seed=1))

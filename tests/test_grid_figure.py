@@ -3,6 +3,7 @@
 import errno
 import hashlib
 import os
+import pickle
 import threading
 from dataclasses import replace
 
@@ -12,11 +13,11 @@ from oxequity import grid
 from oxequity.cohort import DEFAULT_DGP, DgpParams, ScenarioConfig, draw_cohort, generate_cohort
 from oxequity.figure import figure_summary
 from oxequity.grid import SCENARIO_LABELS, run_scenario_grid, threshold_protocol_summary
-from oxequity.io import write_cohort_csv
-from oxequity.metrics import AuditConfig
+from oxequity.io import cohort_csv_text, write_cohort_csv
+from oxequity.metrics import AuditConfig, EquityReport, run_full_audit
 from oxequity.reports import figure_to_csv, table1_to_markdown
 
-from oracles import cohort_of, gold_free, scenario_configs_oracle
+from oracles import cohort_of, csv_columns, gold_free, scenario_configs_oracle
 
 
 @pytest.fixture(scope="module")
@@ -28,19 +29,21 @@ class TestScenarioGrid:
     def test_scenario_order_and_toggles(self, grid_result):
         configs = scenario_configs_oracle(ScenarioConfig(seed=3))
         assert tuple(configs) == SCENARIO_LABELS
-        assert tuple(grid_result.cohorts) == SCENARIO_LABELS
-        for label, config in configs.items():
-            assert grid_result.cohorts[label] == generate_cohort(config)
+        assert tuple(grid_result.cohort_csv) == SCENARIO_LABELS
+        for report, (label, config) in zip(grid_result.reports, configs.items(), strict=True):
+            cohort = generate_cohort(config)
+            assert report == run_full_audit(cohort, AuditConfig(), scenario_label=label)
+            assert grid_result.cohort_csv[label] == cohort_csv_text(cohort)
 
     def test_common_random_numbers_across_scenarios(self, grid_result):
-        cohorts = grid_result.cohorts
-        w_true = cohorts["both"].w_true
+        columns = {label: csv_columns(text) for label, text in grid_result.cohort_csv.items()}
+        w_true = columns["both"]["w_true"]
         for label in SCENARIO_LABELS[1:]:
-            assert cohorts[label].w_true == w_true
+            assert columns[label]["w_true"] == w_true
         # measurement columns identical within each toggle pair
-        assert cohorts["both"].epsilon == cohorts["measurement_only"].epsilon
-        assert cohorts["systemic_only"].epsilon == cohorts["none"].epsilon
-        assert cohorts["both"].epsilon != cohorts["none"].epsilon
+        assert columns["both"]["epsilon"] == columns["measurement_only"]["epsilon"]
+        assert columns["systemic_only"]["epsilon"] == columns["none"]["epsilon"]
+        assert columns["both"]["epsilon"] != columns["none"]["epsilon"]
 
     def test_fisher_rows_equal_within_pairs(self, grid_result):
         by_label = {
@@ -118,10 +121,26 @@ class TestWorkers:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    def test_a_child_hands_back_only_reports_and_cohort_text(self, monkeypatch, serial):
+        payloads, join = [], grid._join
+
+        def recording_join(child):
+            payload = join(child)
+            payloads.append(payload)
+            return payload
+
+        monkeypatch.setattr(grid, "_worker_count", lambda: 4)
+        monkeypatch.setattr(grid, "_join", recording_join)
+        assert run_scenario_grid(ScenarioConfig(seed=3), AuditConfig()) == serial
+        assert len(payloads) == 3
+        for payload in payloads:  # one scenario each
+            types = [(type(pair), *map(type, pair)) for pair in pickle.loads(payload)]
+            assert types == [(tuple, EquityReport, str)]
+
     def test_rendered_cohort_csv_is_the_written_file(self, tmp_path, serial):
-        for label in SCENARIO_LABELS:
+        for label, config in scenario_configs_oracle(ScenarioConfig(seed=3)).items():
             path = tmp_path / f"{label}.csv"
-            write_cohort_csv(serial.cohorts[label], path)
+            write_cohort_csv(generate_cohort(config), path)
             assert path.read_bytes() == serial.cohort_csv[label].encode("utf-8")
 
     def test_worker_count_is_the_usable_cpus_up_to_four(self, monkeypatch):

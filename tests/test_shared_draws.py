@@ -2,10 +2,12 @@
 
 The grid hashes each patient's streams once and derives the four
 scenario cohorts and the Table-1 cohort from those draws.  These tests
-pin that path record for record against generation from scratch, the
-Table-1 summary against a summary that re-hashes the outcome uniforms,
-and the bytes the ``grid`` command writes against digests recorded
-before draws were shared.
+pin that path against generation from scratch (each scenario's report
+and cohort CSV text against those of a cohort generated afresh, which
+the per-patient oracle pins record for record), the Table-1 summary
+against a summary that re-hashes the outcome uniforms, and the bytes the
+``grid`` command writes against digests recorded before draws were
+shared.
 """
 
 import hashlib
@@ -23,7 +25,8 @@ from oxequity.cohort import (
     generate_cohort,
 )
 from oxequity.grid import run_scenario_grid, threshold_protocol_summary
-from oxequity.metrics import AuditConfig
+from oxequity.io import cohort_csv_text
+from oxequity.metrics import AuditConfig, run_full_audit
 from oxequity.rng import CounterRng
 
 from oracles import (
@@ -61,11 +64,14 @@ def _base(seed, mode, dgp):
 def test_grid_cohorts_equal_generation_from_scratch(seed, mode, dgp):
     base = _base(seed, mode, dgp)
     result = run_scenario_grid(base, AuditConfig())
-    for label, config in scenario_configs_oracle(base).items():
-        cohort = generate_cohort(config)
-        assert result.cohorts[label] == cohort
+    cohorts = {}
+    scenarios = scenario_configs_oracle(base).items()
+    for report, (label, config) in zip(result.reports, scenarios, strict=True):
+        cohort = cohorts[label] = generate_cohort(config)
         assert cohort == cohort_of(generate_cohort_oracle(config))
-    both = result.cohorts["both"]
+        assert report == run_full_audit(cohort, AuditConfig(), scenario_label=label)
+        assert result.cohort_csv[label] == cohort_csv_text(cohort)
+    both = cohorts["both"]
     clamped = sum(s != w + e for s, w, e in zip(both.w_star, both.w_true, both.epsilon))
     assert (clamped > 0) == (dgp is CLAMPING_DGP)
     assert result.table1 == threshold_protocol_oracle(base)
