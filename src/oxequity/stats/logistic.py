@@ -17,61 +17,48 @@ log-likelihood, which grows with n.  Without the second test, some fits
 on 8e4 rows rejected every step on that noise near the optimum until
 they ran out of their ``_MAX_ITER`` (50) steps.
 
-The per-row work runs as a column kernel.  The covariates are turned
-into columns once per fit.  Each candidate of the line search builds the
-linear predictor eta in one pass of ``map`` chains over the columns, and
-exp(-|eta|) once, which both the log-likelihood (its softplus) and the
-score pass (its logistic mean) read; the accepted candidate's eta and
-exp(-|eta|) are kept for the score pass instead of being recomputed, and
-are the only n-sized sequences besides the columns.  Both passes walk
-the rows in blocks of ``_BLOCK``, so their temporaries (mu, the
-residuals, the weights, w * x_j) stay bounded whatever n is.  Every loop
-over rows is a ``map``/``operator`` chain, a comprehension or an
-``itertools.compress``.  Each list of terms w * x_j is built once and
-folded twice: into entry j of the information's row 0, and against the
-x_k of row j.
+The per-row work is one row pass per candidate of the line search.  It
+walks the rows once and folds that candidate's log-likelihood, score,
+information and misfit flag (whether some |y - mu| exceeds
+``_PERFECT_FIT_RESIDUAL``) into local running totals.  Only the accepted
+candidate's score and information are used; a rejected candidate's go
+with it.  The first pass, at the start point, reads the caller's rows
+and copies each as a tuple of floats, which the later passes read.  A
+design of p coefficients has p score and p (p + 1) / 2 information
+totals, each a local variable, so the pass is generated once per design
+width from one template (``_row_pass_source``), compiled with ``exec``
+and cached, the way ``dataclasses`` and ``collections.namedtuple`` build
+their methods.
 
-The start point beta = 0 needs no pass over the rows for eta.  Every
-covariate is finite, so x * 0.0 is +0.0 or -0.0, and 0.0 + (+-0.0) is
-+0.0: eta is exactly +0.0 on every row, whatever the design.  So every
-tail exp(-|eta|) is 1.0, every mu 0.5, every residual y - 0.5 and every
-weight 0.25, and each log-likelihood term is 0.0 - (0.0 + log1p(1.0)).
-The fit folds the start's log-likelihood, score and information from
-these constants, in the same order as at any other beta, so the bits
-are those of the generic passes.
+Every total takes one plain float ``+=`` per row, in row order, of the
+terms of the textbook per-row loop: eta = ((0 + b0) + x1 b1) + ..., the
+score's entry j adds x_j (y - mu), and the information's entry (j, k)
+adds (w x_j) x_k.  That loop is the reference because its order is the
+one a reader of the fit would write, and because matching it term for
+term makes the bits equal by construction: no term is skipped, and no
+sum is regrouped.  The pass branches on the sign of eta where the loop
+takes exp(-|eta|) and max(eta, 0.0); both branches compute the same
+values.  Builtin ``sum`` is avoided on purpose: since CPython 3.12 it
+adds floats with compensated summation, so its result would depend on
+the interpreter.  ``math.fsum`` would change the bits as well.
 
-Every score, information and log-likelihood sum is folded left to right
-into a running total (``functools.reduce(operator.add, terms, total)``),
-which is the order of a plain loop over the rows, so a fit does not
-depend on the block size.  Builtin ``sum`` is avoided on purpose: since
-CPython 3.12 it adds floats with compensated summation, so its result
-would depend on the interpreter.  ``math.fsum`` would change the bits as
-well.
-
-A covariate column whose values are all exactly 0.0 or 1.0 (a group
-indicator) is folded with ``itertools.compress``: its sums keep only the
-rows where it is 1.0, where x * v is v exactly, and skip the rest, where
-the row loop adds a term that is +0.0 or -0.0.  Skipping such a term
-gives the same bits, because every running total starts at +0.0 and can
-never become -0.0 (a sum is -0.0 only when both addends are), and
-t + (+-0.0) == t for every t that is not -0.0.  The skipped terms are
-signed zeros only because the factors they multiply are finite: the
-weights and residuals are finite whenever eta is not NaN, and the fit
-rejects non-finite covariates, for which a skipped 0.0 * inf would drop
-the NaN the row loop keeps.  A NaN eta makes the intercept's score NaN,
-which ends the fit as non-converged whatever the other sums hold.
+The start variant of the pass, at beta = 0, needs no exp or log1p.
+Every covariate is finite, so x * 0.0 is +0.0 or -0.0, and 0.0 + (+-0.0)
+is +0.0: eta is exactly +0.0 on every row, whatever the design.  So
+every mu is 0.5, every residual y - 0.5 and every weight 0.25, and each
+log-likelihood term is 0.0 - (0.0 + log1p(1.0)), the values the general
+pass computes there.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
-from functools import reduce
-from itertools import compress, repeat
+from functools import cache, reduce
+from itertools import chain
 from math import exp, isfinite, log1p
-from operator import add, mul, neg, sub
-from typing import Iterable, Sequence
+from operator import add, mul
+from typing import Sequence
 
 from .special import normal_cdf
 
@@ -79,14 +66,18 @@ __all__ = ["LogisticFit", "SingularDesignError", "fit_logistic_irls"]
 
 _NAN = float("nan")
 
-# Rows per block of the log-likelihood and score passes; bounds their
-# temporaries.
-_BLOCK = 2048
-
 # The two stop tests and the step cap; see the module docstring.
 _SCORE_TOL = 1e-8
 _DECREMENT_TOL = 1e-12
 _MAX_ITER = 50
+
+# If every observation is classified to within this residual, the
+# likelihood has no interior maximum (complete separation) and a
+# vanishing score is vacuous rather than a sign of convergence.
+_PERFECT_FIT_RESIDUAL = 1e-4
+
+# Each log-likelihood term at beta = 0; see the module docstring.
+_START_TERM = 0.0 - (0.0 + log1p(1.0))
 
 
 class SingularDesignError(ValueError):
@@ -153,109 +144,84 @@ def _solve(matrix: list[list[float]], rhs: list[list[float]]) -> list[list[float
     return [[aug[i][p + j] / aug[i][i] for i in range(p)] for j in range(len(rhs))]
 
 
-def _linear_predictor(columns: list[list[float]], beta: list[float], n: int) -> list[float]:
-    """eta for every row, summed over j as the row loop did: ((0 + b0) + x1 b1) + ..."""
-    eta = repeat(0.0 + 1.0 * beta[0], n)
-    for column, b in zip(columns, beta[1:]):
-        eta = map(add, eta, map(mul, column, repeat(b)))
-    return list(eta)
+def _row_pass_source(width: int, start: bool) -> str:
+    """The source of ``row_pass(rows, y, b0, ..., b{width-1})``.
 
-
-def _tails(eta: list[float]) -> array:
-    """exp(-|eta|) for every row: it never overflows, and serves both passes.
-
-    An array of doubles holds the same values in a third of the memory of
-    a list of floats, and leaves no float objects behind to fragment the
-    heap.
+    It returns the log-likelihood, the score, the information matrix and
+    the misfit flag at that beta, for rows of ``width - 1`` float
+    covariates and float outcomes.  The ``start`` variant takes no beta:
+    it is the pass at beta = 0 (see the module docstring).  It reads rows
+    of any numbers, takes float(x) of each, and returns those float rows
+    as well.
     """
-    return array("d", map(exp, map(neg, map(abs, eta))))
-
-
-def _log_likelihood(eta: list[float], tails: array, y: list[int]) -> float:
-    total = 0.0
-    for start in range(0, len(y), _BLOCK):
-        rows = slice(start, start + _BLOCK)
-        # log(1 + exp(eta)) without overflow.  `0.0 if 0.0 > h else h` is
-        # the comparison max(h, 0.0) makes, so -0.0 and NaN come out the
-        # same, without a call per row.
-        terms = [
-            yi * h - ((0.0 if 0.0 > h else h) + tail)
-            for yi, h, tail in zip(y[rows], eta[rows], map(log1p, tails[rows]))
+    js = range(width)
+    xs = [f"x{j}" for j in js[1:]]
+    # a tuple display; the trailing comma keeps one covariate a tuple
+    row = f"({''.join(f'{x}, ' for x in xs)})"
+    info = [[f"i{min(j, k)}_{max(j, k)}" for k in js] for j in js]
+    if start:
+        head = ["def row_pass(rows, y):", "    floats = []"]
+        moments = [
+            *(f"{x} = float({x})" for x in xs),
+            f"floats.append({row})",
+            f"ll += {_START_TERM!r}",
+            "r = yi - 0.5",
+            "w = 0.25",
         ]
-        total = reduce(add, terms, total)
-    return total
+    else:
+        # exp and log1p as locals; the row loop's eta adds 1.0 * b0 to 0.0 first
+        betas = ", ".join(f"b{j}" for j in js)
+        head = [f"def row_pass(rows, y, {betas}, *, exp=exp, log1p=log1p):", "    b0 = 0.0 + b0"]
+        eta = "".join(f" + {x} * b{j}" for j, x in enumerate(xs, 1))
+        # By the sign of h: z = exp(-|h|), which never overflows, mu the
+        # logistic mean, and log(1 + exp(h)) = max(h, 0.0) + log1p(z).
+        moments = [
+            f"h = b0{eta}",
+            "if h >= 0.0:",
+            "    z = exp(-h)",
+            "    mu = 1.0 / (1.0 + z)",
+            "    ll += yi * h - (h + log1p(z))",
+            "else:",
+            "    z = exp(h)",
+            "    mu = z / (1.0 + z)",
+            "    ll += yi * h - (0.0 + log1p(z))",
+            "r = yi - mu",
+            "w = mu * (1.0 - mu)",
+        ]
+    # A NaN residual compares false, as in a running max of |r|.
+    bound = _PERFECT_FIT_RESIDUAL
+    body = [*moments, f"if r > {bound!r} or r < {-bound!r}:", "    misfit = True"]
+    # The intercept is 1.0, and 1.0 * v == v exactly.
+    body += ["s0 += r", "i0_0 += w"]
+    for j, x in enumerate(xs, 1):
+        body += [f"s{j} += {x} * r", f"w{j} = w * {x}", f"i0_{j} += w{j}"]
+        body += [f"i{j}_{k} += w{j} * x{k}" for k in js[j:]]
+    totals = ["ll", *(f"s{j}" for j in js), *(name for j in js for name in info[j][j:])]
+    score = ", ".join(f"s{j}" for j in js)
+    matrix = ", ".join(f"[{', '.join(entries)}]" for entries in info)
+    return "\n".join(
+        [
+            *head,
+            f"    {' = '.join(totals)} = 0.0",
+            "    misfit = False",
+            f"    for {row}, yi in zip(rows, y):",
+            *(f"        {line}" for line in body),
+            f"    return ll, [{score}], [{matrix}], misfit{', floats' if start else ''}",
+            "",
+        ]
+    )
 
 
-# If every observation is classified to within this residual, the
-# likelihood has no interior maximum (complete separation) and a
-# vanishing score is vacuous rather than a sign of convergence.
-_PERFECT_FIT_RESIDUAL = 1e-4
-
-
-def _times(values, x: list[float], binary: bool):
-    """The terms v * x_i, leaving out the signed zeros of a 0/1 column."""
-    return compress(values, x) if binary else map(mul, values, x)
-
-
-def _moments(y: list[int], eta: list[float], tails: array):
-    """Per block of rows: its slice, the residuals y - mu and the weights mu (1 - mu)."""
-    for start in range(0, len(y), _BLOCK):
-        rows = slice(start, start + _BLOCK)
-        # mu = 1 / (1 + exp(-h)) for h >= 0, else z / (1 + z) with
-        # z = exp(h); both exponents equal -|h|
-        mu = [(1.0 if h >= 0.0 else z) / (1.0 + z) for h, z in zip(eta[rows], tails[rows])]
-        yield rows, list(map(sub, y[rows], mu)), [m * (1.0 - m) for m in mu]
-
-
-def _start_moments(y: list[int]):
-    """``_moments`` at beta = 0, where every mu is exactly 0.5."""
-    for start in range(0, len(y), _BLOCK):
-        rows = slice(start, start + _BLOCK)
-        resid = list(map(sub, y[rows], repeat(0.5)))
-        yield rows, resid, [0.25] * len(resid)
-
-
-def _score_and_information(
-    columns: list[list[float]],
-    binary: list[bool],
-    moments: Iterable[tuple[slice, list[float], list[float]]],
-) -> tuple[list[float], list[list[float]], float, bool]:
-    """Score, information and max |score| from the blocks of ``moments``, and
-    whether some |residual| exceeds ``_PERFECT_FIT_RESIDUAL``."""
-    p = len(columns) + 1
-    score = [0.0] * p
-    info = [[0.0] * p for _ in range(p)]
-    misfit = False
-    for rows, resid, w in moments:
-        # The fit asks only whether one residual exceeds the bound, so the
-        # scan stops at the first that does; a NaN residual compares false,
-        # as it did in the row loop's running max.
-        misfit = misfit or any(map(_PERFECT_FIT_RESIDUAL.__lt__, map(abs, resid)))
-        # The intercept column is 1.0, and 1.0 * v == v exactly.
-        xs = [column[rows] for column in columns]
-        score[0] = reduce(add, resid, score[0])
-        info[0][0] = reduce(add, w, info[0][0])
-        for j, xj in enumerate(xs, 1):
-            score[j] = reduce(add, _times(resid, xj, binary[j - 1]), score[j])
-            # The terms of row 0's entry j are the w * x_j of row j.
-            wxj = list(_times(w, xj, binary[j - 1]))
-            info[0][j] = reduce(add, wxj, info[0][j])
-            row = info[j]
-            if binary[j - 1]:
-                # Rows where x_j is 0.0 add only signed zeros to row j, and
-                # where it is 1.0, w * x_j * x_k is w * x_k; so the diagonal
-                # is row 0's entry j.
-                row[j] = info[0][j]
-                for k in range(j + 1, p):
-                    xk = list(compress(xs[k - 1], xj))
-                    row[k] = reduce(add, _times(wxj, xk, binary[k - 1]), row[k])
-            else:
-                for k in range(j, p):
-                    row[k] = reduce(add, _times(wxj, xs[k - 1], binary[k - 1]), row[k])
-    for j in range(p):
-        for k in range(j + 1, p):
-            info[k][j] = info[j][k]
-    return score, info, max(abs(s) for s in score), misfit
+@cache
+def _row_pass(width: int, start: bool):
+    """The compiled row pass of ``_row_pass_source``, named in tracebacks and profiles."""
+    kind = "start row pass" if start else "row pass"
+    code = compile(
+        _row_pass_source(width, start), f"<oxequity.stats.logistic {kind}, width {width}>", "exec"
+    )
+    namespace = {"exp": exp, "log1p": log1p}
+    exec(code, namespace)
+    return namespace["row_pass"]
 
 
 def fit_logistic_irls(
@@ -276,41 +242,37 @@ def fit_logistic_irls(
         ValueError: mismatched lengths, an empty design, design rows of
             unequal length, non-finite covariates, or non-binary outcomes.
     """
-    # float(v) of a float is v itself, so the columns share the caller's
-    # floats; zip stops at the shortest row, which the dimension check
-    # below catches.
-    columns = [list(map(float, column)) for column in zip(*design_rows)]
     n = len(outcomes)
     if len(design_rows) != n:
         raise ValueError("design and outcome lengths differ")
     if not n:
         raise ValueError("empty design")
-    if set(map(len, design_rows)) != {len(columns)}:
+    width = len(design_rows[0]) + 1
+    if set(map(len, design_rows)) != {width - 1}:
         raise ValueError("design rows have inconsistent dimension")
-    if not all(all(map(isfinite, column)) for column in columns):
-        raise ValueError("covariates must be finite")
-    # One lookup checks each value and makes it an int: 1.0 finds 1; 0.7, NaN and "1" fail.
+    # One lookup checks each value and makes it a float: 1.0 finds 1; 0.7,
+    # NaN and "1" fail.  A float y adds and multiplies as its int would.
     try:
-        y = list(map({0: 0, 1: 1}.__getitem__, outcomes))
+        y = list(map({0: 0.0, 1: 1.0}.__getitem__, outcomes))
     except (KeyError, TypeError):
         raise ValueError("outcomes must be binary") from None
-    width = len(columns) + 1
-    binary = [{0.0, 1.0}.issuperset(column) for column in columns]
 
-    # At beta = 0 every eta is +0.0, every tail 1.0 and every mu 0.5 (see
-    # the module docstring), so no pass over the rows computes them.
     beta = [0.0] * width
-    loglik = reduce(add, repeat(0.0 - (0.0 + log1p(1.0)), n), 0.0)
+    loglik, score, info, misfit, rows = _row_pass(width, True)(design_rows, y)
+    # Each start score term x * (y - 0.5) is finite exactly when x is, and
+    # a running total stays non-finite from its first non-finite term, so
+    # finite start scores clear every covariate without a pass of their own.
+    if not all(map(isfinite, score)) and not all(map(isfinite, chain.from_iterable(rows))):
+        raise ValueError("covariates must be finite")
+    max_abs_score = max(map(abs, score))
     iterations = 0
     final = False
-    score, info, max_abs_score, misfit = _score_and_information(
-        columns, binary, _start_moments(y)
-    )
     # At beta = 0 every weight is 1/4, so info is X'X / 4: check its rank
     # here, before the score test, so a collinear design whose score
     # already vanishes cannot pass as converged.  The solution is the
     # first Newton step.
     (delta,) = _solve(info, [score])
+    row_pass = _row_pass(width, False)
     while iterations < _MAX_ITER and max_abs_score > _SCORE_TOL:
         if iterations:
             try:
@@ -325,20 +287,13 @@ def fit_logistic_irls(
         step = 1.0
         for _ in range(30):
             candidate = [b + step * d for b, d in zip(beta, delta)]
-            eta = tails = None  # free the previous lists before building the next
-            eta = _linear_predictor(columns, candidate, n)
-            tails = _tails(eta)
-            if final:
-                break
-            candidate_ll = _log_likelihood(eta, tails, y)
-            if candidate_ll >= loglik - 1e-10:
+            candidate_ll, score, info, misfit = row_pass(rows, y, *candidate)
+            if final or candidate_ll >= loglik - 1e-10:
                 break
             step *= 0.5
         beta = candidate
         iterations += 1
-        score, info, max_abs_score, misfit = _score_and_information(
-            columns, binary, _moments(y, eta, tails)
-        )
+        max_abs_score = max(map(abs, score))
         if final:
             break
         loglik = candidate_ll

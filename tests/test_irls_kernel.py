@@ -1,26 +1,30 @@
-"""The column kernel of ``fit_logistic_irls`` equals the per-row loop bit for bit.
+"""The generated row pass of ``fit_logistic_irls`` equals the per-row loop bit for bit.
 
-``oracles.fit_logistic_irls_oracle`` is the row loop the fitter ran
-before its column kernel.  Every field of every fit is compared through
-``float.hex``, so a change in any last bit (a different summation order,
-compensated summation, a recomputed predictor) fails here.  Designs cover
-the audit's own fits, a CSV round trip at the audit benchmark's size,
-random designs on both sides of the kernel's block boundary, and the
-failure paths.
+``oracles.fit_logistic_irls_oracle`` is the textbook row loop: one
+(1, x...) tuple per row and plain running sums.  Every field of every fit
+is compared through ``float.hex``, so a change in any last bit (a
+different summation order, compensated summation, a recomputed
+predictor) fails here.  Designs cover the audit's own fits, a CSV round
+trip at the audit benchmark's size, random designs of 1 to 5000 rows
+(2047 to 2049 straddle the block size of an earlier kernel), the
+rejected-step path and the failure paths.
 """
 
 import dataclasses
 import math
 import random
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
 from oxequity.cohort import ScenarioConfig, generate_cohort
 from oxequity.io import read_cohort_csv, write_cohort_csv
 from oxequity.stats import logistic
-from oxequity.stats.logistic import _BLOCK, SingularDesignError, fit_logistic_irls
+from oxequity.stats.logistic import SingularDesignError, fit_logistic_irls
 from oxequity.stats.special import sigmoids
 
+import oracles
 from oracles import fit_logistic_irls_oracle, scenario_configs_oracle
 
 
@@ -85,7 +89,7 @@ def _random_design(p, n, seed):
     return rows, outcomes
 
 
-@pytest.mark.parametrize("n", (1, 2, 30, _BLOCK - 1, _BLOCK, _BLOCK + 1, 5000))
+@pytest.mark.parametrize("n", (1, 2, 30, 2047, 2048, 2049, 5000))
 @pytest.mark.parametrize("p", (1, 2, 3, 4))
 def test_random_designs_match(p, n):
     rows, outcomes = _random_design(p, n, seed=0)
@@ -148,6 +152,51 @@ def test_single_iteration_matches(monkeypatch):
     assert fit.iterations == 1 and not fit.converged
 
 
+def test_rejected_step_matches(monkeypatch):
+    # No other design in these tests rejects a full Newton step, so the
+    # first candidate's log-likelihood is forced to -inf on both sides: the
+    # line search must halve the step and go on from the half step's score
+    # and information.
+    rows, outcomes = _random_design(2, 500, seed=1)
+    make_row_pass = logistic._row_pass
+    candidates = []
+
+    def rejecting_first(width, start):
+        row_pass = make_row_pass(width, start)
+        if start:
+            return row_pass
+
+        def wrapped(rows, y, *beta):
+            loglik, *moments = row_pass(rows, y, *beta)
+            candidates.append(beta)
+            return (-math.inf if len(candidates) == 1 else loglik, *moments)
+
+        return wrapped
+
+    oracle_log_likelihood = oracles._irls_log_likelihood_oracle
+    oracle_calls = []
+
+    def oracle_rejecting_first(*args):
+        # call 1 is the start point, call 2 the first candidate
+        oracle_calls.append(args)
+        return -math.inf if len(oracle_calls) == 2 else oracle_log_likelihood(*args)
+
+    monkeypatch.setattr(logistic, "_row_pass", rejecting_first)
+    monkeypatch.setattr(oracles, "_irls_log_likelihood_oracle", oracle_rejecting_first)
+    fit = assert_same_fit(rows, outcomes)
+    assert fit.converged
+    # one candidate per step, and one more for the rejected full step
+    assert len(candidates) == fit.iterations + 1
+    assert list(candidates[1]) == [0.5 * b for b in candidates[0]]
+
+
+@pytest.mark.parametrize("start", (False, True), ids=("general", "start"))
+def test_row_pass_code_is_named(start):
+    kind = "start row pass" if start else "row pass"
+    code = logistic._row_pass(3, start).__code__
+    assert code.co_filename == f"<oxequity.stats.logistic {kind}, width 3>"
+
+
 def test_all_zero_outcomes_match():
     rows, _ = _random_design(2, 300, seed=2)
     fit = assert_same_fit(rows, [0] * len(rows))
@@ -177,10 +226,10 @@ def _indicator_design(kinds, n, seed):
     return rows, outcomes
 
 
-@pytest.mark.parametrize("n", (30, _BLOCK + 1, 5000))
+@pytest.mark.parametrize("n", (30, 2049, 5000))
 @pytest.mark.parametrize("kinds", ("b", "bb", "gb", "bg", "bgb", "gbbg", "bbbb", "cb", "bc"))
 def test_indicator_designs_match(kinds, n):
-    # 0/1 columns are folded with compress; the bits must not move
+    # a 0/1 column adds a signed zero on each of its 0 rows; the bits must not move
     rows, outcomes = _indicator_design(kinds, n, seed=len(kinds) * n)
     assert_same_fit(rows, outcomes)
 
@@ -211,7 +260,48 @@ def test_indicator_separation_matches():
     assert not fit.converged
 
 
-@pytest.mark.parametrize("bad", (math.inf, -math.inf, math.nan))
+@pytest.mark.parametrize(
+    "kinds, number", (("cb", int), ("bb", bool), ("gc", Fraction), ("gb", Decimal))
+)
+def test_non_float_covariates_fit_as_their_floats(kinds, number):
+    # the fit reads float(v) of each covariate, and float(number(x)) is x here
+    rows, outcomes = _indicator_design(kinds, 400, seed=19)
+    expected = _fit_bits(fit_logistic_irls(rows, outcomes))
+    converted = [tuple(map(number, row)) for row in rows]
+    assert [tuple(map(float, row)) for row in converted] == rows
+    assert _fit_bits(fit_logistic_irls(converted, outcomes)) == expected
+    # and one such row among floats changes nothing either
+    rows[7] = converted[7]
+    assert _fit_bits(fit_logistic_irls(rows, outcomes)) == expected
+
+
+@pytest.mark.parametrize("number", (float, int, Decimal))
+@pytest.mark.parametrize("row", (0, 20))
+def test_ragged_rows_rejected(number, row):
+    rows, outcomes = _indicator_design("cb", 50, seed=23)
+    rows = [tuple(map(number, r)) for r in rows]
+    for ragged in (rows[row][:1], rows[row] + rows[row][:1]):
+        design = rows[:row] + [ragged] + rows[row + 1 :]
+        with pytest.raises(ValueError, match="inconsistent dimension"):
+            fit_logistic_irls(design, outcomes)
+
+
+def test_overflowing_start_score_is_no_non_finite_covariate():
+    # x (y - 0.5) summed over these rows overflows to inf at the start, yet
+    # every covariate is finite; the fit must fail as the row loop does
+    rows = [(1e308,)] * 4 + [(0.0,), (1.0,)] * 4
+    outcomes = [1] * 4 + [0, 1] * 4
+    with pytest.raises(SingularDesignError) as expected:
+        fit_logistic_irls_oracle(rows, outcomes)
+    with pytest.raises(SingularDesignError) as actual:
+        fit_logistic_irls(rows, outcomes)
+    assert actual.value.columns == expected.value.columns
+
+
+@pytest.mark.parametrize(
+    "bad",
+    (math.inf, -math.inf, math.nan, Decimal("Infinity"), Decimal("-Infinity"), Decimal("NaN")),
+)
 def test_non_finite_covariates_rejected(bad):
     rows, outcomes = _indicator_design("gb", 50, seed=17)
     rows[20] = (bad, 1.0)
