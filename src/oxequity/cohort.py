@@ -421,7 +421,7 @@ def oracle_tau(params: DgpParams, cohort: Cohort) -> float:
     whose outcome contrast ``metrics.estimate_tau`` measures, so this is
     the value that estimator targets.
     """
-    if None in cohort.w_true:
+    if not cohort.gold:
         raise ValueError("oracle_tau requires true saturations for every patient")
     stratum = list(compress(cohort.w_true, _truly_hypoxemic(cohort.w_true, params.w_hypox)))
     if not stratum:

@@ -62,8 +62,8 @@ def figure_summary(
     counted, so bin counts plus ``out_of_range`` equal the cohort size.
     Empty bins are omitted.  Raises ValueError on a width that is not
     finite and positive, a range that is not two finite values in
-    increasing order, an empty or gold-free cohort, or a width too small
-    for finite bins.
+    increasing order, an empty cohort or one that is not ``gold``, or a
+    width too small for finite bins.
     """
     if not (math.isfinite(bin_width) and bin_width > 0.0):
         raise ValueError(f"bin_width must be finite and positive, got {bin_width!r}")
@@ -72,7 +72,7 @@ def figure_summary(
         raise ValueError(f"value_range must be finite with low < high, got {value_range!r}")
     if not cohort:
         raise ValueError("cannot summarize an empty cohort")
-    if None in cohort.w_true:
+    if not cohort.gold:
         raise ValueError("figure data needs gold-standard true saturations")
     in_range = [lo <= w <= hi for w in cohort.w_star]
     keys = wstar_bins(compress(cohort.w_star, in_range), bin_width)

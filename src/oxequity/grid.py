@@ -27,22 +27,23 @@ patient: no spare second saturation draw is hashed), and the four
 scenario cohorts and the Table-1 cohort are derived from those draws by
 deterministic shifts (``derive_cohort``).
 
-The four scenarios are spread over worker processes: one per usable CPU
-(the CPUs this process may run on), at most four, the caller being one
-of them.  After the draws are made, the caller forks a child for each
-contiguous share of ``SCENARIO_LABELS`` but the first, which it runs
-itself; each worker derives, audits and renders its scenarios, and hands
-back only what the bundle is written from, the report and the cohort CSV
-text of each, pickled, which restores every float exactly.  The caller
-collects them in label order, then computes Table 1.  No output bit can
-depend on the spread: every scenario is a pure function of the one set
-of draws, which each child inherits whole.  Nothing configures it:
-``taskset`` or any CPU affinity limits the workers, and the caller runs
-all four itself when one CPU is usable, where there is no ``os.fork``,
-and while another thread runs.  A child that fails has its share rerun
-by the caller, so an error is the one a serial run raises; a result
-exists only once every scenario has succeeded, so the ``grid`` command
-writes no file of a failed grid.
+The four scenarios are spread over worker processes by ``_spread``, which
+sizes itself from its items: one worker per usable CPU (the CPUs this
+process may run on), at most one per item, the caller being one of them.
+After the draws are made, the caller forks a child for each contiguous
+share of ``SCENARIO_LABELS`` but the first, which it runs itself; each
+worker derives, audits and renders its scenarios, and hands back only
+what the bundle is written from, the report and the cohort CSV text of
+each, pickled, which restores every float exactly.  The caller collects
+them in label order, then computes Table 1.  No output bit can depend on
+the spread: every scenario is a pure function of the one set of draws,
+which each child inherits whole.  Nothing configures it: ``taskset`` or
+any CPU affinity limits the workers, and the caller runs all four itself
+when one CPU is usable, where there is no ``os.fork``, and while another
+thread runs.  A child that fails has its share rerun by the caller, so
+an error is the one a serial run raises; a result exists only once every
+scenario has succeeded, so the ``grid`` command writes no file of a
+failed grid.
 """
 
 from __future__ import annotations
@@ -141,8 +142,8 @@ def threshold_protocol_summary(draws: CohortDraws) -> Table1Summary:
     )
 
 
-def _worker_count() -> int:
-    """Processes for the grid: one per usable CPU, at most one per scenario.
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity, else the CPU count.
 
     One where ``os.fork`` is missing, and while another thread runs, since
     a forked child can deadlock on a lock that thread held.
@@ -150,10 +151,8 @@ def _worker_count() -> int:
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
     if hasattr(os, "sched_getaffinity"):
-        usable = len(os.sched_getaffinity(0))
-    else:
-        usable = os.cpu_count() or 1
-    return min(len(SCENARIO_LABELS), usable)
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _fork(work, share):
@@ -211,16 +210,18 @@ def _join_all(children: list) -> list[bytes | None]:
     return [first, *rest]
 
 
-def _spread(work, labels: tuple[str, ...], workers: int) -> list:
-    """``work`` of each label in order, over contiguous shares, the caller's first.
+def _spread(work, items: tuple) -> list:
+    """``work`` of each item in order, over contiguous shares, the caller's first.
 
-    Every child is read to its end and reaped before this returns or
-    raises.  A failed child's share is rerun here, so its exception is
+    There is one share per worker: one per usable CPU, at most one per
+    item.  Every child is read to its end and reaped before this returns
+    or raises.  A failed child's share is rerun here, so its exception is
     the serial one; so is a share no child could be started for.
     """
     import pickle  # here, so that ``import oxequity`` does not load it
-    bounds = [len(labels) * k // workers for k in range(workers + 1)]
-    shares = [labels[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    workers = min(len(items), _usable_cpus()) or 1
+    bounds = [len(items) * k // workers for k in range(workers + 1)]
+    shares = [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     children = []
     try:
         for share in shares[1:]:
@@ -264,7 +265,7 @@ def run_scenario_grid(base: ScenarioConfig, audit: AuditConfig) -> GridResult:
             done.append((report, cohort_csv_text(cohort)))
         return done
 
-    reports, texts = zip(*_spread(scenarios, SCENARIO_LABELS, _worker_count()))
+    reports, texts = zip(*_spread(scenarios, SCENARIO_LABELS))
     return GridResult(
         reports=list(reports),
         table1=threshold_protocol_summary(draws),

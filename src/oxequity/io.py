@@ -155,11 +155,14 @@ def _valid(values: list, kind: type, bound) -> bool:
 
 
 class _Layout:
-    """Where each column sits in a file's rows, and the rule it is read by."""
+    """Where each column sits in a file's rows, and the rule it is read by.
+
+    Header names are stripped, as every cell is, before they are matched.
+    """
 
     def __init__(self, header: list[str], require_gold: bool):
         positions = {}
-        for i, name in enumerate(header):
+        for i, name in enumerate(map(str.strip, header)):
             if name in positions:
                 raise CohortSchemaError("duplicate column in header", row=1, column=name)
             positions[name] = i

@@ -43,7 +43,7 @@ from itertools import compress
 from operator import not_
 from typing import Sequence
 
-from .cohort import Cohort, _require_finite, _truly_hypoxemic, wstar_bins
+from .cohort import DEFAULT_DGP, Cohort, _require_finite, _truly_hypoxemic, wstar_bins
 from .stats import (
     TWO_SIDED,
     SingularDesignError,
@@ -100,7 +100,7 @@ class AuditConfig:
     power: float = 0.80
     delta: float = 1.0
     flag_level: float = 0.01
-    w_hypox: float = 88.0
+    w_hypox: float = DEFAULT_DGP.w_hypox
     target_prevalence: float | None = None
     wstar_bin_width: float = 1.0
 
@@ -514,9 +514,7 @@ def observed_outcome_gap(cohort: Cohort, config: AuditConfig) -> MetricResult:
 
 def _systemic_logistic(cohort: Cohort, config: AuditConfig) -> MetricResult:
     try:
-        fit = fit_logistic_irls(
-            list(zip(cohort.w_star, map(float, cohort.group_a))), cohort.treated
-        )
+        fit = fit_logistic_irls(list(zip(cohort.w_star, cohort.group_a)), cohort.treated)
     except SingularDesignError as exc:
         raise UntestableMetricError(str(exc)) from None
     if not fit.converged:

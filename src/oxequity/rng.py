@@ -17,9 +17,10 @@ There are two entry points:
 
 * ``uniform_columns`` draws several channels for patients 0..n-1.
   The generator draws every cohort through it.
-* ``uniform`` hashes one key.  It is the reference that
-  ``uniform_columns`` matches bit for bit, and the draw whose cost the
-  benchmark's ``rng.draw_ns`` measures.
+* ``uniform`` hashes one key in three ``_mix`` rounds: patient,
+  channel, then 0.  It is the reference that ``uniform_columns`` matches
+  bit for bit, and the draw whose cost the benchmark's ``rng.draw_ns``
+  measures.
 
 Both map the 53-bit word w to (w + 0.5) / 2**53, except the top word,
 for which that sum rounds to 2**53: it maps to ``_BELOW_ONE``, the
@@ -125,17 +126,11 @@ class CounterRng:
         """Uniform draw on the open interval (0, 1)."""
         if patient_id < 0 or channel < 0:
             raise ValueError("stream keys must be non-negative")
-        # Three absorb-and-mix rounds, unrolled: patient, channel, then 0.
-        z = (self._seed + patient_id * _MULT + _GOLDEN) & _MASK64
-        z = ((z ^ (z >> 30)) * _MULT) & _MASK64
-        z = ((z ^ (z >> 27)) * _MULT2) & _MASK64
-        z = ((z ^ (z >> 31)) + channel * _MULT + _GOLDEN) & _MASK64
-        z = ((z ^ (z >> 30)) * _MULT) & _MASK64
-        z = ((z ^ (z >> 27)) * _MULT2) & _MASK64
-        z = ((z ^ (z >> 31)) + _GOLDEN) & _MASK64
-        z = ((z ^ (z >> 30)) * _MULT) & _MASK64
-        z = ((z ^ (z >> 27)) * _MULT2) & _MASK64
-        u = (((z ^ (z >> 31)) >> 11) + 0.5) * 2.0**-53
+        # Three absorb-and-mix rounds: patient, channel, then 0.
+        z = _mix((self._seed + patient_id * _MULT + _GOLDEN) & _MASK64)
+        z = _mix((z + channel * _MULT + _GOLDEN) & _MASK64)
+        z = _mix((z + _GOLDEN) & _MASK64)
+        u = ((z >> 11) + 0.5) * 2.0**-53
         return u if u < 1.0 else _BELOW_ONE
 
     def uniform_columns(self, n: int, channels: Iterable[Channel]) -> list[list[float]]:

@@ -71,13 +71,21 @@ def test_all_names_resolve(module_name):
     assert not missing
 
 
-def _imported_names(tree: ast.Module):
-    """The names that the module's import statements bind."""
+def _imported_names(tree: ast.Module, package: str):
+    """The names that the module's import statements bind.
+
+    A star import binds the ``__all__`` of the module it names.
+    """
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             yield from (a.asname or a.name.partition(".")[0] for a in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            yield from (a.asname or a.name for a in node.names)
+            for alias in node.names:
+                if alias.name == "*":
+                    source = "." * node.level + (node.module or "")
+                    yield from importlib.import_module(source, package).__all__
+                else:
+                    yield alias.asname or alias.name
 
 
 def test_importing_the_cli_loads_no_pickle():
@@ -96,8 +104,21 @@ def test_imports_are_used(module_name):
     module = importlib.import_module(module_name)
     tree = ast.parse(Path(module.__file__).read_text())
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    unused = set(_imported_names(tree)) - read - set(getattr(module, "__all__", ()))
+    bound = set(_imported_names(tree, module.__package__))
+    unused = bound - read - set(getattr(module, "__all__", ()))
     assert not unused
+
+
+def test_stats_exports_each_module_name_once():
+    # Each public stats name is listed in its module's __all__ alone.
+    stats = importlib.import_module("oxequity.stats")
+    names = [
+        name
+        for m in ("auc", "hypotests", "logistic", "special")
+        for name in importlib.import_module(f"oxequity.stats.{m}").__all__
+    ]
+    assert stats.__all__ == names
+    assert len(set(names)) == len(names)
 
 
 def _reads_outside_builders(tree: ast.Module) -> set[str]:

@@ -69,6 +69,26 @@ def test_audit_json_file_round_trips(tmp_path):
     assert len(parsed[0].metrics) == 10
 
 
+@pytest.mark.parametrize("padded", ("gold", "every"))
+def test_padded_header_audits_as_the_plain_file(tmp_path, padded):
+    # Header names are stripped like every cell, so a padded gold name does
+    # not make the file read as gold-free.
+    source = tmp_path / "plain.csv"
+    run("simulate", "--n", "300", "--seed", "5", "--out", str(source))
+    header, body = source.read_text().split("\n", 1)
+    pad = ("w_true", "epsilon") if padded == "gold" else tuple(header.split(","))
+    names = [f" {name} " if name in pad else name for name in header.split(",")]
+    padded_file = tmp_path / "padded.csv"
+    padded_file.write_text(",".join(names) + "\n" + body)
+    reports = []
+    for path in (source, padded_file):
+        out = tmp_path / f"{path.stem}.json"
+        assert run("audit", "--in", str(path), "--format", "json", "--out", str(out)) == 0
+        reports.append(out.read_bytes())
+    assert reports[1] == reports[0]
+    assert b"no gold standard" not in reports[0]
+
+
 def test_audit_gold_free_file(tmp_path, capsys):
     source = tmp_path / "full.csv"
     run("simulate", "--n", "300", "--seed", "5", "--out", str(source))
@@ -285,7 +305,7 @@ def test_grid_is_byte_deterministic(tmp_path):
 def test_grid_bundle_is_the_same_for_any_worker_count(tmp_path, monkeypatch, mode):
     bundles = []
     for workers in (1, 2, 4):
-        monkeypatch.setattr(grid, "_worker_count", lambda: workers)
+        monkeypatch.setattr(grid, "_usable_cpus", lambda: workers)
         out = tmp_path / f"w{workers}"
         argv = ("grid", "--n", "600", "--seed", "3", "--treatment-mode", mode)
         assert run(*argv, "--out", str(out)) == 0
@@ -305,7 +325,7 @@ def test_grid_failure_in_any_worker_is_the_serial_failure(tmp_path, monkeypatch,
 
     monkeypatch.setattr(grid, "run_full_audit", audit_failing_for_one_label)
     for workers in (1, 2):
-        monkeypatch.setattr(grid, "_worker_count", lambda: workers)
+        monkeypatch.setattr(grid, "_usable_cpus", lambda: workers)
         out = tmp_path / f"w{workers}"
         assert run("grid", "--n", "300", "--seed", "3", "--out", str(out)) == 2
         captured = capsys.readouterr()

@@ -348,3 +348,12 @@ class TestOracleTau:
         healthy = cohort_of([replace(records_of(cohort)[0], w_true=95.0)])
         with pytest.raises(ValueError, match="hypoxemic"):
             oracle_tau(DEFAULT_DGP, healthy)
+
+    def test_gold_is_the_rule(self):
+        # The audit's rule: every patient has both w_true and epsilon.
+        cohort = generate_cohort(ScenarioConfig(n_total=300, seed=3))
+        one_blank = replace(cohort, epsilon=[None, *cohort.epsilon[1:]])
+        assert None not in one_blank.w_true and not one_blank.gold
+        for no_gold in (one_blank, cohort_of([])):
+            with pytest.raises(ValueError, match="true saturations for every patient"):
+                oracle_tau(DEFAULT_DGP, no_gold)

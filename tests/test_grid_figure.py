@@ -87,12 +87,12 @@ class TestWorkers:
     @pytest.fixture(scope="class")
     def serial(self):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(grid, "_worker_count", lambda: 1)
+            patch.setattr(grid, "_usable_cpus", lambda: 1)
             return run_scenario_grid(ScenarioConfig(seed=3), AuditConfig())
 
     @pytest.mark.parametrize("workers", (1, 2, 4))
     def test_any_worker_count_gives_the_serial_result(self, monkeypatch, serial, workers):
-        monkeypatch.setattr(grid, "_worker_count", lambda: workers)
+        monkeypatch.setattr(grid, "_usable_cpus", lambda: workers)
         forks = _counted_forks(monkeypatch)
         assert run_scenario_grid(ScenarioConfig(seed=3), AuditConfig()) == serial
         assert len(forks) == workers - 1
@@ -103,7 +103,7 @@ class TestWorkers:
         def failing_fork():
             raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
 
-        monkeypatch.setattr(grid, "_worker_count", lambda: 4)
+        monkeypatch.setattr(grid, "_usable_cpus", lambda: 4)
         monkeypatch.setattr(os, "fork", failing_fork)
         assert run_scenario_grid(ScenarioConfig(seed=3), AuditConfig()) == serial
 
@@ -114,7 +114,7 @@ class TestWorkers:
         def interrupted_read(fd, size):
             raise Interrupt
 
-        monkeypatch.setattr(grid, "_worker_count", lambda: 4)
+        monkeypatch.setattr(grid, "_usable_cpus", lambda: 4)
         monkeypatch.setattr(os, "read", interrupted_read)
         with pytest.raises(Interrupt):
             run_scenario_grid(ScenarioConfig(n_total=300, seed=3), AuditConfig())
@@ -129,7 +129,7 @@ class TestWorkers:
             payloads.append(payload)
             return payload
 
-        monkeypatch.setattr(grid, "_worker_count", lambda: 4)
+        monkeypatch.setattr(grid, "_usable_cpus", lambda: 4)
         monkeypatch.setattr(grid, "_join", recording_join)
         assert run_scenario_grid(ScenarioConfig(seed=3), AuditConfig()) == serial
         assert len(payloads) == 3
@@ -143,25 +143,42 @@ class TestWorkers:
             write_cohort_csv(generate_cohort(config), path)
             assert path.read_bytes() == serial.cohort_csv[label].encode("utf-8")
 
-    def test_worker_count_is_the_usable_cpus_up_to_four(self, monkeypatch):
+    def test_usable_cpus_is_the_affinity(self, monkeypatch):
         if not hasattr(os, "sched_getaffinity"):
             pytest.skip("no CPU affinity on this platform")
-        for cpus, workers in ((1, 1), (2, 2), (4, 4), (64, 4)):
+        for cpus in (1, 2, 4, 64):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
-            assert grid._worker_count() == workers
+            assert grid._usable_cpus() == cpus
         # A forked child could deadlock on a lock another thread holds.
         release = threading.Event()
         thread = threading.Thread(target=release.wait)
         thread.start()
         try:
-            assert grid._worker_count() == 1
+            assert grid._usable_cpus() == 1
         finally:
             release.set()
             thread.join(timeout=10)
         assert not thread.is_alive()
-        assert grid._worker_count() == 4
+        assert grid._usable_cpus() == 64
         monkeypatch.delattr(os, "fork")
-        assert grid._worker_count() == 1
+        assert grid._usable_cpus() == 1
+
+    @pytest.mark.parametrize(("items", "forks"), ((8, 2), (4, 2), (2, 1), (1, 0), (0, 0)))
+    def test_spread_takes_any_items(self, monkeypatch, items, forks):
+        # At most one worker per usable CPU and per item; results in item order.
+        if not hasattr(os, "sched_getaffinity"):
+            pytest.skip("no CPU affinity on this platform")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        labels = tuple(f"label{i}" for i in range(items))
+        forked = _counted_forks(monkeypatch)
+        results = grid._spread(lambda share: [(label, os.getpid()) for label in share], labels)
+        assert [label for label, _ in results] == list(labels)
+        assert len(forked) == forks
+        pids = [pid for _, pid in results]
+        assert len(set(pids)) == min(items, 3)
+        assert pids[:1] in ([], [os.getpid()])  # the caller runs the first share
+        with pytest.raises(ChildProcessError):  # every child was reaped
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestThresholdProtocol:
@@ -249,6 +266,14 @@ class TestFigureSummary:
         cohort = generate_cohort(ScenarioConfig(seed=14, n_total=50))
         with pytest.raises(ValueError):
             figure_summary(gold_free(cohort))
+
+    def test_one_blank_epsilon_rejected(self):
+        # The audit's rule: every patient has both w_true and epsilon.
+        cohort = generate_cohort(ScenarioConfig(seed=14, n_total=50))
+        one_blank = replace(cohort, epsilon=[*cohort.epsilon[:-1], None])
+        assert None not in one_blank.w_true and not one_blank.gold
+        with pytest.raises(ValueError, match="gold-standard"):
+            figure_summary(one_blank)
 
     def test_validation(self):
         cohort = generate_cohort(ScenarioConfig(seed=15, n_total=50))

@@ -135,6 +135,15 @@ def test_duplicate_header_column_named(tmp_path):
     assert excinfo.value.column == "w_star"
 
 
+def test_duplicate_header_column_found_after_stripping(tmp_path):
+    path = tmp_path / "dup_padded.csv"
+    path.write_text("patient_id, patient_id ,group_a\n0,0,1\n")
+    with pytest.raises(CohortSchemaError, match="duplicate column") as excinfo:
+        read_cohort_csv(path, require_gold=False)
+    assert excinfo.value.row == 1
+    assert excinfo.value.column == "patient_id"
+
+
 def test_missing_column_listed(tmp_path):
     path = tmp_path / "short.csv"
     path.write_text("patient_id,group_a,w_star\n1,0,90.0\n")

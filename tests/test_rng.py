@@ -73,8 +73,8 @@ def test_seed_masking_consistent():
 
 
 # sha256 of packed little-endian doubles, recorded with the per-field loop
-# mixer that ``uniform`` unrolls.  The seed exceeds 2**64 to exercise the
-# masking.
+# mixer whose three rounds ``uniform`` runs.  The seed exceeds 2**64 to
+# exercise the masking.
 FROZEN_SEED = 2**64 + 0x5DEECE66D
 COHORT_CHANNELS = (Channel.GROUP, Channel.SATURATION, Channel.NOISE, Channel.TREAT, Channel.OUTCOME)
 # 2000 patients x the five cohort channels, patient-major
