@@ -88,6 +88,14 @@ def _require_finite(config) -> None:
             raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
+def _require_in_window(config, *names: str) -> None:
+    """Reject a saturation field of ``config`` outside the open window (W_LOW, W_HIGH)."""
+    for name in names:
+        value = getattr(config, name)
+        if not W_LOW < value < W_HIGH:
+            raise ValueError(f"{name}={value!r} outside ({W_LOW}, {W_HIGH})")
+
+
 @dataclass(frozen=True, slots=True)
 class DgpParams:
     """All generative parameters of the synthetic cohort.
@@ -137,10 +145,7 @@ class DgpParams:
     out_benefit: float = 0.32
 
     def __post_init__(self) -> None:
-        for name in ("w_treat", "w_hypox", "err_pivot"):
-            value = getattr(self, name)
-            if not W_LOW < value < W_HIGH:
-                raise ValueError(f"{name}={value!r} outside ({W_LOW}, {W_HIGH})")
+        _require_in_window(self, "w_treat", "w_hypox", "err_pivot")
         if self.w_hypox > self.w_treat:
             raise ValueError(
                 f"w_hypox={self.w_hypox!r} must not exceed w_treat={self.w_treat!r}"

@@ -59,7 +59,7 @@ _GOLD_COLUMNS = ("w_true", "epsilon")
 # reader's memory high-water mark.
 _BLOCK = 512
 
-_format_float = "{:.4f}".format
+_format_float = "%.4f".__mod__
 
 
 class CohortSchemaError(ValueError):

@@ -43,7 +43,9 @@ from itertools import compress
 from operator import not_
 from typing import Sequence
 
-from .cohort import DEFAULT_DGP, Cohort, _require_finite, _truly_hypoxemic, wstar_bins
+from .cohort import (
+    DEFAULT_DGP, Cohort, _require_finite, _require_in_window, _truly_hypoxemic, wstar_bins
+)
 from .stats import (
     TWO_SIDED,
     SingularDesignError,
@@ -120,6 +122,7 @@ class AuditConfig:
                 f"target_prevalence must lie in (0, 1), got {self.target_prevalence!r}"
             )
         _require_finite(self)
+        _require_in_window(self, "w_hypox")
 
 
 @dataclass(slots=True)
@@ -459,14 +462,18 @@ def estimate_tau(cohort: Cohort, config: AuditConfig) -> float:
     return y0 / n0 - y1 / n1
 
 
-def _treatment_gap(cohort: Cohort, config: AuditConfig) -> MetricResult:
+def _group_rates(
+    cohort: Cohort, column: Sequence[int], margin: str
+) -> tuple[dict[int, float], TestResult]:
+    """Each group's rate of the 0/1 ``column``, and the chi-square of its table."""
     _group_sizes(cohort)
-    tally = z0, n0, z1, n1 = _tally(cohort.treated, cohort.group_a)
-    rate0, rate1 = z0 / n0, z1 / n1
-    test = _chi_square(tally, "treatment margin")
-    return _result(
-        TREATMENT_GAP, {0: rate0, 1: rate1}, rate0 - rate1, test, _flagged(test, config)
-    )
+    tally = x0, n0, x1, n1 = _tally(column, cohort.group_a)
+    return {0: x0 / n0, 1: x1 / n1}, _chi_square(tally, margin)
+
+
+def _treatment_gap(cohort: Cohort, config: AuditConfig) -> MetricResult:
+    rates, test = _group_rates(cohort, cohort.treated, "treatment margin")
+    return _result(TREATMENT_GAP, rates, rates[0] - rates[1], test, _flagged(test, config))
 
 
 def treatment_gap_and_outcome_decomposition(
@@ -499,17 +506,8 @@ def treatment_gap_and_outcome_decomposition(
 
 def observed_outcome_gap(cohort: Cohort, config: AuditConfig) -> MetricResult:
     """Observed outcome disparity P(Y=1 | A=1) - P(Y=1 | A=0)."""
-    _group_sizes(cohort)
-    tally = y0, n0, y1, n1 = _tally(cohort.outcome, cohort.group_a)
-    rate0, rate1 = y0 / n0, y1 / n1
-    test = _chi_square(tally, "outcome margin")
-    return _result(
-        OBSERVED_OUTCOME_GAP,
-        {0: rate0, 1: rate1},
-        rate1 - rate0,
-        test,
-        _flagged(test, config),
-    )
+    rates, test = _group_rates(cohort, cohort.outcome, "outcome margin")
+    return _result(OBSERVED_OUTCOME_GAP, rates, rates[1] - rates[0], test, _flagged(test, config))
 
 
 def _systemic_logistic(cohort: Cohort, config: AuditConfig) -> MetricResult:

@@ -17,7 +17,8 @@ unknown key, a value of the wrong shape, a metric name outside
 ``METRIC_ORDER`` or repeated, a group key other than "0" or "1")
 raises ``ValueError``, and so does a value that is not of its field's
 annotated type (a bool is not a number), so the dataclasses are the
-schema's only list of fields.
+schema's only list of fields.  What ``report_to_json`` never writes
+raises too: NaN, Infinity, a repeated key, a non-int ``schema_version``.
 """
 
 from __future__ import annotations
@@ -226,14 +227,30 @@ def _report_from_obj(obj) -> EquityReport:
     return _checked(report)
 
 
+_MALFORMED = f"malformed report for schema version {SCHEMA_VERSION}: "
+
+
+def _reject_constant(constant: str):
+    raise ValueError(f"{_MALFORMED}non-finite number {constant}")
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        raise ValueError(f"{_MALFORMED}repeated key in an object with keys {sorted(obj)}")
+    return obj
+
+
 def parse_report_json(text: str) -> list[EquityReport]:
     """Inverse of report_to_json; raises ValueError on a malformed document."""
-    payload = json.loads(text)
+    payload = json.loads(text, parse_constant=_reject_constant, object_pairs_hook=_unique_keys)
     if not isinstance(payload, dict):
         raise ValueError(f"report JSON must be an object, got {type(payload).__name__}")
     version = payload.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported report schema version: {version!r}")
+    if type(version) is not int:
+        raise ValueError(f"{_MALFORMED}field schema_version must be int, got {version!r}")
     if payload.keys() != {"schema_version", "reports"}:
         raise ValueError(
             f"report schema version {SCHEMA_VERSION} holds exactly "
@@ -243,7 +260,7 @@ def parse_report_json(text: str) -> list[EquityReport]:
         return list(map(_report_from_obj, payload["reports"]))
     except (TypeError, AttributeError, ValueError) as exc:
         # A missing or unknown field, a value of the wrong shape or type, or an unknown name
-        raise ValueError(f"malformed report for schema version {SCHEMA_VERSION}: {exc}") from None
+        raise ValueError(f"{_MALFORMED}{exc}") from None
 
 
 def _renderers():

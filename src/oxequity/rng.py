@@ -10,6 +10,8 @@ The mixer absorbs each key field, then 0 (once a draw index; every word
 is unchanged), by a multiply-add and the SplitMix64 finalizer.  It is not
 cryptographic, but its equidistribution is far beyond what these cohort
 sizes can detect (the 500-replication null-calibration suite checks it).
+The finalizer is written once, as ``_mix_lanes``, which mixes every lane
+of a packed integer; one 64-bit word is its one-lane case.
 
 Because a draw depends only on its key, the same bits can be computed in
 any order (the counter-based design of Salmon et al. 2011, Random123).
@@ -17,7 +19,7 @@ There are two entry points:
 
 * ``uniform_columns`` draws several channels for patients 0..n-1.
   The generator draws every cohort through it.
-* ``uniform`` hashes one key in three ``_mix`` rounds: patient,
+* ``uniform`` hashes one key in three one-lane rounds: patient,
   channel, then 0.  It is the reference that ``uniform_columns`` matches
   bit for bit, and the draw whose cost the benchmark's ``rng.draw_ns``
   measures.
@@ -79,16 +81,11 @@ class Channel(IntEnum):
     OUTCOME = 4
 
 
-def _mix(z: int) -> int:
-    z = ((z ^ (z >> 30)) * _MULT) & _MASK64
-    z = ((z ^ (z >> 27)) * _MULT2) & _MASK64
-    return z ^ (z >> 31)
-
-
 def _mix_lanes(z: int, lanes: int) -> int:
-    """``_mix`` of every 128-bit lane of z whose high half is zero.
+    """The SplitMix64 finalizer of every 128-bit lane of z whose high half is zero.
 
-    ``lanes`` is ``_MASK64`` in every lane.  Bits 97..127 of each lane
+    ``lanes`` is ``_MASK64`` in every lane; one 64-bit word is the
+    one-lane case, ``_mix_lanes(z, _MASK64)``.  Bits 97..127 of each lane
     of the result hold bits of the next lane: mask, or read only the
     low halves, before the next multiply.
     """
@@ -120,16 +117,15 @@ class CounterRng:
     __slots__ = ("_seed",)
 
     def __init__(self, seed: int):
-        self._seed = _mix((int(seed) & _MASK64) + _GOLDEN & _MASK64)
+        self._seed = _mix_lanes((int(seed) & _MASK64) + _GOLDEN & _MASK64, _MASK64)
 
     def uniform(self, patient_id: int, channel: Channel) -> float:
         """Uniform draw on the open interval (0, 1)."""
         if patient_id < 0 or channel < 0:
             raise ValueError("stream keys must be non-negative")
-        # Three absorb-and-mix rounds: patient, channel, then 0.
-        z = _mix((self._seed + patient_id * _MULT + _GOLDEN) & _MASK64)
-        z = _mix((z + channel * _MULT + _GOLDEN) & _MASK64)
-        z = _mix((z + _GOLDEN) & _MASK64)
+        z = _mix_lanes((self._seed + patient_id * _MULT + _GOLDEN) & _MASK64, _MASK64)
+        z = _mix_lanes((z + channel * _MULT + _GOLDEN) & _MASK64, _MASK64)
+        z = _mix_lanes((z + _GOLDEN) & _MASK64, _MASK64)
         u = ((z >> 11) + 0.5) * 2.0**-53
         return u if u < 1.0 else _BELOW_ONE
 

@@ -159,12 +159,10 @@ def chi_square_independence(table: Sequence[Sequence[float]]) -> TestResult:
     grid = _validate_grid(table)
     row_totals = [math.fsum(row) for row in grid]
     col_totals = [math.fsum(col) for col in zip(*grid)]
-    for i, total in enumerate(row_totals):
-        if total == 0.0:
-            raise ValueError(f"row {i} of the contingency table has zero total")
-    for j, total in enumerate(col_totals):
-        if total == 0.0:
-            raise ValueError(f"column {j} of the contingency table has zero total")
+    for margin, totals in (("row", row_totals), ("column", col_totals)):
+        for i, total in enumerate(totals):
+            if total == 0.0:
+                raise ValueError(f"{margin} {i} of the contingency table has zero total")
     n = math.fsum(row_totals)
     statistic = 0.0
     for i, row in enumerate(grid):

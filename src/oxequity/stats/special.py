@@ -4,10 +4,11 @@ Everything in this module is plain Python on top of :mod:`math`, so the
 statistics layer has no third-party numerical dependencies.  The normal
 CDF rides on the C library's ``erfc``; the regularized upper incomplete
 gamma and the incomplete beta use the classic series / continued-fraction
-split, iterated to relative machine tolerance.  The chi-square and t tails
-built on them match scipy to 1e-9 relative error for df from 1 to 1e6 and
-p down to 1e-300; past |t| ~ 1.34e154, where t^2 overflows, the t tail
-hands the incomplete beta log x in place of x.
+split, iterated to relative machine tolerance; both continued fractions
+advance by one modified-Lentz update, ``_lentz_step``.  The chi-square
+and t tails built on them match scipy to 1e-9 relative error for df from
+1 to 1e6 and p down to 1e-300; past |t| ~ 1.34e154, where t^2 overflows,
+the t tail hands the incomplete beta log x in place of x.
 """
 
 from __future__ import annotations
@@ -102,16 +103,13 @@ def normal_quantiles(ps: Iterable[float]) -> list[float]:
     for p in ps:
         if not 0.0 < p < 1.0:
             raise ValueError(f"normal_quantile requires 0 < p < 1, got {p!r}")
-        if p < _P_LOW:
-            q = sqrt(-2.0 * log(p))
+        if p < _P_LOW or p > p_high:  # the upper tail is the lower one's negation
+            q = sqrt(-2.0 * log(p if p < _P_LOW else 1.0 - p))
             x = (((((c0 * q + c1) * q + c2) * q + c3) * q + c4) * q + c5) / (
                 (((d0 * q + d1) * q + d2) * q + d3) * q + 1.0
             )
-        elif p > p_high:
-            q = sqrt(-2.0 * log(1.0 - p))
-            x = -(((((c0 * q + c1) * q + c2) * q + c3) * q + c4) * q + c5) / (
-                (((d0 * q + d1) * q + d2) * q + d3) * q + 1.0
-            )
+            if p > p_high:
+                x = -x
         else:
             q = p - 0.5
             r = q * q
@@ -168,6 +166,19 @@ def _gamma_series(a: float, x: float) -> float:
     return total * _gamma_front(a, x)
 
 
+def _lentz_step(an: float, bn: float, c: float, d: float) -> tuple[float, float, float]:
+    """One modified-Lentz update for the term an / (bn + ...): the new c and d, and
+    the factor d * c by which the continued fraction's value moves."""
+    d = an * d + bn
+    if abs(d) < _TINY:
+        d = _TINY
+    c = bn + an / c
+    if abs(c) < _TINY:
+        c = _TINY
+    d = 1.0 / d
+    return c, d, d * c
+
+
 def _gamma_continued_fraction(a: float, x: float) -> float:
     # Upper incomplete gamma via modified Lentz continued fraction.
     b = x + 1.0 - a
@@ -175,16 +186,8 @@ def _gamma_continued_fraction(a: float, x: float) -> float:
     d = 1.0 / b
     h = d
     for i in range(1, _MAX_ITER + int(10.0 * math.sqrt(a))):
-        an = -i * (i - a)
         b += 2.0
-        d = an * d + b
-        if abs(d) < _TINY:
-            d = _TINY
-        c = b + an / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
+        c, d, delta = _lentz_step(-i * (i - a), b, c, d)
         h *= delta
         if abs(delta - 1.0) < _EPS:
             break
@@ -208,32 +211,13 @@ def _beta_continued_fraction(x: float, a: float, b: float) -> float:
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _TINY:
-        d = _TINY
-    d = 1.0 / d
-    h = d
+    # The zeroth term is a step too: from c = inf its c is exactly 1.0 and h = d.
+    c, d, h = _lentz_step(-qab * x / qap, 1.0, math.inf, 1.0)
     for m in range(1, _MAX_ITER):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
+        c, d, delta = _lentz_step(m * (b - m) * x / ((qam + m2) * (a + m2)), 1.0, c, d)
+        h *= delta
+        c, d, delta = _lentz_step(-(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)), 1.0, c, d)
         h *= delta
         if abs(delta - 1.0) < _EPS:
             break

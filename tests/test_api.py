@@ -2,7 +2,8 @@
 
 ``bench/spans.py`` wraps the functions named in ``SPAN_TARGETS`` by module
 attribute, so a rename in the package would break only the traced
-benchmark.  The file is parsed, not imported, to read that table.
+benchmark.  The file is loaded by its path (``bench`` is not a package),
+and its own ``Tracer`` counts the calls below.
 
 The benchmark's per-layer counts also rest on two facts checked here: one
 full audit calls each traced metric function and the logistic fit exactly
@@ -23,6 +24,7 @@ processes pickles, so a process that never runs one does not pay for it.
 import ast
 import dataclasses
 import importlib
+import importlib.util
 import os
 import pkgutil
 import subprocess
@@ -52,14 +54,14 @@ def _module_names():
     return names
 
 
-def _span_targets() -> dict[str, tuple[str, ...]]:
-    tree = ast.parse(SPANS_FILE.read_text())
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "SPAN_TARGETS" for t in node.targets
-        ):
-            return ast.literal_eval(node.value)
-    raise AssertionError("SPAN_TARGETS not found in bench/spans.py")
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS_FILE)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)  # its dataclasses look their module up
+    return module
+
+
+SPANS = _load_spans()
 
 
 @pytest.mark.parametrize("module_name", _module_names())
@@ -159,9 +161,8 @@ def test_every_cohort_field_is_read():
 
 
 def test_span_targets_exist():
-    targets = _span_targets()
-    assert targets
-    for layer, functions in targets.items():
+    assert SPANS.SPAN_TARGETS
+    for layer, functions in SPANS.SPAN_TARGETS.items():
         module = importlib.import_module(f"oxequity.{layer}")
         for name in functions:
             assert callable(getattr(module, name, None)), f"oxequity.{layer}.{name}"
@@ -219,52 +220,30 @@ def test_irls_kernel_uses_no_sum_or_fsum():
     assert not found
 
 
-def _count_calls(names: list[str], action) -> Counter:
-    """Run ``action`` with each named function counted, wrapped the way the
-    benchmark's tracer does it: at every ``oxequity`` module attribute that
-    holds the function.  The originals are put back whatever happens."""
-    calls: Counter = Counter()
-    originals = {}
-    for dotted in names:
-        layer, name = dotted.split(".")
-        func = getattr(importlib.import_module(f"oxequity.{layer}"), name)
-        originals[id(func)] = (func, dotted)
-
-    def counting(func, dotted):
-        def wrapper(*args, **kwargs):
-            calls[dotted] += 1
-            return func(*args, **kwargs)
-
-        return wrapper
-
-    patched = []
+def _count_spans(action) -> Counter:
+    """Run ``action`` under the benchmark's tracer and count its spans by name.
+    The originals are put back whatever happens."""
+    tracer = SPANS.Tracer()
+    tracer.install()
     try:
-        for module_name, module in list(sys.modules.items()):
-            if module_name != "oxequity" and not module_name.startswith("oxequity."):
-                continue
-            for attr, value in list(vars(module).items()):
-                hit = originals.get(id(value))
-                if hit is not None and hit[0] is value:
-                    patched.append((module, attr, value))
-                    setattr(module, attr, counting(*hit))
         action()
     finally:
-        for module, attr, value in reversed(patched):
-            setattr(module, attr, value)
-    return calls
+        tracer.uninstall()
+    spans, _ = tracer.take()
+    return Counter(span.name for span in spans)
 
 
 @pytest.mark.parametrize("gold", (True, False), ids=("gold", "gold_free"))
 def test_one_audit_calls_each_traced_metric_once(gold):
-    targets = _span_targets()
-    names = [f"metrics.{fn}" for fn in targets["metrics"]] + ["stats.fit_logistic_irls"]
+    names = [f"metrics.{fn}" for fn in SPANS.SPAN_TARGETS["metrics"]]
+    names.append("stats.fit_logistic_irls")
     cohort = generate_cohort(ScenarioConfig(n_total=600, seed=3))
     if not gold:
         cohort = gold_free(cohort)
     metrics = importlib.import_module("oxequity.metrics")
     # looked up at call time, as the benchmark calls it
-    calls = _count_calls(names, lambda: metrics.run_full_audit(cohort, AuditConfig()))
-    assert calls == Counter(dict.fromkeys(names, 1))
+    spans = _count_spans(lambda: metrics.run_full_audit(cohort, AuditConfig()))
+    assert {name: spans[name] for name in names} == dict.fromkeys(names, 1)
     assert metrics.run_full_audit is run_full_audit  # the originals are back
 
 

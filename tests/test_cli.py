@@ -191,6 +191,13 @@ def test_every_audit_option_reaches_its_config_field():
     assert _config(AuditConfig, args) == AUDIT
 
 
+def test_audit_w_hypox_outside_the_window_exit_code(tmp_path, capsys):
+    cohort = tmp_path / "c.csv"
+    run("simulate", "--n", "200", "--seed", "2", "--out", str(cohort))
+    assert run("audit", "--in", str(cohort), "--w-hypox", "60") == 1
+    assert "error: w_hypox=60.0 outside (70.0, 100.0)" in capsys.readouterr().err
+
+
 def test_grid_has_no_w_hypox_option(tmp_path, capsys):
     out = tmp_path / "bundle"
     assert run("grid", "--n", "200", "--w-hypox", "86", "--out", str(out)) == 1

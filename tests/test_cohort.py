@@ -1,6 +1,7 @@
 """Cohort generator: model formulas, channel independence, determinism."""
 
 import math
+import re
 from dataclasses import fields, replace
 from fractions import Fraction
 
@@ -278,6 +279,16 @@ class TestGenerateCohort:
             DgpParams(err_noise_sd=0.0)
         with pytest.raises(ValueError):
             DgpParams(w_hypox=93.0, w_treat=92.0)
+
+
+@pytest.mark.parametrize("w_hypox", (60.0, 70.0, 100.0))
+def test_audit_w_hypox_keeps_the_dgp_window(w_hypox):
+    # One rule for both configs: a threshold outside the saturation window
+    # would leave the audit's hypoxemic stratum empty or whole.
+    message = re.escape(f"w_hypox={w_hypox!r} outside (70.0, 100.0)")
+    for config_type in (DgpParams, AuditConfig):
+        with pytest.raises(ValueError, match=message):
+            config_type(w_hypox=w_hypox)
 
 
 @pytest.mark.parametrize("config_type", (DgpParams, AuditConfig))

@@ -169,6 +169,25 @@ def test_json_rejects_names_outside_the_schema(grid_reports, case):
         parse_report_json(json.dumps(malform(payload)))
 
 
+# Each case writes what report_to_json never writes into a valid document.
+NEVER_WRITTEN = {
+    "nan_contrast": lambda p: json.dumps(_with_metric_fields(p, contrast=math.nan)),
+    "infinite_p_value": lambda p: json.dumps(_with_test(p, p_value=math.inf)),
+    "schema_version_true": lambda p: json.dumps({**p, "schema_version": True}),
+    "schema_version_float": lambda p: json.dumps({**p, "schema_version": 1.0}),
+    "repeated_key": lambda p: json.dumps(p).replace(
+        '"scenario_label": ', '"scenario_label": "other", "scenario_label": ', 1
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NEVER_WRITTEN))
+def test_json_rejects_what_report_to_json_never_writes(grid_reports, case):
+    payload = json.loads(report_to_json(grid_reports[:1]))
+    with pytest.raises(ValueError, match="^malformed report for schema version 1: "):
+        parse_report_json(NEVER_WRITTEN[case](payload))
+
+
 def test_json_field_errors_name_the_schema_version(grid_reports):
     payload = json.loads(report_to_json(grid_reports[:1]))
     del payload["reports"][0]["cohort_summary"]
