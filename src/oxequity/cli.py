@@ -141,8 +141,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    cohort = read_cohort_csv(args.input, require_gold=args.require_gold)
-    report = run_full_audit(cohort, _config(AuditConfig, args), scenario_label=args.label)
+    config = _config(AuditConfig, args)  # a bad option is reported before the file is read
+    cohort = read_cohort_csv(args.input)
+    if args.require_gold and not cohort.gold:
+        patient = cohort.patient_id[cohort.w_true.index(None)]
+        raise ValueError(f"gold standard required, but patient_id {patient} has none")
+    report = run_full_audit(cohort, config, scenario_label=args.label)
     write_output(render_report([report], args.format), args.out)
     return EXIT_OK
 
@@ -160,7 +164,7 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_figure(args) -> int:
-    cohort = read_cohort_csv(args.input, require_gold=True)
+    cohort = read_cohort_csv(args.input)  # figure_summary rejects a cohort without gold
     summary = figure_summary(cohort, bin_width=args.bin_width, value_range=tuple(args.range))
     write_output(figure_to_csv(summary), args.out)
     return EXIT_OK

@@ -28,7 +28,9 @@ passes on: the generator and the CSV reader build it, and the writer,
 the metrics, the grid and the figure read its columns.  It is immutable
 and safe to share across threads; generation itself is a pure function
 of the scenario config.  ``COHORT_COLUMNS`` names the columns once: it is
-both the field order of ``Cohort`` and the cohort CSV header.
+both the field order of ``Cohort`` and the cohort CSV header.  Beside it
+stand the other column facts, once: the gold columns (filled both or
+neither), the 0/1 columns and the oximeter's display range.
 """
 
 from __future__ import annotations
@@ -63,8 +65,7 @@ __all__ = [
 
 TREATMENT_MODES = ("stochastic", "deterministic")
 
-# Saturations live on this physiologic window; the oximeter display is
-# limited to [0, 100].
+# Saturations live on this physiologic window.
 W_LOW = 70.0
 W_HIGH = 100.0
 _COHORT_CHANNELS = (
@@ -78,6 +79,9 @@ _COHORT_CHANNELS = (
 # the inverse CDF needs Phi at the near edge as a normal float, Phi(-37) =
 # 5.7e-300, and Phi falls below the smallest one (2.2e-308) at 37.52 sd.
 _MAX_SD_OUTSIDE = 37.0
+# The largest |probit| of a noise draw (the extreme uniforms map to
+# -8.2924 and 8.2095); it bounds every measurement error (``DgpParams``).
+_MAX_ABS_PROBIT = 8.3
 
 
 def _require_finite(config) -> None:
@@ -126,6 +130,8 @@ class DgpParams:
     Construction raises ValueError on an invalid field, so a ``DgpParams``
     that exists is valid.  ``saturation_mean`` may lie outside [W_LOW,
     W_HIGH] by at most ``_MAX_SD_OUTSIDE`` sd (with sd 0, not at all).
+    The largest possible |eps| must be finite, so every cohort a
+    ``DgpParams`` generates can be written and read back.
     """
 
     saturation_mean: float = 88.3
@@ -155,6 +161,17 @@ class DgpParams:
         if self.saturation_sd < 0.0:
             raise ValueError(f"saturation_sd must be >= 0, got {self.saturation_sd!r}")
         _require_finite(self)
+        error_bound = (
+            abs(self.err_base)
+            + _MAX_ABS_PROBIT * self.err_noise_sd
+            + abs(self.err_group_shift)
+            + abs(self.err_group_slope) * (self.err_pivot - W_LOW)
+        )
+        if not math.isfinite(error_bound):
+            raise ValueError(
+                f"measurement error bound |err_base| + {_MAX_ABS_PROBIT} err_noise_sd + "
+                f"|err_group_shift| + |err_group_slope| (err_pivot - {W_LOW:g}) is not finite"
+            )
         reach = _MAX_SD_OUTSIDE * self.saturation_sd
         if not W_LOW - reach <= self.saturation_mean <= W_HIGH + reach:
             raise ValueError(
@@ -192,20 +209,17 @@ class ScenarioConfig:
             )
 
 
-_BINARY = frozenset((0, 1))
-
-
 @dataclass(frozen=True, slots=True)
 class Cohort:
     """One cohort as equal-length columns, one entry per patient.
 
-    ``w_true`` and ``epsilon`` hold None for patients without a gold
-    standard (rows of a file whose gold fields are blank); ``gold`` is
-    True when every patient has both, and is computed once, here.
-    ``group_a``, ``treated`` and ``outcome`` hold only 0 and 1.  A
-    generated ``w_star`` is ``w_true + epsilon`` clipped to the display
-    range [0, 100].  The columns are read, never written: cohorts derived
-    from shared draws share their true-saturation and group columns.
+    The ``_GOLD_COLUMNS`` hold None for patients without a gold standard
+    (rows of a file whose gold fields are blank); ``gold`` is True when
+    every patient has both, and is computed once, here.  The
+    ``_BINARY_COLUMNS`` hold only 0 and 1.  A generated ``w_star`` is
+    ``w_true + epsilon`` clipped to ``_DISPLAY_RANGE``.  The columns are
+    read, never written: cohorts derived from shared draws share their
+    true-saturation and group columns.
     """
 
     patient_id: list[int]
@@ -221,10 +235,10 @@ class Cohort:
         n = len(self.patient_id)
         if any(len(getattr(self, name)) != n for name in COHORT_COLUMNS):
             raise ValueError("cohort columns differ in length")
-        for name in ("group_a", "treated", "outcome"):
+        for name in _BINARY_COLUMNS:
             if not _BINARY.issuperset(getattr(self, name)):
                 raise ValueError(f"{name} must hold only 0 and 1")
-        gold = n > 0 and None not in self.w_true and None not in self.epsilon
+        gold = n > 0 and all(None not in getattr(self, name) for name in _GOLD_COLUMNS)
         object.__setattr__(self, "gold", gold)
 
     def __len__(self) -> int:
@@ -232,6 +246,11 @@ class Cohort:
 
 
 COHORT_COLUMNS = tuple(f.name for f in fields(Cohort) if f.init)
+# The other column facts, read by ``Cohort``, ``derive_cohort`` and the CSV reader.
+_GOLD_COLUMNS = ("w_true", "epsilon")
+_BINARY_COLUMNS = ("group_a", "treated", "outcome")
+_BINARY = frozenset((0, 1))
+_DISPLAY_RANGE = (0.0, 100.0)
 
 
 def _saturation_inverse_cdf(uniforms: Sequence[float], params: DgpParams) -> list[float]:
@@ -395,11 +414,11 @@ def derive_cohort(draws: CohortDraws, treatment_mode: str) -> Cohort:
     dgp = draws.dgp
     group_a, w_true = draws.group_a, draws.w_true
     epsilon = measurement_errors(w_true, group_a, draws.noise, dgp)
-    # The raw reading r = w + e, clipped to min(max(r, 0.0), 100.0) by the
+    # The raw reading r = w + e, clipped to min(max(r, low), high) by the
     # comparisons max and min make.
+    low, high = _DISPLAY_RANGE
     w_star = [
-        100.0 if 100.0 < (r := w + e) else 0.0 if 0.0 > r else r
-        for w, e in zip(w_true, epsilon)
+        high if high < (r := w + e) else low if low > r else r for w, e in zip(w_true, epsilon)
     ]
     treated = treatment_assignments(w_star, group_a, treatment_mode, draws.u_treat, dgp)
     outcome = outcome_assignments(w_true, treated, draws.u_out, dgp)

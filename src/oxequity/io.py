@@ -1,11 +1,11 @@
 """Cohort CSV serialization, the reader of parameter files, and the output writer.
 
 The cohort schema is the header ``COHORT_COLUMNS`` (the ``Cohort`` columns
-in field order) with floats written to 4 decimal places.  Files lacking the
-gold-standard columns (w_true, epsilon) are accepted when the caller
-does not require them; so are rows whose two gold fields are both blank.
-The cohort's ``w_true`` and ``epsilon`` columns then hold None for those
-patients, and the audit skips the metrics that need the gold standard.
+in field order) with floats written to 4 decimal places.  The reader has
+one mode.  A header names both gold columns (w_true, epsilon) or
+neither, and a row fills both or leaves both blank; a patient without
+gold holds None in both, the audit skips the metrics that need it, and
+a caller that needs gold for every patient tests ``Cohort.gold``.
 Cohort and parameter files are read as UTF-8, a leading byte-order mark
 (which spreadsheet exports write) accepted.  Every output is written as
 UTF-8 with its ``\\n`` line ends untranslated, whatever the locale or
@@ -14,10 +14,10 @@ platform: only this module opens files or writes stdout.
 ``_RULES`` states each column's rule (type and bound) once, and the
 reader's two paths both read it.  The file is parsed in blocks of
 ``_BLOCK`` rows, each turned into columns at once.  A block that breaks
-a rule, or holds a blank line, is parsed again row by row, which skips
-the blank lines and reports the first fault in file order (row-major,
-the columns of a row in rule order); so the checks and messages are
-those of a row-at-a-time reader, and memory stays bounded by the block.
+a rule, or holds a blank line or gold pair, is parsed again row by row,
+which skips blank lines and reports the first fault in file order
+(row-major, the columns of a row in rule order): the checks and messages
+of a row-at-a-time reader, with memory bounded by the block.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ from dataclasses import fields as dataclass_fields
 from itertools import islice
 from pathlib import Path
 
-from .cohort import _BINARY, COHORT_COLUMNS, W_HIGH, W_LOW, Cohort, DgpParams
+from .cohort import COHORT_COLUMNS, W_HIGH, W_LOW, Cohort, DgpParams
+from .cohort import _BINARY, _BINARY_COLUMNS, _DISPLAY_RANGE, _GOLD_COLUMNS  # column facts
 
 __all__ = [
     "COHORT_COLUMNS",
@@ -43,18 +44,14 @@ __all__ = [
 ]
 
 # Each column's rule, in the order a row's faults are reported, the gold
-# columns first: its type, and for a float its closed range (None: any
-# finite value), for an int whether it must be 0 or 1.
+# columns (w_true, epsilon) first: its type, and for a float its closed
+# range (None: any finite value), for an int whether it must be 0 or 1.
 _RULES = (
-    ("w_true", float, (W_LOW, W_HIGH)),
-    ("epsilon", float, None),
-    ("w_star", float, (0.0, 100.0)),
+    *zip(_GOLD_COLUMNS, (float, float), ((W_LOW, W_HIGH), None)),
+    ("w_star", float, _DISPLAY_RANGE),
     ("patient_id", int, False),
-    ("group_a", int, True),
-    ("treated", int, True),
-    ("outcome", int, True),
+    *((name, int, True) for name in _BINARY_COLUMNS),
 )
-_GOLD_COLUMNS = ("w_true", "epsilon")
 # Rows parsed per block.  Larger blocks parse no faster and raise the
 # reader's memory high-water mark.
 _BLOCK = 512
@@ -160,19 +157,19 @@ class _Layout:
     Header names are stripped, as every cell is, before they are matched.
     """
 
-    def __init__(self, header: list[str], require_gold: bool):
+    def __init__(self, header: list[str]):
         positions = {}
         for i, name in enumerate(map(str.strip, header)):
             if name in positions:
                 raise CohortSchemaError("duplicate column in header", row=1, column=name)
             positions[name] = i
-        required = [c for c in COHORT_COLUMNS if require_gold or c not in _GOLD_COLUMNS]
+        # The gold columns are both required once either is named.
+        self.has_gold = not positions.keys().isdisjoint(_GOLD_COLUMNS)
+        required = [c for c in COHORT_COLUMNS if self.has_gold or c not in _GOLD_COLUMNS]
         missing = [c for c in required if c not in positions]
         if missing:
             raise CohortSchemaError("missing required column(s): " + ", ".join(missing), row=1)
         self.width = len(header)
-        self.require_gold = require_gold
-        self.has_gold = all(c in positions for c in _GOLD_COLUMNS)
         # (position, name, kind, bound) of each column read, in rule order.
         rules = _RULES if self.has_gold else _RULES[len(_GOLD_COLUMNS) :]
         self.columns = [(positions[name], name, kind, bound) for name, kind, bound in rules]
@@ -203,22 +200,17 @@ def _parse_rows(
     """
     columns = {name: [] for _, name, _, _ in layout.columns}
     rules = [(at, name, kind, bound, columns[name]) for at, name, kind, bound in layout.columns]
-    gold = layout.has_gold and (rules[0][0], rules[1][0])  # w_true's and epsilon's places
+    gold = layout.has_gold and (rules[0][0], rules[1][0])  # the gold columns' places
     for row, cells in enumerate(block, start=start):
         if not cells or all(not cell.strip() for cell in cells):
             continue
         if len(cells) != layout.width:
             raise CohortSchemaError(f"expected {layout.width} fields, found {len(cells)}", row)
         todo = rules
-        if gold:
-            raw_true, raw_eps = cells[gold[0]].strip(), cells[gold[1]].strip()
-            if layout.require_gold and (not raw_true or not raw_eps):
-                blank = "w_true" if not raw_true else "epsilon"
-                raise CohortSchemaError("gold-standard fields required but blank", row, blank)
-            if not (raw_true or raw_eps):  # a blank gold pair
-                columns["w_true"].append(None)
-                columns["epsilon"].append(None)
-                todo = rules[2:]
+        if gold and not (cells[gold[0]].strip() or cells[gold[1]].strip()):  # a blank gold pair
+            for name in _GOLD_COLUMNS:
+                columns[name].append(None)
+            todo = rules[len(_GOLD_COLUMNS) :]
         for at, name, kind, bound, column in todo:
             value = _parse(cells[at].strip(), row, name, kind, bound)
             if name == "patient_id":
@@ -230,21 +222,22 @@ def _parse_rows(
     return columns
 
 
-def read_cohort_csv(path: str | Path, require_gold: bool = True) -> Cohort:
+def read_cohort_csv(path: str | Path) -> Cohort:
     """Parse and validate a cohort CSV.
 
     Raises CohortSchemaError with the offending file row (1-based, header
-    is row 1) and column name on any violation: missing or duplicate
-    columns, a repeated patient_id, out-of-range or non-finite values, or
-    non-binary indicator columns.  When a file has several faults, the
-    first row's is reported.
+    is row 1) and column name on any violation: missing (one gold column
+    without the other) or duplicate columns, a repeated patient_id,
+    out-of-range or non-finite values, non-binary indicator columns, or
+    one blank gold field.  When a file has several faults, the first
+    row's is reported.
     """
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None:
             raise CohortSchemaError("file is empty")
-        layout = _Layout(header, require_gold)
+        layout = _Layout(header)
         columns = {name: [] for name in COHORT_COLUMNS}
         first_row_of_id: dict[int, int] = {}
         start = 2

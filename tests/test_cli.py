@@ -107,6 +107,59 @@ def test_audit_gold_free_file(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _copy_without(source, target, *columns):
+    """Copy a cohort file without the named columns."""
+    rows = [line.split(",") for line in source.read_text().splitlines()]
+    keep = [i for i, name in enumerate(rows[0]) if name not in columns]
+    target.write_text("".join(",".join(row[i] for i in keep) + "\n" for row in rows))
+
+
+@pytest.mark.parametrize("fmt", ("markdown", "csv", "json"))
+def test_require_gold_keeps_a_gold_report(tmp_path, fmt):
+    cohort = tmp_path / "c.csv"
+    run("simulate", "--n", "300", "--seed", "5", "--out", str(cohort))
+    reports = []
+    for flag in ((), ("--require-gold",)):
+        out = tmp_path / f"r{len(reports)}"
+        assert run("audit", "--in", str(cohort), "--format", fmt, "--out", str(out), *flag) == 0
+        reports.append(out.read_bytes())
+    assert reports[1] == reports[0]
+
+
+@pytest.mark.parametrize("mixed", (False, True), ids=("gold_free", "mixed"))
+def test_require_gold_rejects_a_patient_without_gold(tmp_path, capsys, mixed):
+    source = tmp_path / "c.csv"
+    run("simulate", "--n", "300", "--seed", "5", "--out", str(source))
+    partial = tmp_path / "partial.csv"
+    if mixed:  # gold blank on every other row
+        rows = [line.split(",") for line in source.read_text().splitlines()]
+        for row in rows[2::2]:
+            row[2] = row[4] = ""
+        partial.write_text("".join(",".join(row) + "\n" for row in rows))
+    else:
+        _copy_without(source, partial, "w_true", "epsilon")
+    assert run("audit", "--in", str(partial), "--format", "json") == 0
+    capsys.readouterr()
+    assert run("audit", "--in", str(partial), "--require-gold") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("kept", ("w_true", "epsilon"))
+def test_audit_rejects_a_header_with_one_gold_column(tmp_path, capsys, kept):
+    # A header names both gold columns or neither, as a row fills both or neither.
+    dropped = {"w_true": "epsilon", "epsilon": "w_true"}[kept]
+    source = tmp_path / "c.csv"
+    run("simulate", "--n", "50", "--seed", "5", "--out", str(source))
+    half_gold = tmp_path / "half_gold.csv"
+    _copy_without(source, half_gold, dropped)
+    assert run("audit", "--in", str(half_gold)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: missing required column(s): {dropped} (row 1)\n"
+
+
 def test_audit_schema_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("patient_id,group_a,w_true,w_star,epsilon,treated,outcome\n0,0,90,91.3,1.3,2,0\n")
@@ -196,6 +249,20 @@ def test_audit_w_hypox_outside_the_window_exit_code(tmp_path, capsys):
     run("simulate", "--n", "200", "--seed", "2", "--out", str(cohort))
     assert run("audit", "--in", str(cohort), "--w-hypox", "60") == 1
     assert "error: w_hypox=60.0 outside (70.0, 100.0)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "option, message",
+    (
+        (("--w-hypox", "60"), "error: w_hypox=60.0 outside (70.0, 100.0)\n"),
+        (("--alpha", "2"), "error: alpha must lie in (0, 1), got 2.0\n"),
+    ),
+)
+def test_audit_options_are_checked_before_the_file_is_read(tmp_path, capsys, option, message):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    assert run("audit", "--in", str(empty), *option) == 1
+    assert capsys.readouterr().err == message
 
 
 def test_grid_has_no_w_hypox_option(tmp_path, capsys):
@@ -475,6 +542,18 @@ def test_simulate_rejects_a_saturation_mean_far_outside_the_window(tmp_path, cap
     assert run("simulate", "--n", "50", "--params", str(params), "--out", str(out)) == 1
     assert "error: saturation_mean=200.0 lies more than 37" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_simulate_rejects_an_unbounded_measurement_error(tmp_path, capsys):
+    # 8.3 * 1e308 overflows: some patient's error would be written as -inf.
+    params = tmp_path / "p.json"
+    params.write_text('{"err_noise_sd": 1e308}\n')
+    out = tmp_path / "c.csv"
+    assert run("simulate", "--n", "50", "--params", str(params), "--out", str(out)) == 1
+    assert "error: measurement error bound" in capsys.readouterr().err
+    assert not out.exists()
+    assert run("grid", "--n", "50", "--params", str(params), "--out", str(tmp_path / "g")) == 1
+    capsys.readouterr()
 
 
 def test_grid_writes_table1_when_a_group_has_no_hypoxemic_patient(tmp_path):

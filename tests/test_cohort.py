@@ -21,6 +21,7 @@ from oxequity.cohort import (
     outcome_risks,
     treatment_assignments,
 )
+from oxequity.io import read_cohort_csv, write_cohort_csv
 from oxequity.metrics import AuditConfig
 
 from oracles import cohort_of, gold_free, records_of, truncated_normal_inverse_oracle
@@ -299,6 +300,29 @@ def test_every_float_field_must_be_finite(config_type, bad):
     for name in names:
         with pytest.raises(ValueError, match=name):
             config_type(**{name: bad})
+
+
+@pytest.mark.parametrize(
+    "params",
+    (
+        {"err_noise_sd": 1e308},
+        {"err_group_slope": 1e307},
+        {"err_base": 1e308, "err_group_shift": -1e308},
+    ),
+)
+def test_measurement_error_bound_must_be_finite(params):
+    with pytest.raises(ValueError, match=r"measurement error bound .* is not finite"):
+        DgpParams(**params)
+
+
+def test_largest_finite_error_bound_round_trips(tmp_path):
+    # 8.3 * 2e307 is finite, so every error of the cohort is, and its file reads back.
+    dgp = DgpParams(err_noise_sd=2e307)
+    cohort = generate_cohort(ScenarioConfig(n_total=50, seed=3, dgp=dgp))
+    path = tmp_path / "c.csv"
+    write_cohort_csv(cohort, path)
+    assert read_cohort_csv(path).gold
+    assert max(map(abs, cohort.epsilon)) > 1e307
 
 
 def _expit(x):

@@ -77,18 +77,16 @@ def test_header_matches_contract(tmp_path, cohort):
     assert path.read_text().splitlines()[0] == ",".join(COHORT_COLUMNS)
 
 
-def test_gold_free_file_accepted_when_not_required(tmp_path, cohort):
+def test_gold_free_file_accepted(tmp_path, cohort):
     path = tmp_path / "nogold.csv"
     lines = ["patient_id,group_a,w_star,treated,outcome"]
     for r in records_of(cohort)[:50]:
         lines.append(f"{r.patient_id},{r.group_a},{r.w_star:.4f},{r.treated},{r.outcome}")
     path.write_text("\n".join(lines) + "\n")
-    loaded = read_cohort_csv(path, require_gold=False)
+    loaded = read_cohort_csv(path)
     assert len(loaded) == 50
     assert all(r.w_true is None and r.epsilon is None for r in records_of(loaded))
     assert not loaded.gold
-    with pytest.raises(CohortSchemaError, match="w_true"):
-        read_cohort_csv(path, require_gold=True)
 
 
 def test_non_binary_indicator_names_row_and_column(tmp_path, cohort):
@@ -139,7 +137,7 @@ def test_duplicate_header_column_found_after_stripping(tmp_path):
     path = tmp_path / "dup_padded.csv"
     path.write_text("patient_id, patient_id ,group_a\n0,0,1\n")
     with pytest.raises(CohortSchemaError, match="duplicate column") as excinfo:
-        read_cohort_csv(path, require_gold=False)
+        read_cohort_csv(path)
     assert excinfo.value.row == 1
     assert excinfo.value.column == "patient_id"
 
@@ -148,7 +146,7 @@ def test_missing_column_listed(tmp_path):
     path = tmp_path / "short.csv"
     path.write_text("patient_id,group_a,w_star\n1,0,90.0\n")
     with pytest.raises(CohortSchemaError, match="treated"):
-        read_cohort_csv(path, require_gold=False)
+        read_cohort_csv(path)
 
 
 def test_empty_file_and_header_only(tmp_path):

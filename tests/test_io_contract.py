@@ -51,14 +51,13 @@ def _set(lines, file_row, column, value):
     return out
 
 
-def _audit_json(path, require_gold=True):
-    cohort = read_cohort_csv(path, require_gold=require_gold)
-    return report_to_json([run_full_audit(cohort, AuditConfig())])
+def _audit_json(path):
+    return report_to_json([run_full_audit(read_cohort_csv(path), AuditConfig())])
 
 
-def _fault(path, require_gold=True):
+def _fault(path):
     with pytest.raises(CohortSchemaError) as excinfo:
-        read_cohort_csv(path, require_gold=require_gold)
+        read_cohort_csv(path)
     return excinfo.value.row, excinfo.value.column, str(excinfo.value)
 
 
@@ -70,7 +69,7 @@ def test_mixed_gold_rows_skip_gold_metrics(tmp_path, lines, capsys):
     for file_row in (3, 2500, N + 1):
         mixed = _set(_set(mixed, file_row, W_TRUE, ""), file_row, EPSILON, "")
     path = _write(tmp_path, mixed)
-    cohort = read_cohort_csv(path, require_gold=False)
+    cohort = read_cohort_csv(path)
     assert len(cohort) == N
     report = run_full_audit(cohort, AuditConfig())
     for metric in report.metrics:
@@ -81,18 +80,17 @@ def test_mixed_gold_rows_skip_gold_metrics(tmp_path, lines, capsys):
     assert report.cohort_summary["hypoxemia_rate_group0"] is None
     with pytest.raises(ValueError, match="gold-standard"):
         figure_summary(cohort)
-    assert _fault(path) == (
-        3,
-        "w_true",
-        "gold-standard fields required but blank (row 3, column 'w_true')",
+    assert main(["audit", "--in", str(path), "--require-gold"]) == 1
+    assert capsys.readouterr().err == (
+        "error: gold standard required, but patient_id 1 has none\n"  # file row 3
     )
     assert main(["figure", "--in", str(path)]) == 1
-    assert "row 3" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: figure data needs gold-standard true saturations\n"
 
 
-def test_half_blank_gold_row_rejected_without_require_gold(tmp_path, lines):
+def test_half_blank_gold_row_rejected(tmp_path, lines):
     path = _write(tmp_path, _set(lines, 4000, EPSILON, " "))
-    assert _fault(path, require_gold=False) == (
+    assert _fault(path) == (
         4000,
         "epsilon",
         "expected a number, got '' (row 4000, column 'epsilon')",

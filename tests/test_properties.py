@@ -235,7 +235,7 @@ def test_cohort_file_round_trip(cohort, drop_gold, blank_lines, padded, block):
         path.write_text("\n".join(lines) + "\n")
         # Small blocks mix the block and row parse paths within one file.
         with mock.patch.object(io, "_BLOCK", block):
-            loaded = read_cohort_csv(path, require_gold=False)
+            loaded = read_cohort_csv(path)
         assert _bits(getattr(loaded, c) for c in COHORT_COLUMNS) == _bits(
             [v if v is None or isinstance(v, int) else float(f"{v:.4f}") for v in column]
             for column in (getattr(expected, c) for c in COHORT_COLUMNS)
